@@ -9,6 +9,8 @@ namespace spb {
 namespace {
 constexpr uint64_t kBptMagic = 0x5350424250543031ULL;  // "SPBBPT01"
 constexpr PageId kMetaPage = 0;
+// Longest run of leaves BulkLoad writes with one span write (256 KiB).
+constexpr size_t kLeafRunPages = 64;
 }  // namespace
 
 Status BPlusTree::Create(std::unique_ptr<PageFile> file, size_t cache_pages,
@@ -369,35 +371,54 @@ Status BPlusTree::BulkLoad(const std::vector<LeafEntry>& entries) {
   }
   if (entries.empty()) return Status::OK();
 
-  // ---- Leaf level. The existing (empty) root page becomes the first leaf.
+  // ---- Leaf level. The existing (empty) root page becomes the first leaf;
+  // the others take the ids the file grows into. Leaves are serialized
+  // straight into runs of consecutive pages, each written with one
+  // BufferPool::AppendSpan: page ids, page_writes and pool contents are
+  // those of a WriteNode per leaf, without a zero-fill write per page.
   const size_t num_leaves =
       (entries.size() + BptNode::kLeafCapacity - 1) / BptNode::kLeafCapacity;
-  std::vector<PageId> leaf_ids(num_leaves);
-  leaf_ids[0] = root_;
-  for (size_t i = 1; i < num_leaves; ++i) {
-    SPB_RETURN_IF_ERROR(pool_.Allocate(&leaf_ids[i]));
-  }
+  const PageId fresh = owned_file_->num_pages();
+  auto leaf_id = [&](size_t i) {
+    return i == 0 ? root_ : fresh + static_cast<PageId>(i - 1);
+  };
+  std::vector<Page> run;
+  run.reserve(std::min(num_leaves, kLeafRunPages));
+  PageId run_first = kInvalidPageId;
+  auto write_run = [&]() {
+    Status s = pool_.AppendSpan(run_first, run.size(), run.data());
+    run.clear();
+    return s;
+  };
 
   std::vector<InternalEntry> level;
   level.reserve(num_leaves);
   size_t pos = 0;
   for (size_t i = 0; i < num_leaves; ++i) {
     BptNode leaf;
-    leaf.id = leaf_ids[i];
+    leaf.id = leaf_id(i);
     leaf.is_leaf = true;
-    leaf.next_leaf = (i + 1 < num_leaves) ? leaf_ids[i + 1] : kInvalidPageId;
+    leaf.next_leaf = (i + 1 < num_leaves) ? leaf_id(i + 1) : kInvalidPageId;
     const size_t take =
         std::min(BptNode::kLeafCapacity, entries.size() - pos);
     leaf.leaf_entries.assign(entries.begin() + ptrdiff_t(pos),
                              entries.begin() + ptrdiff_t(pos + take));
     pos += take;
-    SPB_RETURN_IF_ERROR(WriteNode(leaf));
+    if (!run.empty() && (run.size() == kLeafRunPages ||
+                         leaf.id != run_first + run.size())) {
+      SPB_RETURN_IF_ERROR(write_run());
+    }
+    if (run.empty()) run_first = leaf.id;
+    run.emplace_back();
+    leaf.SerializeTo(&run.back());
+    node_cache_.Erase(leaf.id);
     uint64_t mbb_min, mbb_max;
     ComputeLeafBox(leaf, &mbb_min, &mbb_max);
     level.push_back(
         InternalEntry{leaf.min_key(), leaf.id, mbb_min, mbb_max});
   }
-  first_leaf_ = leaf_ids[0];
+  SPB_RETURN_IF_ERROR(write_run());
+  first_leaf_ = root_;
   height_ = 1;
 
   // ---- Internal levels, bottom-up.

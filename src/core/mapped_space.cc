@@ -41,6 +41,27 @@ MappedSpace::MappedSpace(PivotTable pivots, const DistanceFunction& metric,
   curve_ = SpaceFillingCurve::Create(curve_type, pivots_.size(), bits);
 }
 
+void MappedSpace::KeysFor(const double* phis, size_t count,
+                          uint64_t* keys) const {
+  // dims * bits <= 64 bounds dims by 64, so every block holds >= 64 points.
+  constexpr size_t kBlockCells = 4096;
+  constexpr size_t kMaxBlock = 256;
+  uint32_t cells[kBlockCells];
+  uint32_t tmp[kMaxBlock];
+  const size_t n = dims();
+  const size_t block = std::min(kMaxBlock, kBlockCells / n);
+  for (size_t start = 0; start < count; start += block) {
+    const size_t m = std::min(block, count - start);
+    const double* rows = phis + start * n;
+    for (size_t i = 0; i < m; ++i) {
+      for (size_t d = 0; d < n; ++d) {
+        cells[d * m + i] = disc_.ToCell(rows[i * n + d]);
+      }
+    }
+    curve_->EncodeBatch(cells, m, keys + start, tmp);
+  }
+}
+
 void MappedSpace::RangeRegion(const std::vector<double>& phi_q, double r,
                               std::vector<uint32_t>* lo,
                               std::vector<uint32_t>* hi) const {

@@ -46,15 +46,21 @@ class MappedSpace {
 
   /// SFC key of an object (the B+-tree key).
   uint64_t KeyFor(const std::vector<double>& phi) const {
-    return curve_->Encode(ToCells(phi));
+    return KeyFor(phi.data());
   }
 
-  /// Same, from a raw row of a PivotTable::MapBatch() buffer.
-  uint64_t KeyFor(const double* phi, size_t n) const {
-    std::vector<uint32_t> cells(n);
-    for (size_t i = 0; i < n; ++i) cells[i] = disc_.ToCell(phi[i]);
-    return curve_->Encode(cells);
+  /// Same, from a raw row of dims() distances (a PivotTable::MapBatch() row).
+  uint64_t KeyFor(const double* phi) const {
+    uint64_t key;
+    KeysFor(phi, 1, &key);
+    return key;
   }
+
+  /// Keys `count` row-major mapped vectors (PivotTable::MapBatch() layout)
+  /// into keys[0..count): cells are staged dim-major in a stack block and
+  /// encoded by SpaceFillingCurve::EncodeBatch, so no call allocates.
+  /// Bit-identical to per-row KeyFor.
+  void KeysFor(const double* phis, size_t count, uint64_t* keys) const;
 
   /// A batch of decoded cells in structure-of-arrays layout: `cells[d *
   /// count + i]` is dimension d of entry i, so the per-dimension sweeps of

@@ -10,6 +10,7 @@
 #include <limits>
 #include <thread>
 
+#include "common/parallel.h"
 #include "exec/task_arena.h"
 
 namespace spb {
@@ -135,17 +136,18 @@ Status ShardedSpbTree::BuildShards(const std::vector<Blob>& objects,
   const size_t dims = t->space_->dims();
   const size_t S = options.num_shards;
 
-  // Map the whole dataset once (counted at the router, exactly the
-  // distance calls the unsharded bulk load spends).
+  // Map and key the whole dataset once, in parallel chunks like the
+  // unsharded bulk load (counted at the router, exactly the distance calls
+  // that bulk load spends).
   std::vector<double> phis(objects.size() * dims);
   std::vector<uint64_t> keys(objects.size());
-  if (!objects.empty()) {
-    t->space_->pivots().MapBatch(objects.data(), objects.size(),
-                                 *t->counting_, phis.data());
-    for (size_t i = 0; i < objects.size(); ++i) {
-      keys[i] = t->space_->KeyFor(phis.data() + i * dims, dims);
-    }
-  }
+  ParallelFor(objects.size(), SpbTree::kBuildChunkObjects,
+              [&](size_t begin, size_t end) {
+                double* rows = phis.data() + begin * dims;
+                t->space_->pivots().MapBatch(objects.data() + begin,
+                                             end - begin, *t->counting_, rows);
+                t->space_->KeysFor(rows, end - begin, keys.data() + begin);
+              });
 
   // Range boundaries at the S-quantiles of the mapped keys, so bulk load
   // starts balanced. With no data, fall back to an equal-width split of
@@ -181,26 +183,24 @@ Status ShardedSpbTree::BuildShards(const std::vector<Blob>& objects,
     shard_phis[s].insert(shard_phis[s].end(), row, row + dims);
   }
 
-  // Bulk-load the shards, one thread each. Every shard gets its own copy of
-  // the pivot table (it owns its mapping) and a num_shards=1 option set
-  // rooted under shard_<s>/.
+  // Bulk-load the shards on parallel threads (each shard's own build then
+  // runs on its thread alone). Every shard gets its own copy of the pivot
+  // table (it owns its mapping) and a num_shards=1 option set rooted under
+  // shard_<s>/.
   t->shards_.resize(S);
   t->boxes_.clear();
   for (size_t s = 0; s < S; ++s) {
     t->boxes_.emplace_back(std::make_unique<ShardBox>());
   }
   std::vector<Status> results(S, Status::OK());
-  std::vector<std::thread> threads;
-  threads.reserve(S);
-  for (size_t s = 0; s < S; ++s) {
-    threads.emplace_back([&, s]() {
+  ParallelFor(S, 1, [&](size_t begin, size_t end) {
+    for (size_t s = begin; s < end; ++s) {
       results[s] = SpbTree::BuildWithPivots(
           objs[s], metric, PivotTable(t->space_->pivots().pivots()),
           ShardOptions(options, s), &t->shards_[s], &ids[s],
           objs[s].empty() ? nullptr : shard_phis[s].data());
-    });
-  }
-  for (auto& th : threads) th.join();
+    }
+  });
   for (const Status& s : results) {
     if (!s.ok()) return s;
   }
@@ -482,7 +482,7 @@ Status ShardedSpbTree::BatchInsert(const std::vector<Blob>& objs,
   std::vector<uint32_t> cells;
   for (size_t i = 0; i < objs.size(); ++i) {
     const double* row = phis.data() + i * dims;
-    const uint64_t key = space_->KeyFor(row, dims);
+    const uint64_t key = space_->KeyFor(row);
     const size_t s = RouteKey(key);
     per_shard[s].push_back(SpbTree::MappedInsert{&objs[i], ids[i], key, row});
     cells.resize(dims);

@@ -2,6 +2,7 @@
 
 #include "common/coding.h"
 #include "common/crash_point.h"
+#include "common/parallel.h"
 
 #include <algorithm>
 #include <chrono>
@@ -44,6 +45,27 @@ class StatScope {
   QueryStats before_;
   std::chrono::steady_clock::time_point start_;
 };
+
+// Merges the consecutive sorted runs [runs[i], runs[i+1]) of `*v` into one
+// sorted range, pairwise, the pairs of each level on parallel threads. With
+// a strict total order the result is the same for any run boundaries.
+template <typename T, typename Less>
+void MergeSortedRuns(std::vector<T>* v, std::vector<size_t> runs, Less less) {
+  while (runs.size() > 2) {
+    const size_t pairs = (runs.size() - 1) / 2;
+    ParallelFor(pairs, 1, [&](size_t begin, size_t end) {
+      for (size_t p = begin; p < end; ++p) {
+        std::inplace_merge(v->begin() + ptrdiff_t(runs[2 * p]),
+                           v->begin() + ptrdiff_t(runs[2 * p + 1]),
+                           v->begin() + ptrdiff_t(runs[2 * p + 2]), less);
+      }
+    });
+    std::vector<size_t> next;
+    for (size_t i = 0; i < runs.size(); i += 2) next.push_back(runs[i]);
+    if (next.back() != runs.back()) next.push_back(runs.back());
+    runs = std::move(next);
+  }
+}
 
 }  // namespace
 
@@ -176,57 +198,114 @@ Status SpbTree::BuildInternal(const std::vector<Blob>& objects,
     tree->raf_ = std::move(raf);
   }
 
-  // ---- Stage 1+2: map every object and sort by SFC value. `pos` is the
-  // position in `objects` (needed to fetch the payload once ids are
-  // explicit and no longer double as positions).
+  // ---- Stage 1+2: map every object, key it and sort by SFC value, in
+  // contiguous chunks on parallel threads (common/parallel.h). `pos` is the
+  // position in `objects` (needed to fetch the payload once ids are explicit
+  // and no longer double as positions). The rows of a chunk are mapped by
+  // that chunk's thread — unless the caller (a sharding router) already
+  // mapped them and passed them in, in which case the distance calls were
+  // counted at the router.
   struct Mapped {
     uint64_t key;
     ObjectId id;
     uint32_t pos;
   };
-  std::vector<Mapped> mapped(objects.size());
+  // (key, id) is the leaf order; `pos` only makes the order total, so the
+  // merged result cannot depend on how many chunks the host ran.
+  auto leaf_order = [](const Mapped& a, const Mapped& b) {
+    if (a.key != b.key) return a.key < b.key;
+    if (a.id != b.id) return a.id < b.id;
+    return a.pos < b.pos;
+  };
+  const size_t n = objects.size();
+  const size_t dims = tree->space_->dims();
+  std::vector<Mapped> mapped(n);
+  std::vector<double> phis_own(phis_in == nullptr ? n * dims : 0);
+  const double* phis = phis_in != nullptr ? phis_in : phis_own.data();
+  const MappedSpace& space = *tree->space_;
+  const CountingDistance& counting = tree->counting_;
+  const std::vector<size_t> runs =
+      ParallelFor(n, kBuildChunkObjects, [&](size_t begin, size_t end) {
+        if (phis_in == nullptr) {
+          space.pivots().MapBatch(objects.data() + begin, end - begin,
+                                  counting, phis_own.data() + begin * dims);
+        }
+        uint64_t keys[256];
+        for (size_t i = begin; i < end; i += 256) {
+          const size_t m = std::min<size_t>(256, end - i);
+          space.KeysFor(phis + i * dims, m, keys);
+          for (size_t j = 0; j < m; ++j) {
+            const size_t p = i + j;
+            const ObjectId id = ids != nullptr ? (*ids)[p] : ObjectId(p);
+            mapped[p] = Mapped{keys[j], id, uint32_t(p)};
+          }
+        }
+        std::sort(mapped.begin() + ptrdiff_t(begin),
+                  mapped.begin() + ptrdiff_t(end), leaf_order);
+      });
+  MergeSortedRuns(&mapped, runs, leaf_order);
+
+  // Reservoir sample for the cost model: a serial pass in object order, so
+  // the RNG sequence is the same at any thread count.
   std::vector<std::vector<double>> sample;
   const size_t sample_cap = options.cost_sample_size;
   Rng sample_rng(options.seed ^ 0xc0);
-  // Map the whole dataset into one row-major buffer (same distance-call
-  // order as per-object Phi, without a vector allocation per object) —
-  // unless the caller (a sharding router) already did and passed the rows
-  // in, in which case the distance calls were counted at the router.
-  const size_t dims = tree->space_->dims();
-  std::vector<double> phis_own;
-  const double* phis = phis_in;
-  if (phis == nullptr) {
-    phis_own.resize(objects.size() * dims);
-    tree->space_->pivots().MapBatch(objects.data(), objects.size(),
-                                    tree->counting_, phis_own.data());
-    phis = phis_own.data();
-  }
-  for (size_t i = 0; i < objects.size(); ++i) {
+  for (size_t i = 0; sample_cap > 0 && i < n; ++i) {
     const double* phi = phis + i * dims;
-    const ObjectId id = ids != nullptr ? (*ids)[i] : ObjectId(i);
-    mapped[i] = Mapped{tree->space_->KeyFor(phi, dims), id, uint32_t(i)};
-    if (sample_cap > 0) {
-      if (sample.size() < sample_cap) {
-        sample.emplace_back(phi, phi + dims);
-      } else {
-        const uint64_t slot = sample_rng.Uniform(i + 1);
-        if (slot < sample_cap) sample[slot].assign(phi, phi + dims);
-      }
+    if (sample.size() < sample_cap) {
+      sample.emplace_back(phi, phi + dims);
+    } else {
+      const uint64_t slot = sample_rng.Uniform(i + 1);
+      if (slot < sample_cap) sample[slot].assign(phi, phi + dims);
     }
   }
-  std::sort(mapped.begin(), mapped.end(),
-            [](const Mapped& a, const Mapped& b) {
-              return a.key < b.key || (a.key == b.key && a.id < b.id);
-            });
+  std::vector<double>().swap(phis_own);
 
   // ---- RAF in ascending SFC order; B+-tree entries reference offsets.
+  // Reading the payloads in SFC order is a random walk over the input, so
+  // each block of records first has its payloads gathered into a bounded
+  // staging buffer on parallel threads; AppendBatch then copies them in
+  // order.
   std::vector<LeafEntry> entries;
-  entries.reserve(mapped.size());
-  for (const Mapped& m : mapped) {
-    uint64_t offset;
-    SPB_RETURN_IF_ERROR(tree->raf_->Append(m.id, objects[m.pos], &offset));
-    entries.push_back(LeafEntry{m.key, offset});
+  entries.reserve(n);
+  {
+    constexpr size_t kStageBytes = size_t{1} << 20;
+    constexpr size_t kStageRecords = 4 * kBuildChunkObjects;
+    std::vector<uint8_t> stage;
+    std::vector<size_t> starts;  // payload j of the block at stage[starts[j]]
+    std::vector<Raf::Record> records;
+    std::vector<uint64_t> offsets;
+    for (size_t i = 0; i < n;) {
+      // The block: records i.. while they and their payloads fit (at least
+      // one).
+      size_t end = i, bytes = 0;
+      starts.clear();
+      do {
+        starts.push_back(bytes);
+        bytes += objects[mapped[end++].pos].size();
+      } while (end < n && end - i < kStageRecords &&
+               bytes + objects[mapped[end].pos].size() <= kStageBytes);
+      starts.push_back(bytes);
+      const size_t m = end - i;
+      stage.resize(bytes);
+      records.resize(m);
+      offsets.resize(m);
+      ParallelFor(m, kBuildChunkObjects, [&](size_t b, size_t e) {
+        for (size_t j = b; j < e; ++j) {
+          const Blob& obj = objects[mapped[i + j].pos];
+          uint8_t* dst = stage.data() + starts[j];
+          if (!obj.empty()) std::memcpy(dst, obj.data(), obj.size());
+          records[j] = Raf::Record{mapped[i + j].id, BlobRef(dst, obj.size())};
+        }
+      });
+      SPB_RETURN_IF_ERROR(tree->raf_->AppendBatch(records, offsets.data()));
+      for (size_t j = 0; j < m; ++j) {
+        entries.push_back(LeafEntry{mapped[i + j].key, offsets[j]});
+      }
+      i = end;
+    }
   }
+  std::vector<Mapped>().swap(mapped);
   SPB_RETURN_IF_ERROR(tree->raf_->Sync());
   SPB_RETURN_IF_ERROR(tree->btree_->BulkLoad(entries));
   SPB_RETURN_IF_ERROR(tree->btree_->Sync());
@@ -1255,7 +1334,7 @@ Status SpbTree::PointSearchWithLocator(const Blob& q, const LeafModel& model,
   // This path collects the same run from the same leaves in the same order,
   // so results, RAF accesses and compdists are byte-identical; the elided
   // root-to-leaf descent is the only difference.
-  const uint64_t key_q = space_->KeyFor(A.phi_q.data(), space_->dims());
+  const uint64_t key_q = space_->KeyFor(A.phi_q.data());
   bool miss = false;
   size_t rank = model.SeekRank(key_q, &miss);
   if (miss) loc_seek_misses_.fetch_add(1, std::memory_order_relaxed);
@@ -2121,17 +2200,25 @@ Status SpbTree::CompactLocked() {
   SPB_RETURN_IF_ERROR(Raf::Create(std::move(file), options_.raf_cache_pages,
                                   &fresh, raf_->generation() + 1));
   // Copy the live records in SFC order: the new file is dense and restored
-  // to bulk-load locality, and every orphaned record is left behind.
+  // to bulk-load locality, and every orphaned record is left behind. A
+  // block of records at a time goes through the bulk load's span path.
   Raf::RawReadCache cache;
-  ObjectId id;
-  Blob obj;
-  std::vector<LeafEntry> new_entries;
-  new_entries.reserve(entries.size());
-  for (const LeafEntry& e : entries) {
-    SPB_RETURN_IF_ERROR(raf_->GetRaw(e.ptr, &id, &obj, &cache));
-    uint64_t offset;
-    SPB_RETURN_IF_ERROR(fresh->Append(id, obj, &offset));
-    new_entries.push_back(LeafEntry{e.key, offset});
+  constexpr size_t kBlock = 1024;
+  std::vector<Blob> objs(std::min(entries.size(), kBlock));
+  std::vector<Raf::Record> records(objs.size());
+  std::vector<LeafEntry> new_entries(entries.size());
+  for (size_t i = 0; i < entries.size(); i += kBlock) {
+    const size_t m = std::min(kBlock, entries.size() - i);
+    for (size_t j = 0; j < m; ++j) {
+      SPB_RETURN_IF_ERROR(
+          raf_->GetRaw(entries[i + j].ptr, &records[j].id, &objs[j], &cache));
+      records[j].payload = objs[j];
+      new_entries[i + j].key = entries[i + j].key;
+    }
+    uint64_t offsets[kBlock];
+    SPB_RETURN_IF_ERROR(fresh->AppendBatch(
+        std::span<const Raf::Record>(records.data(), m), offsets));
+    for (size_t j = 0; j < m; ++j) new_entries[i + j].ptr = offsets[j];
   }
   SPB_RETURN_IF_ERROR(fresh->Sync());
   // Cumulative counters carry across the swap (compaction is invisible to

@@ -246,9 +246,16 @@ struct PlannerStats {
 /// counters mid-measurement).
 class SpbTree : public MetricIndex {
  public:
+  /// Fewest objects per bulk-load thread. Build maps, keys and sorts the
+  /// objects in contiguous chunks on min(hardware threads, n / this)
+  /// threads; its output is the same at any thread count.
+  static constexpr size_t kBuildChunkObjects = 4096;
+
   /// Builds an index over `objects` (bulk-loading path: pivot selection,
   /// two-stage mapping, SFC sort, RAF fill, B+-tree bulk-load). Object ids
-  /// are the positions in `objects`. `metric` must outlive the tree.
+  /// are the positions in `objects`. `metric` must outlive the tree and be
+  /// safe to call from several threads at once (as queries already
+  /// require).
   static Status Build(const std::vector<Blob>& objects,
                       const DistanceFunction* metric,
                       const SpbTreeOptions& options,

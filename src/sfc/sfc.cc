@@ -18,8 +18,7 @@ namespace sfc_batch {
 
 // Defined in sfc_batch_avx2.cc; nullptr in portable -DSPB_SIMD=OFF builds
 // and on non-x86 targets.
-HilbertBatchFn GetAvx2HilbertBatch();
-MortonBatchFn GetAvx2MortonBatch();
+const BatchTable* GetAvx2BatchTable();
 
 namespace {
 
@@ -30,36 +29,19 @@ bool BatchSimdDisabledByEnv() {
 
 }  // namespace
 
-HilbertBatchFn Hilbert() {
-  static const HilbertBatchFn fn = [] {
+const BatchTable& Active() {
+  static const BatchTable* table = [] {
 #if defined(__x86_64__) || defined(__i386__)
-    if (HilbertBatchFn f = GetAvx2HilbertBatch();
-        f != nullptr && !BatchSimdDisabledByEnv() &&
+    if (const BatchTable* t = GetAvx2BatchTable();
+        t != nullptr && !BatchSimdDisabledByEnv() &&
         __builtin_cpu_supports("avx2")) {
-      return f;
+      return t;
     }
 #endif
-    return &portable::DecodeHilbertBatch;
+    return &portable::kTable;
   }();
-  return fn;
+  return *table;
 }
-
-MortonBatchFn Morton() {
-  static const MortonBatchFn fn = [] {
-#if defined(__x86_64__) || defined(__i386__)
-    if (MortonBatchFn f = GetAvx2MortonBatch();
-        f != nullptr && !BatchSimdDisabledByEnv() &&
-        __builtin_cpu_supports("avx2")) {
-      return f;
-    }
-#endif
-    return &portable::DecodeMortonBatch;
-  }();
-  return fn;
-}
-
-HilbertBatchFn PortableHilbert() { return &portable::DecodeHilbertBatch; }
-MortonBatchFn PortableMorton() { return &portable::DecodeMortonBatch; }
 
 }  // namespace sfc_batch
 
@@ -103,6 +85,7 @@ class BitInterleaver {
 
   const uint64_t* masks() const { return masks_.data(); }
   kernels::BitGatherFn pext() const { return pext_; }
+  kernels::BitScatterFn pdep() const { return pdep_; }
 
  private:
   kernels::BitGatherFn pext_;
@@ -180,8 +163,15 @@ class HilbertCurve final : public SpaceFillingCurve {
 
   void DecodeBatch(const uint64_t* keys, size_t count,
                    uint32_t* cells_dim_major, uint32_t* tmp) const override {
-    sfc_batch::Hilbert()(keys, count, codec_.masks(), dims_, bits_,
-                         codec_.pext(), cells_dim_major, tmp);
+    sfc_batch::Active().decode_hilbert(keys, count, codec_.masks(), dims_,
+                                       bits_, codec_.pext(), cells_dim_major,
+                                       tmp);
+  }
+
+  void EncodeBatch(uint32_t* cells_dim_major, size_t count, uint64_t* keys,
+                   uint32_t* tmp) const override {
+    sfc_batch::Active().encode_hilbert(cells_dim_major, count, codec_.masks(),
+                                       dims_, bits_, codec_.pdep(), keys, tmp);
   }
 
   CurveType type() const override { return CurveType::kHilbert; }
@@ -207,8 +197,14 @@ class ZOrderCurve final : public SpaceFillingCurve {
   void DecodeBatch(const uint64_t* keys, size_t count,
                    uint32_t* cells_dim_major, uint32_t* tmp) const override {
     (void)tmp;
-    sfc_batch::Morton()(keys, count, codec_.masks(), dims_, codec_.pext(),
-                        cells_dim_major);
+    sfc_batch::Active().decode_morton(keys, count, codec_.masks(), dims_,
+                                      codec_.pext(), cells_dim_major);
+  }
+
+  void EncodeBatch(uint32_t* cells_dim_major, size_t count, uint64_t* keys,
+                   uint32_t* tmp) const override {
+    sfc_batch::Active().encode_morton(cells_dim_major, count, codec_.masks(),
+                                      dims_, bits_, codec_.pdep(), keys, tmp);
   }
 
   CurveType type() const override { return CurveType::kZOrder; }

@@ -41,6 +41,16 @@ class SpaceFillingCurve {
   virtual void DecodeBatch(const uint64_t* keys, size_t count,
                            uint32_t* cells_dim_major, uint32_t* tmp) const;
 
+  /// Encodes `count` points given as a dim-major matrix (the DecodeBatch
+  /// layout: cells_dim_major[d * count + i] is coordinate d of point i) into
+  /// keys[0..count). The matrix is overwritten: the Hilbert transform runs
+  /// in place. `tmp` must point at `count` words of scratch. Bit-identical
+  /// to per-point Encode, lane-parallel across points and runtime-dispatched
+  /// like DecodeBatch; the bulk load keys the whole dataset through it, and
+  /// a one-point call is the allocation-free single-key encode.
+  virtual void EncodeBatch(uint32_t* cells_dim_major, size_t count,
+                           uint64_t* keys, uint32_t* tmp) const = 0;
+
   virtual CurveType type() const = 0;
 
   size_t dims() const { return dims_; }

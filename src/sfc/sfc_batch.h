@@ -9,15 +9,15 @@
 namespace spb {
 namespace sfc_batch {
 
-/// Batched curve decoders, dispatched at runtime exactly like the distance
-/// kernels (src/kernels/): the portable variant is always available; an
-/// AVX2-vectorized variant of the same loops is picked on capable x86 CPUs
-/// unless SPB_DISABLE_SIMD is set. All variants produce bit-identical
-/// coordinates (integer mask arithmetic only).
+/// Batched curve decoders and encoders, dispatched at runtime exactly like
+/// the distance kernels (src/kernels/): the portable variant is always
+/// available; an AVX2-vectorized variant of the same loops is picked on
+/// capable x86 CPUs unless SPB_DISABLE_SIMD is set. All variants produce
+/// bit-identical coordinates and keys (integer mask arithmetic only).
 ///
-/// Arguments mirror SpaceFillingCurve::DecodeBatch: `out` is dim-major
-/// (out[d * count + i] = coordinate d of keys[i]); `tmp` is count words of
-/// caller scratch for the Hilbert gray-decode seed.
+/// Decoder arguments mirror SpaceFillingCurve::DecodeBatch: `out` is
+/// dim-major (out[d * count + i] = coordinate d of keys[i]); `tmp` is count
+/// words of caller scratch for the Hilbert gray-decode seed.
 using HilbertBatchFn = void (*)(const uint64_t* keys, size_t count,
                                 const uint64_t* masks, size_t dims, int bits,
                                 kernels::BitGatherFn pext, uint32_t* out,
@@ -25,14 +25,24 @@ using HilbertBatchFn = void (*)(const uint64_t* keys, size_t count,
 using MortonBatchFn = void (*)(const uint64_t* keys, size_t count,
                                const uint64_t* masks, size_t dims,
                                kernels::BitGatherFn pext, uint32_t* out);
+/// Encoder arguments mirror SpaceFillingCurve::EncodeBatch: `cells` is
+/// dim-major and is overwritten (the Hilbert transform runs in place); `tmp`
+/// is count words of caller scratch. One signature for both curves.
+using EncodeBatchFn = void (*)(uint32_t* cells, size_t count,
+                               const uint64_t* masks, size_t dims, int bits,
+                               kernels::BitScatterFn pdep, uint64_t* keys,
+                               uint32_t* tmp);
 
-/// Active (dispatched) decoders; resolved once per process.
-HilbertBatchFn Hilbert();
-MortonBatchFn Morton();
+/// One variant's batch entry points.
+struct BatchTable {
+  HilbertBatchFn decode_hilbert;
+  MortonBatchFn decode_morton;
+  EncodeBatchFn encode_hilbert;
+  EncodeBatchFn encode_morton;
+};
 
-/// Portable reference decoders, for parity tests.
-HilbertBatchFn PortableHilbert();
-MortonBatchFn PortableMorton();
+/// The active (dispatched) variant; resolved once per process.
+const BatchTable& Active();
 
 }  // namespace sfc_batch
 }  // namespace spb

@@ -1,5 +1,5 @@
-// AVX2 build of the batched SFC decode loops. The loops are plain integer
-// mask arithmetic compiled with -mavx2 -ftree-vectorize (see
+// AVX2 build of the batched SFC decode and encode loops. The loops are
+// plain integer mask arithmetic compiled with -mavx2 -ftree-vectorize (see
 // src/CMakeLists.txt), so the compiler vectorizes them lane-parallel across
 // keys; runtime dispatch in sfc.cc keeps this TU unreachable on CPUs
 // without AVX2 and in SPB_DISABLE_SIMD runs.
@@ -14,8 +14,7 @@
 namespace spb {
 namespace sfc_batch {
 
-HilbertBatchFn GetAvx2HilbertBatch() { return &avx2::DecodeHilbertBatch; }
-MortonBatchFn GetAvx2MortonBatch() { return &avx2::DecodeMortonBatch; }
+const BatchTable* GetAvx2BatchTable() { return &avx2::kTable; }
 
 }  // namespace sfc_batch
 }  // namespace spb
@@ -25,8 +24,7 @@ MortonBatchFn GetAvx2MortonBatch() { return &avx2::DecodeMortonBatch; }
 namespace spb {
 namespace sfc_batch {
 
-HilbertBatchFn GetAvx2HilbertBatch() { return nullptr; }
-MortonBatchFn GetAvx2MortonBatch() { return nullptr; }
+const BatchTable* GetAvx2BatchTable() { return nullptr; }
 
 }  // namespace sfc_batch
 }  // namespace spb

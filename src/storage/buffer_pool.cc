@@ -162,6 +162,23 @@ Status BufferPool::Write(PageId id, const Page& page) {
   return Status::OK();
 }
 
+Status BufferPool::AppendSpan(PageId first, size_t count, const Page* pages) {
+  SPB_RETURN_IF_ERROR(file_->AppendSpan(first, count, pages));
+  stats_.page_writes.fetch_add(count, std::memory_order_relaxed);
+  const size_t num_shards = shards_.size();
+  for (size_t i = 0; i < count; ++i) {
+    const PageId id = first + static_cast<PageId>(i);
+    Shard& shard = ShardFor(id);
+    // Pages i + num_shards, i + 2 * num_shards, ... of this span land on the
+    // same shard after this one. Once they alone fill it, per-page LRU
+    // inserts would evict this frame before the span ends.
+    if ((count - 1 - i) / num_shards >= shard.capacity) continue;
+    std::lock_guard<InstrumentedMutex> lock(shard.mu);
+    shard.InsertLocked(id, std::make_shared<const Page>(pages[i]));
+  }
+  return Status::OK();
+}
+
 void BufferPool::Retire(const PageId* ids, size_t count) {
   for (size_t i = 0; i < count; ++i) {
     Shard& shard = ShardFor(ids[i]);

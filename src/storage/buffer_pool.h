@@ -134,6 +134,15 @@ class BufferPool {
   /// Writes page `id` through the cache to the file.
   Status Write(PageId id, const Page& page);
 
+  /// Writes the run `pages[0..count)` to ids first, first+1, ... through the
+  /// cache with one PageFile::AppendSpan (the file grows as needed; `first`
+  /// must be <= its page count). Accounting and cache contents are exactly
+  /// those of `count` Write() calls in ascending id order: page_writes grows
+  /// by `count`, and every shard ends with the frames those writes would
+  /// leave. A page that later pages of the same span would evict from its
+  /// shard is never copied into the cache.
+  Status AppendSpan(PageId first, size_t count, const Page* pages);
+
   /// Allocates a fresh page in the underlying file.
   Status Allocate(PageId* id) { return file_->Allocate(id); }
 

@@ -3,6 +3,7 @@
 #include <fcntl.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstring>
 #include <mutex>
@@ -56,6 +57,24 @@ class MemoryPageFile final : public PageFile {
     return Status::OK();
   }
 
+  Status AppendSpan(PageId first, size_t count, const Page* pages) override {
+    std::lock_guard<std::mutex> lock(mu_);
+    if (first > pages_.size()) {
+      return Status::InvalidArgument("page span starts past the end");
+    }
+    for (size_t i = 0; i < count; ++i) {
+      const size_t id = first + i;
+      if (id < pages_.size()) {
+        *pages_[id] = pages[i];
+      } else {
+        pages_.emplace_back(new Page(pages[i]));
+      }
+    }
+    count_.store(static_cast<PageId>(pages_.size()),
+                 std::memory_order_release);
+    return Status::OK();
+  }
+
   Status Sync() override { return Status::OK(); }
 
  private:
@@ -86,7 +105,7 @@ class DiskPageFile final : public PageFile {
   Status Allocate(PageId* id) override {
     Page zero;
     const PageId next = num_pages_.load(std::memory_order_relaxed);
-    if (!WriteFull(next, zero)) {
+    if (!WriteFull(next, &zero, 1)) {
       return Status::IOError("short write in Allocate");
     }
     *id = next;
@@ -114,7 +133,21 @@ class DiskPageFile final : public PageFile {
     if (id >= num_pages()) {
       return Status::InvalidArgument("page id out of range");
     }
-    if (!WriteFull(id, page)) return Status::IOError("short write");
+    if (!WriteFull(id, &page, 1)) return Status::IOError("short write");
+    return Status::OK();
+  }
+
+  Status AppendSpan(PageId first, size_t count, const Page* pages) override {
+    const PageId n = num_pages();
+    if (first > n) {
+      return Status::InvalidArgument("page span starts past the end");
+    }
+    if (count == 0) return Status::OK();
+    if (!WriteFull(first, pages, count)) {
+      return Status::IOError("short write in AppendSpan");
+    }
+    num_pages_.store(std::max<PageId>(n, first + static_cast<PageId>(count)),
+                     std::memory_order_relaxed);
     return Status::OK();
   }
 
@@ -157,12 +190,16 @@ class DiskPageFile final : public PageFile {
   }
 
  private:
-  bool WriteFull(PageId id, const Page& page) {
+  // Writes pages[0..count) at page `first` on, looping over short writes;
+  // a Page[] is one contiguous byte range, so this is one pwrite.
+  bool WriteFull(PageId first, const Page* pages, size_t count) {
+    const uint8_t* src = pages[0].bytes();
+    const size_t total = count * kPageSize;
     size_t done = 0;
-    while (done < kPageSize) {
+    while (done < total) {
       const ssize_t n =
-          ::pwrite(fd_, page.bytes() + done, kPageSize - done,
-                   static_cast<off_t>(id) * static_cast<off_t>(kPageSize) +
+          ::pwrite(fd_, src + done, total - done,
+                   static_cast<off_t>(first) * static_cast<off_t>(kPageSize) +
                        static_cast<off_t>(done));
       if (n <= 0) return false;
       done += static_cast<size_t>(n);
@@ -224,6 +261,21 @@ class DiskPageFile final : public PageFile {
 };
 
 }  // namespace
+
+Status PageFile::AppendSpan(PageId first, size_t count, const Page* pages) {
+  if (first > num_pages()) {
+    return Status::InvalidArgument("page span starts past the end");
+  }
+  for (size_t i = 0; i < count; ++i) {
+    const PageId id = first + static_cast<PageId>(i);
+    if (id == num_pages()) {
+      PageId unused;
+      SPB_RETURN_IF_ERROR(Allocate(&unused));
+    }
+    SPB_RETURN_IF_ERROR(Write(id, pages[i]));
+  }
+  return Status::OK();
+}
 
 Status PageFile::ReadSpan(PageId first, size_t count, Page* out) {
   for (size_t i = 0; i < count; ++i) {

@@ -42,6 +42,15 @@ class PageFile {
   /// Overwrites page `id`.
   virtual Status Write(PageId id, const Page& page) = 0;
 
+  /// Writes `count` consecutive pages `pages[0..count)` starting at `first`,
+  /// growing the file where the span runs past its end. `first` must be <=
+  /// num_pages(), so the file never gets a hole. The append paths (RAF
+  /// records, B+-tree bulk load) write runs of fresh pages through this:
+  /// file-backed implementations issue one positional write per span and no
+  /// zero-fill of the new pages. The default implementation loops over
+  /// Allocate() and Write().
+  virtual Status AppendSpan(PageId first, size_t count, const Page* pages);
+
   /// Flushes buffered data to stable storage (no-op for memory files).
   virtual Status Sync() = 0;
 

@@ -54,46 +54,48 @@ Status Raf::WriteHeader() {
   return file_->Write(0, header);
 }
 
-Status Raf::EnsurePage(PageId id) {
-  while (file_->num_pages() <= id) {
-    PageId unused;
-    SPB_RETURN_IF_ERROR(file_->Allocate(&unused));
+Status Raf::MoveTailLocked(PageId page) {
+  if (tail_dirty_ && tail_id_ != kInvalidPageId) {
+    // The tail is left only for the next page (appends are contiguous), so
+    // the run stays a contiguous page range.
+    if (run_.empty()) run_first_ = tail_id_;
+    run_.push_back(tail_);
+    if (run_.size() == kAppendRunPages) SPB_RETURN_IF_ERROR(WriteRunLocked());
+  }
+  tail_id_ = page;
+  tail_dirty_ = false;
+  // While a run is staged the probe keeps naming its first page, the only
+  // staged page that can hold published bytes: a racing reader of it
+  // blocks on tail_mu_ until the run write has put the bytes in the pool.
+  dirty_tail_id_.store(run_.empty() ? kInvalidPageId : run_first_,
+                       std::memory_order_release);
+  if (page < file_->num_pages()) {
+    SPB_RETURN_IF_ERROR(file_->Read(page, &tail_));
+  } else {
+    tail_.Clear();
   }
   return Status::OK();
 }
 
-Status Raf::WriteBytes(uint64_t offset, const uint8_t* src, size_t n) {
-  // One lock hold for the whole byte run: readers probing the tail block
-  // only while this append actually mutates it.
-  std::lock_guard<std::mutex> lock(tail_mu_);
-  while (n > 0) {
-    const PageId page = static_cast<PageId>(offset / kPageSize);
-    const size_t in_page = offset % kPageSize;
-    const size_t chunk = std::min(n, kPageSize - in_page);
+Status Raf::WriteRunLocked() {
+  if (run_.empty()) return Status::OK();
+  SPB_RETURN_IF_ERROR(pool_.AppendSpan(run_first_, run_.size(), run_.data()));
+  run_.clear();
+  return Status::OK();
+}
 
-    if (page != tail_id_) {
-      // Moving to a new tail page: flush the previous one if dirty. The
-      // probe keeps pointing at the old page until the flush lands, so a
-      // racing reader either blocks on tail_mu_ (then re-checks and falls
-      // back to the pool, where the bytes now are) or was already past the
-      // probe and copies from the still-locked buffer.
-      if (tail_dirty_ && tail_id_ != kInvalidPageId) {
-        SPB_RETURN_IF_ERROR(EnsurePage(tail_id_));
-        SPB_RETURN_IF_ERROR(pool_.Write(tail_id_, tail_));
-      }
-      tail_id_ = page;
-      tail_dirty_ = false;
-      dirty_tail_id_.store(kInvalidPageId, std::memory_order_release);
-      if (page < file_->num_pages()) {
-        SPB_RETURN_IF_ERROR(file_->Read(page, &tail_));
-      } else {
-        tail_.Clear();
-      }
-    }
+Status Raf::StageBytesLocked(uint64_t* offset, const uint8_t* src, size_t n) {
+  while (n > 0) {
+    const PageId page = static_cast<PageId>(*offset / kPageSize);
+    const size_t in_page = *offset % kPageSize;
+    const size_t chunk = std::min(n, kPageSize - in_page);
+    if (page != tail_id_) SPB_RETURN_IF_ERROR(MoveTailLocked(page));
     std::memcpy(tail_.bytes() + in_page, src, chunk);
-    tail_dirty_ = true;
-    dirty_tail_id_.store(page, std::memory_order_release);
-    offset += chunk;
+    if (!tail_dirty_) {
+      tail_dirty_ = true;
+      if (run_.empty()) dirty_tail_id_.store(page, std::memory_order_release);
+    }
+    *offset += chunk;
     src += chunk;
     n -= chunk;
   }
@@ -192,23 +194,42 @@ Status Raf::GetRaw(uint64_t offset, ObjectId* id, Blob* obj,
   return Status::OK();
 }
 
-Status Raf::Append(ObjectId id, const Blob& obj, uint64_t* offset) {
+Status Raf::AppendBatch(std::span<const Record> records, uint64_t* offsets) {
   // Single appender (enforced by the owner's writer lock); the relaxed load
-  // reads our own last store.
-  const uint64_t start = end_offset_.load(std::memory_order_relaxed);
-  *offset = start;
-  uint8_t header[8];
-  EncodeFixed32(header, id);
-  EncodeFixed32(header + 4, static_cast<uint32_t>(obj.size()));
-  SPB_RETURN_IF_ERROR(WriteBytes(start, header, sizeof(header)));
-  if (!obj.empty()) {
-    SPB_RETURN_IF_ERROR(
-        WriteBytes(start + sizeof(header), obj.data(), obj.size()));
+  // reads our own last store. One lock hold for the whole batch: readers
+  // probing the tail block only while an append actually mutates it.
+  uint64_t end = end_offset_.load(std::memory_order_relaxed);
+  {
+    std::lock_guard<std::mutex> lock(tail_mu_);
+    for (size_t i = 0; i < records.size(); ++i) {
+      const Record& r = records[i];
+      const size_t len = r.payload.size();
+      const size_t in_page = end % kPageSize;
+      offsets[i] = end;
+      if (tail_dirty_ && end / kPageSize == tail_id_ &&
+          in_page + 8 + len <= kPageSize) {
+        // The common case: the whole record lands on the dirty tail page.
+        uint8_t* dst = tail_.bytes() + in_page;
+        EncodeFixed32(dst, r.id);
+        EncodeFixed32(dst + 4, static_cast<uint32_t>(len));
+        if (len > 0) std::memcpy(dst + 8, r.payload.data(), len);
+        end += 8 + len;
+        continue;
+      }
+      uint8_t header[8];
+      EncodeFixed32(header, r.id);
+      EncodeFixed32(header + 4, static_cast<uint32_t>(len));
+      SPB_RETURN_IF_ERROR(StageBytesLocked(&end, header, sizeof(header)));
+      SPB_RETURN_IF_ERROR(StageBytesLocked(&end, r.payload.data(), len));
+    }
+    SPB_RETURN_IF_ERROR(WriteRunLocked());
+    run_.shrink_to_fit();  // a bulk load's run buffer is not kept around
+    dirty_tail_id_.store(tail_dirty_ ? tail_id_ : kInvalidPageId,
+                         std::memory_order_release);
   }
   // Release: a reader that sees the new watermark also sees the bytes.
-  end_offset_.store(start + sizeof(header) + obj.size(),
-                    std::memory_order_release);
-  num_records_.fetch_add(1, std::memory_order_relaxed);
+  end_offset_.store(end, std::memory_order_release);
+  num_records_.fetch_add(records.size(), std::memory_order_relaxed);
   return Status::OK();
 }
 
@@ -331,8 +352,7 @@ Status Raf::Sync() {
   {
     std::lock_guard<std::mutex> lock(tail_mu_);
     if (tail_dirty_ && tail_id_ != kInvalidPageId) {
-      SPB_RETURN_IF_ERROR(EnsurePage(tail_id_));
-      SPB_RETURN_IF_ERROR(pool_.Write(tail_id_, tail_));
+      SPB_RETURN_IF_ERROR(pool_.AppendSpan(tail_id_, 1, &tail_));
       tail_dirty_ = false;
       dirty_tail_id_.store(kInvalidPageId, std::memory_order_release);
     }

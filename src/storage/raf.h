@@ -5,7 +5,9 @@
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <string>
+#include <vector>
 
 #include "common/blob.h"
 #include "common/status.h"
@@ -82,7 +84,7 @@ class BlobView {
 /// readers to the tail path; it is release-published by the appender before
 /// the writer's snapshot Publish(), and re-checked under the lock (a stale
 /// hit falls back to the pool, where the flushed bytes already are).
-/// Append()/Sync()/FlushCache()/SetCachePages() remain single-writer
+/// AppendBatch()/Sync()/FlushCache()/SetCachePages() remain single-writer
 /// (mutually excluded among themselves; SpbTree's writer lock provides
 /// this); SetCachePages additionally requires quiesced readers, like
 /// BufferPool::set_capacity. Reads served from the dirty in-memory tail
@@ -105,8 +107,33 @@ class Raf {
   static Status Open(std::unique_ptr<PageFile> file, size_t cache_pages,
                      std::unique_ptr<Raf>* out);
 
-  /// Appends a record; returns its byte offset in `*offset`.
-  Status Append(ObjectId id, const Blob& obj, uint64_t* offset);
+  /// One record of an AppendBatch: the payload bytes must stay valid for
+  /// the call.
+  struct Record {
+    ObjectId id;
+    BlobRef payload;
+  };
+
+  /// Largest run of completed pages AppendBatch stages before writing it
+  /// with one BufferPool::AppendSpan, which bounds its memory at 256 KiB.
+  static constexpr size_t kAppendRunPages = 64;
+
+  /// Appends `records` in order; offsets[i] receives the byte offset of
+  /// records[i]. Bytes go into the in-memory tail page; each page the tail
+  /// leaves joins a staged run, written when the run holds kAppendRunPages
+  /// pages and at the end of the call, so the last, partial page stays the
+  /// dirty tail. Files, page_writes and cache contents are byte-identical to
+  /// appending the records one at a time: every completed page is written
+  /// once, in ascending order, and the tail only on Sync() or when left.
+  /// The end_offset() watermark is published once, after the bytes land.
+  Status AppendBatch(std::span<const Record> records, uint64_t* offsets);
+
+  /// Appends one record (the one-record AppendBatch); returns its byte
+  /// offset in `*offset`.
+  Status Append(ObjectId id, BlobRef obj, uint64_t* offset) {
+    const Record r{id, obj};
+    return AppendBatch(std::span<const Record>(&r, 1), offset);
+  }
 
   /// Reads the record at `offset`. If `ra` is non-null, pages this record
   /// covers are served from that readahead session's staged buffers when
@@ -223,14 +250,19 @@ class Raf {
         file_(owned_file_.get()),
         pool_(file_, cache_pages) {}
 
-  Status WriteBytes(uint64_t offset, const uint8_t* src, size_t n);
+  /// Copies `n` bytes to the tail at `*offset` and advances it; requires
+  /// `tail_mu_`.
+  Status StageBytesLocked(uint64_t* offset, const uint8_t* src, size_t n);
+  /// Makes `page` the tail: a dirty tail joins the staged run first.
+  Status MoveTailLocked(PageId page);
+  /// Writes the staged run through the pool and empties it.
+  Status WriteRunLocked();
   Status ReadBytes(uint64_t offset, uint8_t* dst, size_t n, Readahead* ra);
   Status ReadBytesRaw(uint64_t offset, uint8_t* dst, size_t n,
                       RawReadCache* cache) const;
   /// GetView's copy fallback: a plain Get into the view's owned buffer.
   Status GetIntoOwned(uint64_t offset, ObjectId* id, BlobView* view,
                       Readahead* ra);
-  Status EnsurePage(PageId id);
   Status WriteHeader();
 
   std::unique_ptr<PageFile> owned_file_;
@@ -246,15 +278,22 @@ class Raf {
 
   // In-memory tail page: the last, possibly partial, data page. Kept out of
   // the buffer pool until full so appends don't inflate write counts.
-  // `tail_mu_` guards all three fields (appender mutations, reader copies);
-  // `dirty_tail_id_` mirrors (tail_dirty_ ? tail_id_ : kInvalidPageId) so
-  // readers probe "is this the dirty tail?" without taking the lock on the
-  // overwhelmingly common non-tail page.
+  // `tail_mu_` guards the tail fields (appender mutations, reader copies)
+  // and the staged run. `dirty_tail_id_` names the lowest page whose bytes
+  // are not in the pool yet — the dirty tail, or while AppendBatch stages a
+  // run, the run's first page (kInvalidPageId if none) — so readers probe
+  // "must I take the lock?" without taking it on the overwhelmingly common
+  // clean page.
   mutable std::mutex tail_mu_;
   Page tail_;
   PageId tail_id_ = kInvalidPageId;
   bool tail_dirty_ = false;
   std::atomic<PageId> dirty_tail_id_{kInvalidPageId};
+  // Completed pages run_first_, run_first_ + 1, ... awaiting their span
+  // write; empty (and unallocated) between AppendBatch calls, so readers
+  // never need it.
+  std::vector<Page> run_;
+  PageId run_first_ = kInvalidPageId;
 };
 
 }  // namespace spb

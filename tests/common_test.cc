@@ -1,7 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
+#include <stdexcept>
+#include <thread>
+#include <vector>
+
 #include "common/blob.h"
 #include "common/coding.h"
+#include "common/parallel.h"
 #include "common/rng.h"
 #include "common/status.h"
 
@@ -143,6 +150,54 @@ TEST(RngTest, GaussianRoughlyCentered) {
   const int n = 10000;
   for (int i = 0; i < n; ++i) sum += rng.NextGaussian();
   EXPECT_NEAR(sum / n, 0.0, 0.05);
+}
+
+TEST(ParallelForTest, CoversTheRangeOnceInContiguousChunks) {
+  for (size_t n : {size_t{0}, size_t{1}, size_t{10}, size_t{1000}}) {
+    std::vector<std::atomic<int>> hits(n);
+    const std::vector<size_t> bounds =
+        ParallelFor(n, 100, [&](size_t begin, size_t end) {
+          for (size_t i = begin; i < end; ++i) hits[i].fetch_add(1);
+        });
+    ASSERT_GE(bounds.size(), 2u);
+    EXPECT_EQ(bounds.front(), 0u);
+    EXPECT_EQ(bounds.back(), n);
+    // min(hardware threads, n / min_chunk) chunks, at least one.
+    const size_t hw = std::max(1u, std::thread::hardware_concurrency());
+    EXPECT_EQ(bounds.size() - 1, std::clamp<size_t>(n / 100, 1, hw));
+    for (size_t i = 0; i + 1 < bounds.size(); ++i) {
+      EXPECT_LE(bounds[i], bounds[i + 1]);
+    }
+    for (size_t i = 0; i < n; ++i) EXPECT_EQ(hits[i].load(), 1) << i;
+  }
+}
+
+TEST(ParallelForTest, ExceptionReachesTheCallerAfterAllChunks) {
+  std::atomic<int> finished{0};
+  EXPECT_THROW(ParallelFor(8, 1,
+                           [&](size_t begin, size_t end) {
+                             if (begin == 0) throw std::runtime_error("x");
+                             finished.fetch_add(int(end - begin));
+                           }),
+               std::runtime_error);
+  const std::vector<size_t> bounds = ParallelFor(8, 1, [](size_t, size_t) {});
+  EXPECT_EQ(finished.load(), int(8 - bounds[1]));
+}
+
+TEST(ParallelForTest, NestedCallsRunInline) {
+  std::atomic<int> inner_chunks{0};
+  ParallelFor(4, 1, [&](size_t begin, size_t end) {
+    for (size_t i = begin; i < end; ++i) {
+      const std::thread::id self = std::this_thread::get_id();
+      const std::vector<size_t> inner =
+          ParallelFor(100000, 1, [&](size_t, size_t) {
+            EXPECT_EQ(std::this_thread::get_id(), self);
+          });
+      EXPECT_EQ(inner.size(), 2u);
+      inner_chunks.fetch_add(int(inner.size()) - 1);
+    }
+  });
+  EXPECT_EQ(inner_chunks.load(), 4);
 }
 
 }  // namespace

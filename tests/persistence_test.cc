@@ -3,8 +3,12 @@
 #include <algorithm>
 #include <cstdio>
 #include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <set>
+#include <string>
 
+#include "common/parallel.h"
 #include "common/rng.h"
 #include "core/spb_tree.h"
 #include "data/datasets.h"
@@ -228,6 +232,55 @@ TEST_F(SpbPersistenceTest, ContinuousMetricIndexPersists) {
   ASSERT_EQ(knn.size(), 5u);
   EXPECT_NEAR(knn[0].distance, 0.0, 1e-9);
   fs::remove_all(cdir);
+}
+
+std::string FileBytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(in), {});
+}
+
+// The bulk load is a pure function of its input: a build on parallel
+// threads and a serial one (a ParallelFor nested in another runs inline)
+// write byte-identical files at equal construction cost, for a discrete and
+// a continuous metric, below and above the per-thread chunk size.
+TEST(BuildDeterminismTest, ParallelAndSerialDiskBuildsAreByteIdentical) {
+  const std::string root =
+      (fs::temp_directory_path() / "spb_build_determinism").string();
+  for (const bool words : {true, false}) {
+    for (const size_t n : {size_t{1500}, 3 * SpbTree::kBuildChunkObjects}) {
+      SCOPED_TRACE(std::string(words ? "words" : "synthetic") + " n=" +
+                   std::to_string(n));
+      fs::remove_all(root);
+      const Dataset ds = words ? MakeWords(n, 5) : MakeSynthetic(n, 5);
+      std::unique_ptr<SpbTree> trees[2];
+      Status built[2];
+      auto build = [&](int which) {
+        SpbTreeOptions opts;
+        opts.storage_dir = root + "/" + std::to_string(which);
+        built[which] =
+            SpbTree::Build(ds.objects, ds.metric.get(), opts, &trees[which]);
+      };
+      build(0);
+      ParallelFor(2, 1, [&](size_t begin, size_t) {
+        if (begin == 0) build(1);
+      });
+      for (int i = 0; i < 2; ++i) {
+        ASSERT_TRUE(built[i].ok()) << built[i].ToString();
+        ASSERT_TRUE(trees[i]->CheckIntegrity().ok());
+        ASSERT_TRUE(trees[i]->Save().ok());
+      }
+      const QueryStats c0 = trees[0]->cumulative_stats();
+      const QueryStats c1 = trees[1]->cumulative_stats();
+      EXPECT_EQ(c0.page_accesses, c1.page_accesses);
+      EXPECT_EQ(c0.distance_computations, c1.distance_computations);
+      for (const char* file : {"/btree.spb", "/raf.spb", "/meta.spb"}) {
+        const std::string a = FileBytes(root + "/0" + file);
+        EXPECT_FALSE(a.empty()) << file;
+        EXPECT_TRUE(a == FileBytes(root + "/1" + file)) << file;
+      }
+    }
+  }
+  fs::remove_all(root);
 }
 
 }  // namespace

@@ -104,6 +104,37 @@ TEST_P(CurveTest, DecodeBatchMatchesPerKeyDecode) {
   curve->DecodeBatch(keys.data(), 0, cells.data(), tmp.data());
 }
 
+// The batch encoder must be bit-identical to per-point Encode(), for both
+// curves and whichever variant the process dispatched to (tools/check.sh
+// re-runs this binary with SPB_DISABLE_SIMD=1 for the portable one).
+TEST_P(CurveTest, EncodeBatchMatchesPerPointEncode) {
+  auto curve = MakeCurve();
+  const size_t dims = curve->dims();
+  Rng rng(616);
+  for (size_t count : {size_t{257}, size_t{1}, size_t{0}}) {
+    std::vector<std::vector<uint32_t>> points(count);
+    std::vector<uint32_t> cells(count * dims);
+    for (size_t i = 0; i < count; ++i) {
+      points[i].resize(dims);
+      for (size_t d = 0; d < dims; ++d) {
+        // Grid corners as well as random cells.
+        const uint64_t pick = rng.Uniform(8);
+        const uint32_t limit = curve->coord_limit();
+        points[i][d] = pick == 0   ? 0
+                       : pick == 1 ? limit - 1
+                                   : uint32_t(rng.Uniform(limit));
+        cells[d * count + i] = points[i][d];
+      }
+    }
+    std::vector<uint64_t> keys(count, ~uint64_t{0});
+    std::vector<uint32_t> tmp(count);
+    curve->EncodeBatch(cells.data(), count, keys.data(), tmp.data());
+    for (size_t i = 0; i < count; ++i) {
+      ASSERT_EQ(keys[i], curve->Encode(points[i])) << "point " << i;
+    }
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(
     Grids, CurveTest,
     ::testing::Values(CurveParam{CurveType::kHilbert, 1, 8},

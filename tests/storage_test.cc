@@ -1,8 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdio>
 #include <filesystem>
 #include <string>
+#include <thread>
 
 #include "common/rng.h"
 #include "storage/buffer_pool.h"
@@ -138,6 +140,36 @@ TEST_P(PageFileTest, ReadSpanOutOfRangeFails) {
   EXPECT_FALSE(f->ReadSpan(3, 1, buf).ok());  // first past end
   EXPECT_FALSE(f->ReadSpan(1, 3, buf).ok());  // run past end
   EXPECT_TRUE(f->ReadSpan(1, 2, buf).ok());
+}
+
+Page PatternPage(int seed) {
+  Page p;
+  for (size_t b = 0; b < kPageSize; ++b) p.bytes()[b] = uint8_t(seed * 37 + b);
+  return p;
+}
+
+TEST_P(PageFileTest, AppendSpanOverwritesAndGrows) {
+  auto f = MakeFile();
+  for (int i = 0; i < 3; ++i) {
+    PageId id;
+    ASSERT_TRUE(f->Allocate(&id).ok());
+    ASSERT_TRUE(f->Write(id, PatternPage(i)).ok());
+  }
+  // Pages 2..6: one overwrite, four new pages.
+  std::vector<Page> span;
+  for (int i = 0; i < 5; ++i) span.push_back(PatternPage(100 + i));
+  ASSERT_TRUE(f->AppendSpan(2, span.size(), span.data()).ok());
+  EXPECT_EQ(f->num_pages(), 7u);
+  for (int i = 0; i < 7; ++i) {
+    Page want = i < 2 ? PatternPage(i) : PatternPage(100 + i - 2);
+    Page got;
+    ASSERT_TRUE(f->Read(PageId(i), &got).ok());
+    EXPECT_EQ(0, memcmp(want.bytes(), got.bytes(), kPageSize)) << "page " << i;
+  }
+  EXPECT_TRUE(f->AppendSpan(7, 0, span.data()).ok());
+  EXPECT_EQ(f->num_pages(), 7u);
+  EXPECT_FALSE(f->AppendSpan(8, 1, span.data()).ok());  // would leave a hole
+  EXPECT_EQ(f->num_pages(), 7u);
 }
 
 INSTANTIATE_TEST_SUITE_P(MemoryAndDisk, PageFileTest, ::testing::Bool(),
@@ -278,6 +310,57 @@ TEST(BufferPoolTest, FlushDropsCachedPages) {
   EXPECT_EQ(pool.stats().page_reads, 2u);
 }
 
+// A span write must leave the pool exactly as per-page writes in ascending
+// order do: the same page_writes, the same cached pages, and the same LRU
+// order (checked by the hits and misses of a read sweep afterwards).
+TEST(BufferPoolTest, AppendSpanMatchesPerPageWrites) {
+  for (size_t capacity : {0, 5, 40, 200}) {
+    SCOPED_TRACE("capacity " + std::to_string(capacity));
+    auto fa = PageFile::CreateInMemory();
+    auto fb = PageFile::CreateInMemory();
+    BufferPool a(fa.get(), capacity);
+    BufferPool b(fb.get(), capacity);
+    for (BufferPool* pool : {&a, &b}) {
+      for (int i = 0; i < 10; ++i) {
+        PageId id;
+        ASSERT_TRUE(pool->Allocate(&id).ok());
+        ASSERT_TRUE(pool->Write(id, PatternPage(i)).ok());
+      }
+      Page p;
+      ASSERT_TRUE(pool->Read(7, &p).ok());
+      ASSERT_TRUE(pool->Read(2, &p).ok());
+    }
+    std::vector<Page> span;
+    for (int i = 0; i < 70; ++i) span.push_back(PatternPage(50 + i));
+    ASSERT_TRUE(a.AppendSpan(6, span.size(), span.data()).ok());
+    for (size_t i = 0; i < span.size(); ++i) {
+      const PageId id = PageId(6 + i);
+      if (id == fb->num_pages()) {
+        PageId fresh;
+        ASSERT_TRUE(b.Allocate(&fresh).ok());
+      }
+      ASSERT_TRUE(b.Write(id, span[i]).ok());
+    }
+    EXPECT_EQ(a.stats().page_writes, b.stats().page_writes);
+    ASSERT_EQ(fa->num_pages(), fb->num_pages());
+    for (PageId id = 0; id < fa->num_pages(); ++id) {
+      EXPECT_EQ(a.Contains(id), b.Contains(id)) << "page " << id;
+      Page pa, pb;
+      ASSERT_TRUE(fa->Read(id, &pa).ok());
+      ASSERT_TRUE(fb->Read(id, &pb).ok());
+      EXPECT_EQ(0, memcmp(pa.bytes(), pb.bytes(), kPageSize)) << "page " << id;
+    }
+    for (PageId id = fa->num_pages(); id-- > 0;) {
+      Page pa, pb;
+      ASSERT_TRUE(a.Read(id, &pa).ok());
+      ASSERT_TRUE(b.Read(id, &pb).ok());
+      EXPECT_EQ(0, memcmp(pa.bytes(), pb.bytes(), kPageSize)) << "page " << id;
+    }
+    EXPECT_EQ(a.stats().page_reads, b.stats().page_reads);
+    EXPECT_EQ(a.stats().cache_hits, b.stats().cache_hits);
+  }
+}
+
 // --------------------------------------------------------------------- RAF
 
 TEST(RafTest, AppendThenGetRoundTrips) {
@@ -407,6 +490,187 @@ TEST(RafTest, PersistsAcrossReopen) {
     EXPECT_EQ(BlobToString(got), "world!");
   }
   std::remove(path.c_str());
+}
+
+// AppendBatch against a loop of one-record Append calls, from the same
+// starting state, on memory and disk files: equal offsets, file bytes,
+// page_writes and cached pages. The cache has two shards, so full staged
+// runs also cover the span write's skipped inserts.
+enum class BatchCase {
+  kPartialTail,
+  kSpanningRecords,
+  kHugeRecord,
+  kEmptyBlobs,
+};
+
+class RafAppendBatchTest
+    : public ::testing::TestWithParam<std::tuple<bool, BatchCase>> {
+ protected:
+  std::unique_ptr<Raf> MakeRaf(const std::string& name) {
+    std::unique_ptr<PageFile> f;
+    if (std::get<0>(GetParam())) {
+      paths_.push_back(TempPath(name));
+      EXPECT_TRUE(PageFile::CreateOnDisk(paths_.back(), &f).ok());
+    } else {
+      f = PageFile::CreateInMemory();
+    }
+    std::unique_ptr<Raf> raf;
+    EXPECT_TRUE(Raf::Create(std::move(f), 40, &raf).ok());
+    return raf;
+  }
+
+  void TearDown() override {
+    for (const std::string& p : paths_) std::remove(p.c_str());
+  }
+
+  std::vector<std::string> paths_;
+};
+
+Blob RandomBlob(Rng* rng, size_t len) {
+  Blob b(len);
+  for (auto& byte : b) byte = uint8_t(rng->Uniform(256));
+  return b;
+}
+
+TEST_P(RafAppendBatchTest, MatchesPerRecordAppends) {
+  Rng rng(41);
+  std::vector<Blob> prefix, batch;
+  switch (std::get<1>(GetParam())) {
+    case BatchCase::kPartialTail:
+      // Start from a synced, partly filled tail page, then dirty it again.
+      for (int i = 0; i < 30; ++i) prefix.push_back(RandomBlob(&rng, 70));
+      for (int i = 0; i < 3000; ++i) {
+        batch.push_back(RandomBlob(&rng, rng.Uniform(180)));
+      }
+      break;
+    case BatchCase::kSpanningRecords:
+      for (int i = 0; i < 200; ++i) {
+        batch.push_back(RandomBlob(&rng, 3000 + rng.Uniform(3000)));
+      }
+      break;
+    case BatchCase::kHugeRecord:
+      // Larger than a whole staged run of kAppendRunPages pages.
+      batch.push_back(RandomBlob(&rng, 40));
+      batch.push_back(
+          RandomBlob(&rng, (Raf::kAppendRunPages + 9) * kPageSize + 123));
+      batch.push_back(RandomBlob(&rng, 40));
+      break;
+    case BatchCase::kEmptyBlobs:
+      // Empty records, some landing exactly on a page boundary.
+      prefix.push_back(RandomBlob(&rng, kPageSize - 8 - 8));
+      for (int i = 0; i < 600; ++i) {
+        batch.push_back(i % 3 == 0 ? Blob{} : RandomBlob(&rng, 8));
+      }
+      break;
+  }
+  auto a = MakeRaf("spb_raf_batch_a.dat");
+  auto b = MakeRaf("spb_raf_batch_b.dat");
+  for (Raf* raf : {a.get(), b.get()}) {
+    for (size_t i = 0; i < prefix.size(); ++i) {
+      uint64_t off;
+      ASSERT_TRUE(raf->Append(ObjectId(i), prefix[i], &off).ok());
+      if (i + 2 == prefix.size()) {
+        ASSERT_TRUE(raf->Sync().ok());
+      }
+    }
+  }
+
+  std::vector<Raf::Record> records;
+  for (size_t i = 0; i < batch.size(); ++i) {
+    records.push_back(Raf::Record{ObjectId(1000 + i), batch[i]});
+  }
+  std::vector<uint64_t> offsets_a(batch.size()), offsets_b(batch.size());
+  ASSERT_TRUE(a->AppendBatch(records, offsets_a.data()).ok());
+  for (size_t i = 0; i < batch.size(); ++i) {
+    ASSERT_TRUE(b->Append(ObjectId(1000 + i), batch[i], &offsets_b[i]).ok());
+  }
+  EXPECT_EQ(offsets_a, offsets_b);
+  EXPECT_EQ(a->end_offset(), b->end_offset());
+  EXPECT_EQ(a->num_records(), b->num_records());
+  EXPECT_EQ(a->stats().page_writes, b->stats().page_writes);
+  ASSERT_TRUE(a->Sync().ok());
+  ASSERT_TRUE(b->Sync().ok());
+  EXPECT_EQ(a->stats().page_writes, b->stats().page_writes);
+
+  PageFile* fa = a->pool().file();
+  PageFile* fb = b->pool().file();
+  ASSERT_EQ(fa->num_pages(), fb->num_pages());
+  for (PageId id = 0; id < fa->num_pages(); ++id) {
+    EXPECT_EQ(a->pool().Contains(id), b->pool().Contains(id)) << "page " << id;
+    Page pa, pb;
+    ASSERT_TRUE(fa->Read(id, &pa).ok());
+    ASSERT_TRUE(fb->Read(id, &pb).ok());
+    ASSERT_EQ(0, memcmp(pa.bytes(), pb.bytes(), kPageSize)) << "page " << id;
+  }
+  for (size_t i = 0; i < batch.size(); ++i) {
+    ObjectId id;
+    Blob got;
+    ASSERT_TRUE(a->Get(offsets_a[i], &id, &got).ok());
+    EXPECT_EQ(id, ObjectId(1000 + i));
+    EXPECT_EQ(got, batch[i]);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    MemoryAndDisk, RafAppendBatchTest,
+    ::testing::Combine(::testing::Bool(),
+                       ::testing::Values(BatchCase::kPartialTail,
+                                         BatchCase::kSpanningRecords,
+                                         BatchCase::kHugeRecord,
+                                         BatchCase::kEmptyBlobs)));
+
+// Readers racing the appender (the snapshot protocol: one appender, readers
+// below the published watermark). Reads aim at the newest records, whose
+// page the next append leaves for the staged run: until that run is
+// written, the page must still route readers through the tail lock instead
+// of the pool, which does not have its bytes yet.
+TEST(RafTest, ReadersBelowWatermarkRaceAppendBatch) {
+  std::unique_ptr<Raf> raf;
+  ASSERT_TRUE(Raf::Create(PageFile::CreateInMemory(), 8, &raf).ok());
+  constexpr size_t kRecords = 20000;
+  Rng rng(8);
+  std::vector<Blob> objs(kRecords);
+  for (size_t i = 0; i < kRecords; ++i) {
+    objs[i].resize(1 + rng.Uniform(200));
+    for (size_t k = 0; k < objs[i].size(); ++k) {
+      objs[i][k] = uint8_t(i * 31 + k);
+    }
+  }
+  std::vector<uint64_t> offsets(kRecords);
+  std::atomic<size_t> published{0};
+  std::atomic<bool> done{false};
+  std::atomic<int> bad{0};
+  std::vector<std::thread> readers;
+  for (int t = 0; t < 2; ++t) {
+    readers.emplace_back([&, t] {
+      Rng pick(100 + t);
+      ObjectId id;
+      Blob got;
+      while (!done.load(std::memory_order_acquire)) {
+        const size_t n = published.load(std::memory_order_acquire);
+        if (n == 0) continue;
+        const size_t j = n - 1 - pick.Uniform(std::min<size_t>(n, 40));
+        if (!raf->Get(offsets[j], &id, &got).ok() || id != ObjectId(j) ||
+            got != objs[j]) {
+          bad.fetch_add(1);
+        }
+      }
+    });
+  }
+  std::vector<Raf::Record> records;
+  for (size_t i = 0; i < kRecords;) {
+    const size_t m = std::min<size_t>(kRecords - i, 1 + rng.Uniform(30));
+    records.clear();
+    for (size_t j = i; j < i + m; ++j) {
+      records.push_back(Raf::Record{ObjectId(j), objs[j]});
+    }
+    ASSERT_TRUE(raf->AppendBatch(records, offsets.data() + i).ok());
+    i += m;
+    published.store(i, std::memory_order_release);
+  }
+  done.store(true, std::memory_order_release);
+  for (std::thread& t : readers) t.join();
+  EXPECT_EQ(bad.load(), 0);
 }
 
 // ------------------------------------------------------------- PageFetcher

@@ -3,16 +3,18 @@
 # build that runs the concurrency and storage tests (the concurrent read
 # path — single-flight fetches, the prefetch pipeline's background span
 # reads and staged-page claims — must be data-race-free, not just
-# correct-by-luck), then an Address/UB-sanitizer build that runs the kernel
-# parity, metric and SFC batch-decode tests — once with the dispatched SIMD
-# variants and once with SPB_DISABLE_SIMD=1 — so out-of-bounds lane loads or
-# UB in any dispatch table fail loudly on every path. Finally an io_uring
+# correct-by-luck) and the parallel bulk-load tests, then an
+# Address/UB-sanitizer build that runs the kernel parity, metric and SFC
+# batch-decode/encode tests — once with the dispatched SIMD variants and
+# once with SPB_DISABLE_SIMD=1 — so out-of-bounds lane loads or UB in any
+# dispatch table fail loudly on every path, plus the bulk load's span-write
+# and parallel-build tests. Finally an io_uring
 # configure check: -DSPB_IOURING=ON must degrade gracefully (warning + the
 # portable pread backend) on machines without liburing.
 #
 #   tools/check.sh            # everything
-#   tools/check.sh --tsan     # only the TSan stage
-#   tools/check.sh --asan     # only the ASan/UBSan kernel stage
+#   tools/check.sh --tsan     # only the TSan stage (incl. parallel build)
+#   tools/check.sh --asan     # only the ASan/UBSan kernel + bulk-load stage
 #   tools/check.sh --iouring  # only the io_uring configure/build check
 #   tools/check.sh --warmab   # only the warm A/B identity sweep (ASan+TSan)
 #   tools/check.sh --updates  # only the update-engine stage (TSan+ASan)
@@ -36,16 +38,22 @@ run_tier1() {
 run_tsan() {
   echo "==> tsan: concurrency + storage (prefetch pipeline) tests under TSan"
   cmake -B build-tsan -S . -DSPB_SANITIZE=thread >/dev/null
-  cmake --build build-tsan -j "${JOBS}" --target concurrency_test storage_test
+  cmake --build build-tsan -j "${JOBS}" --target concurrency_test storage_test \
+    common_test persistence_test
   ./build-tsan/tests/concurrency_test
   ./build-tsan/tests/storage_test
+  # The parallel bulk load: worker threads share the tree's striped
+  # distance counter and each metric's thread-local scratch.
+  echo "==> tsan: parallel bulk-load tests under TSan"
+  ./build-tsan/tests/common_test
+  ./build-tsan/tests/persistence_test
 }
 
 run_asan() {
   echo "==> asan: kernel/SFC parity + metric tests under ASan/UBSan"
   cmake -B build-asan -S . -DSPB_SANITIZE=address >/dev/null
   cmake --build build-asan -j "${JOBS}" --target kernels_test metrics_test \
-    sfc_test
+    sfc_test storage_test common_test persistence_test
   ./build-asan/tests/kernels_test
   ./build-asan/tests/metrics_test
   ./build-asan/tests/sfc_test
@@ -53,6 +61,12 @@ run_asan() {
   SPB_DISABLE_SIMD=1 ./build-asan/tests/kernels_test
   SPB_DISABLE_SIMD=1 ./build-asan/tests/metrics_test
   SPB_DISABLE_SIMD=1 ./build-asan/tests/sfc_test
+  # The parallel bulk load and its span writes: staged runs, page spans and
+  # the staging buffer of the payload gather.
+  echo "==> asan: parallel bulk-load and span-write tests under ASan/UBSan"
+  ./build-asan/tests/storage_test
+  ./build-asan/tests/common_test
+  ./build-asan/tests/persistence_test
 }
 
 run_warmab() {
