@@ -140,6 +140,9 @@ void RunCapacity(const BenchConfig& config, const Dataset& ds,
   opts.seed = config.seed;
   opts.btree_cache_pages = cache_pages;
   opts.raf_cache_pages = cache_pages;
+  // Disk-backed: readahead runs only there (an in-memory tree has no
+  // fetcher), so the cold prefetch-vs-demand rows need real files.
+  opts.storage_dir = "bench_cold_dir";
   std::unique_ptr<SpbTree> tree;
   if (!SpbTree::Build(ds.objects, ds.metric.get(), opts, &tree).ok()) {
     std::abort();

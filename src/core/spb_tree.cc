@@ -1865,6 +1865,10 @@ uint64_t SpbTree::storage_bytes() const {
 }
 
 void SpbTree::InitFetcher() {
+  // An in-memory tree's pool caches the file's own pages on a miss, so
+  // staging copies ahead of the query would only add a copy: its readahead
+  // sessions get no fetcher and schedule nothing.
+  if (options_.storage_dir.empty()) return;
   size_t threads = options_.prefetch_threads;
   if (threads == SIZE_MAX) {
     // Background threads only pay off when there is a core to run them on.

@@ -71,12 +71,17 @@ struct SpbTreeOptions {
   /// SFC-adjacent pages coalesce into span reads. Results, logical PA and
   /// compdists are identical either way — readahead stages bytes outside the
   /// buffer pool and claims them with demand-path accounting on first touch.
+  /// This and the next two knobs act only on disk-backed trees: an
+  /// in-memory tree (empty storage_dir) has no fetcher, because its pool
+  /// caches the memory file's own pages and a staged copy would only add one.
   bool enable_prefetch = true;
   /// Background fetch threads. SIZE_MAX = auto (2 when the machine has more
   /// than one hardware thread, else 0); 0 = no threads, span reads run
   /// inline at schedule time (coalescing still applies, overlap does not).
   size_t prefetch_threads = SIZE_MAX;
-  /// Per-session readahead budget, in pages (also the max span-read length).
+  /// Per-session readahead bound, in pages: caps the pages in flight and the
+  /// length of one span read. Staged runs are kept until the query ends, so
+  /// it does not bound a session's staging memory.
   size_t max_readahead_pages = 64;
   /// Warm-path decode engine (docs/ARCHITECTURE.md §"Warm-path decode
   /// engine"). `node_cache_entries` sizes the decoded-node cache (B+-tree
@@ -461,10 +466,10 @@ class SpbTree : public MetricIndex {
   /// Opens a readahead session over the current RAF for one caller thread
   /// (used by the joins, which drive their own leaf scans; they run with
   /// writes quiesced, so the RAF cannot be swapped out from under the
-  /// session). Returns a session even when enable_prefetch is off —
-  /// Schedule() is then a no-op (null fetcher), so the session degrades to
-  /// the demand path. Query traversals use the private overload bound to
-  /// their snapshot's RAF instead.
+  /// session). Returns a session even when enable_prefetch is off or the
+  /// tree is in memory — Schedule() is then a no-op (null fetcher), so the
+  /// session degrades to the demand path. Query traversals use the private
+  /// overload bound to their snapshot's RAF instead.
   Readahead NewReadaheadSession() { return NewReadaheadSession(*RafPtr()); }
 
   /// Aggregate I/O counters of both files (logical + physical + prefetch).
@@ -546,7 +551,8 @@ class SpbTree : public MetricIndex {
                          LeafScratch* scratch, std::vector<ObjectId>* result,
                          Readahead* ra);
 
-  // Builds the prefetch thread pool per options_ (called once per tree).
+  // Builds the prefetch thread pool per options_ (called once per tree);
+  // none for an in-memory tree (empty storage_dir).
   void InitFetcher();
 
   // Creates the snapshot manager over the freshly built/opened structures,

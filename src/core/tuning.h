@@ -33,7 +33,8 @@ struct TuningOptions {
   bool enable_compute_sfc = true;
   /// Early-abandoning distance verification (never changes results).
   bool enable_cutoff = true;
-  /// RAF readahead sessions (the cold-path I/O engine).
+  /// RAF readahead sessions (the cold-path I/O engine; disk-backed trees
+  /// only).
   bool enable_prefetch = true;
   /// Zero-copy RAF record views from pinned frames.
   bool enable_zero_copy = true;
@@ -44,7 +45,8 @@ struct TuningOptions {
   /// readers.
   size_t btree_cache_pages = 32;
   size_t raf_cache_pages = 32;
-  /// Per-readahead-session budget in pages (also the max span-read length).
+  /// Per-readahead-session bound on pages in flight, in pages (also the max
+  /// span-read length; disk-backed trees only).
   size_t max_readahead_pages = 64;
   /// Number of SFC key-range shards (power of two). Read back from
   /// ShardedSpbTree::tuning(); construction-time in practice — ApplyTuning

@@ -64,9 +64,14 @@ Status BufferPool::ReadPinned(PageId id, PagePin* out) {
   if (leader) {
     // Fetch outside the shard lock so a slow read does not serialize the
     // stripe; followers for this page queue on the pending entry instead of
-    // issuing their own file reads.
-    fetch->page = std::make_shared<Page>();
-    fetch->status = file_->Read(id, fetch->page.get());
+    // issuing their own file reads. A memory file hands over its own frame;
+    // any other file is read into a fresh one.
+    fetch->page = file_->SharedPage(id);
+    if (fetch->page == nullptr) {
+      auto copy = std::make_shared<Page>();
+      fetch->status = file_->Read(id, copy.get());
+      fetch->page = std::move(copy);
+    }
     {
       std::lock_guard<InstrumentedMutex> lock(shard.mu);
       // Insert and un-pend atomically: a page is never in neither table.
@@ -156,10 +161,17 @@ bool BufferPool::Contains(PageId id) {
 Status BufferPool::Write(PageId id, const Page& page) {
   SPB_RETURN_IF_ERROR(file_->Write(id, page));
   stats_.page_writes.fetch_add(1, std::memory_order_relaxed);
+  std::shared_ptr<const Page> frame = FrameAfterWrite(id, page);
   Shard& shard = ShardFor(id);
   std::lock_guard<InstrumentedMutex> lock(shard.mu);
-  shard.InsertLocked(id, std::make_shared<const Page>(page));
+  shard.InsertLocked(id, std::move(frame));
   return Status::OK();
+}
+
+std::shared_ptr<const Page> BufferPool::FrameAfterWrite(PageId id,
+                                                        const Page& page) {
+  std::shared_ptr<const Page> frame = file_->SharedPage(id);
+  return frame != nullptr ? frame : std::make_shared<const Page>(page);
 }
 
 Status BufferPool::AppendSpan(PageId first, size_t count, const Page* pages) {
@@ -173,8 +185,9 @@ Status BufferPool::AppendSpan(PageId first, size_t count, const Page* pages) {
     // same shard after this one. Once they alone fill it, per-page LRU
     // inserts would evict this frame before the span ends.
     if ((count - 1 - i) / num_shards >= shard.capacity) continue;
+    std::shared_ptr<const Page> frame = FrameAfterWrite(id, pages[i]);
     std::lock_guard<InstrumentedMutex> lock(shard.mu);
-    shard.InsertLocked(id, std::make_shared<const Page>(pages[i]));
+    shard.InsertLocked(id, std::move(frame));
   }
   return Status::OK();
 }

@@ -28,6 +28,13 @@ namespace spb {
 /// access. `capacity == 0` disables caching entirely (the paper's "cache size
 /// 0" configuration).
 ///
+/// Frames come from the file when it can share them (PageFile::SharedPage,
+/// i.e. a memory-backed file): a miss or a write then caches the file's own
+/// immutable page, not a 4 KB copy, so a memory-backed index holds each page
+/// once and `capacity` bounds only which pages count as cached. Other files
+/// (disk) are read into, and written through, private frames. Accounting,
+/// single-flight and LRU order are the same either way.
+///
 /// Thread safety: Read() and Write() are safe to call concurrently. The LRU
 /// is striped — pages hash to one of up to kMaxShards independent shards,
 /// each with its own mutex, list and map, so concurrent readers touching
@@ -186,7 +193,7 @@ class BufferPool {
     std::condition_variable cv;
     bool done = false;
     Status status = Status::OK();
-    std::shared_ptr<Page> page;
+    std::shared_ptr<const Page> page;
   };
 
   /// One independent LRU slice. Most-recently-used at the front of `lru`.
@@ -210,6 +217,10 @@ class BufferPool {
   }
 
   void Resize(size_t capacity);
+
+  /// The frame to cache for page `id` just written with `page`: the file's
+  /// own frame when it shares pages (PageFile::SharedPage), else a copy.
+  std::shared_ptr<const Page> FrameAfterWrite(PageId id, const Page& page);
 
   /// Common miss-capable read path: cache hit, join of an in-flight fetch,
   /// or leader fetch, copying bytes [offset, offset+n) of the page to `dst`.

@@ -100,6 +100,8 @@ struct ReadaheadOptions {
 /// staging buffers never outlive an in-flight background read.
 class Readahead {
  public:
+  /// A null `fetcher` makes Schedule() a no-op, so every read takes the
+  /// pool's demand path (prefetch off, or an in-memory tree).
   Readahead(BufferPool* pool, PageFetcher* fetcher,
             ReadaheadOptions options = {});
   ~Readahead();

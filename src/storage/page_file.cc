@@ -16,14 +16,15 @@ namespace spb {
 
 namespace {
 
-// Safe for concurrent readers with one mutating thread (the epoch-based
-// snapshot protocol's writer, docs/ARCHITECTURE.md §"Threading model"):
-// `count_` is an atomic watermark released after the page exists, and the
-// byte copies of Read/Write/Allocate run under `mu_` so a reader copying a
-// page can never race the writer flushing the same page (the bytes a
-// snapshot actually consumes are immutable, but the flush rewrites the
-// whole page). The lock covers only a 4 KB memcpy; the warm path never
-// gets here (buffer-pool and node-cache hits resolve above the file).
+// Every page is an immutable shared frame. Write/AppendSpan/Allocate build
+// the new frame outside the lock and then swap the pointer (copy-on-write),
+// so the buffer pool can cache the file's own frame (SharedPage) instead of
+// a copy, and a pin on it never sees a later write. Freshly allocated pages
+// share one zero frame. Safe for concurrent readers with one mutating
+// thread (the epoch-based snapshot protocol's writer,
+// docs/ARCHITECTURE.md §"Threading model"): `count_` is an atomic watermark
+// released after the page exists, and `mu_` guards only the pointer vector
+// (a copy or swap of one shared_ptr, or the vector's growth).
 class MemoryPageFile final : public PageFile {
  public:
   PageId num_pages() const override {
@@ -33,18 +34,18 @@ class MemoryPageFile final : public PageFile {
   Status Allocate(PageId* id) override {
     std::lock_guard<std::mutex> lock(mu_);
     *id = static_cast<PageId>(pages_.size());
-    pages_.emplace_back(new Page());
+    pages_.push_back(zero_);
     count_.store(static_cast<PageId>(pages_.size()),
                  std::memory_order_release);
     return Status::OK();
   }
 
   Status Read(PageId id, Page* out) override {
-    if (id >= num_pages()) {
+    const std::shared_ptr<const Page> page = SharedPage(id);
+    if (page == nullptr) {
       return Status::InvalidArgument("page id out of range");
     }
-    std::lock_guard<std::mutex> lock(mu_);
-    *out = *pages_[id];
+    *out = *page;
     return Status::OK();
   }
 
@@ -52,12 +53,20 @@ class MemoryPageFile final : public PageFile {
     if (id >= num_pages()) {
       return Status::InvalidArgument("page id out of range");
     }
+    // The old frame is released after the lock, by `fresh`'s destructor.
+    std::shared_ptr<const Page> fresh = std::make_shared<const Page>(page);
     std::lock_guard<std::mutex> lock(mu_);
-    *pages_[id] = page;
+    pages_[id].swap(fresh);
     return Status::OK();
   }
 
   Status AppendSpan(PageId first, size_t count, const Page* pages) override {
+    std::vector<std::shared_ptr<const Page>> fresh;
+    fresh.reserve(count);
+    for (size_t i = 0; i < count; ++i) {
+      fresh.push_back(std::make_shared<const Page>(pages[i]));
+    }
+    // As in Write, overwritten frames die with `fresh`, after the lock.
     std::lock_guard<std::mutex> lock(mu_);
     if (first > pages_.size()) {
       return Status::InvalidArgument("page span starts past the end");
@@ -65,9 +74,9 @@ class MemoryPageFile final : public PageFile {
     for (size_t i = 0; i < count; ++i) {
       const size_t id = first + i;
       if (id < pages_.size()) {
-        *pages_[id] = pages[i];
+        pages_[id].swap(fresh[i]);
       } else {
-        pages_.emplace_back(new Page(pages[i]));
+        pages_.push_back(std::move(fresh[i]));
       }
     }
     count_.store(static_cast<PageId>(pages_.size()),
@@ -77,9 +86,16 @@ class MemoryPageFile final : public PageFile {
 
   Status Sync() override { return Status::OK(); }
 
+  std::shared_ptr<const Page> SharedPage(PageId id) override {
+    if (id >= num_pages()) return nullptr;
+    std::lock_guard<std::mutex> lock(mu_);
+    return pages_[id];
+  }
+
  private:
+  const std::shared_ptr<const Page> zero_ = std::make_shared<const Page>();
   mutable std::mutex mu_;
-  std::vector<std::unique_ptr<Page>> pages_;
+  std::vector<std::shared_ptr<const Page>> pages_;
   std::atomic<PageId> count_{0};
 };
 

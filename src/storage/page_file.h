@@ -12,10 +12,10 @@
 namespace spb {
 
 /// A growable array of 4 KB pages. Two implementations: file-backed (the
-/// normal disk-based mode the paper evaluates) and memory-backed (used by
-/// unit tests and quick experiments). Raw reads/writes are not counted here;
-/// the BufferPool layered on top does the PA accounting so that cache hits
-/// are excluded, exactly as the paper measures I/O.
+/// normal disk-based mode the paper evaluates) and memory-backed (in-memory
+/// indexes, unit tests and quick experiments). Raw reads/writes are not
+/// counted here; the BufferPool layered on top does the PA accounting so
+/// that cache hits are excluded, exactly as the paper measures I/O.
 class PageFile {
  public:
   virtual ~PageFile() = default;
@@ -53,6 +53,17 @@ class PageFile {
 
   /// Flushes buffered data to stable storage (no-op for memory files).
   virtual Status Sync() = 0;
+
+  /// The file's own immutable bytes of page `id`, shared instead of copied,
+  /// or null when the file cannot share them (disk files, and any file that
+  /// does not override this). A memory-backed file keeps every page as an
+  /// immutable frame and replaces the pointer on Write/AppendSpan/Allocate,
+  /// so the returned frame never changes under its holder. BufferPool caches
+  /// it as-is, which keeps a memory-backed index at one copy of its pages.
+  /// Null also for an out-of-range `id`; Read() reports that error.
+  virtual std::shared_ptr<const Page> SharedPage(PageId /*id*/) {
+    return nullptr;
+  }
 
   /// Creates a memory-backed page file.
   static std::unique_ptr<PageFile> CreateInMemory();

@@ -241,8 +241,6 @@ class Raf {
     pool_.set_capacity(n);
     return Status::OK();
   }
-  /// Deprecated: use SetCachePages(). Thin wrapper kept for older callers.
-  void set_cache_pages(size_t n) { SetCachePages(n); }
 
  private:
   Raf(std::unique_ptr<PageFile> file, size_t cache_pages)

@@ -1,9 +1,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <iterator>
 #include <set>
 #include <string>
@@ -281,6 +283,69 @@ TEST(BuildDeterminismTest, ParallelAndSerialDiskBuildsAreByteIdentical) {
     }
   }
   fs::remove_all(root);
+}
+
+// Where a page's bytes come from must not show in any query: a memory-backed
+// and a disk-backed build of the same data return the same results at the
+// same logical PA, cache_hits and compdists, query by query, cold (caches
+// flushed before each query) and warm, with prefetch on. The disk twin's
+// readahead stages pages; the memory twin has no fetcher and stages none,
+// its pools caching the memory files' own pages.
+TEST(StorageParityTest, MemoryAndDiskTwinsMatchPerQuery) {
+  const std::string dir =
+      (fs::temp_directory_path() / "spb_storage_parity").string();
+  fs::remove_all(dir);
+  const Dataset ds = MakeSynthetic(3000, 17);
+  std::unique_ptr<SpbTree> twins[2];  // [0] memory-backed, [1] disk-backed
+  for (int disk = 0; disk < 2; ++disk) {
+    SpbTreeOptions opts;
+    opts.enable_prefetch = true;
+    if (disk == 1) opts.storage_dir = dir;
+    ASSERT_TRUE(
+        SpbTree::Build(ds.objects, ds.metric.get(), opts, &twins[disk]).ok());
+  }
+  // {logical PA, cache_hits, compdists} of one query.
+  using Cost = std::array<uint64_t, 3>;
+  auto measure = [](SpbTree& tree, const std::function<void()>& query) {
+    const QueryStats q0 = tree.cumulative_stats();
+    const uint64_t hits0 = tree.io_stats().cache_hits.load();
+    query();
+    const QueryStats q1 = tree.cumulative_stats();
+    return Cost{q1.page_accesses - q0.page_accesses,
+                tree.io_stats().cache_hits.load() - hits0,
+                q1.distance_computations - q0.distance_computations};
+  };
+  const double radius = 0.08 * ds.metric->max_distance();
+  for (const bool cold : {true, false}) {
+    SCOPED_TRACE(cold ? "cold" : "warm");
+    for (auto& tree : twins) tree->FlushCaches();
+    for (size_t i = 0; i < 24; ++i) {
+      const Blob& q = ds.objects[i * 131 % ds.objects.size()];
+      std::vector<ObjectId> range[2];
+      std::vector<Neighbor> knn[2];
+      Cost range_cost[2], knn_cost[2];
+      for (int t = 0; t < 2; ++t) {
+        SpbTree& tree = *twins[t];
+        if (cold) tree.FlushCaches();
+        range_cost[t] = measure(tree, [&] {
+          ASSERT_TRUE(tree.RangeQuery(q, radius, &range[t]).ok());
+        });
+        if (cold) tree.FlushCaches();
+        knn_cost[t] = measure(
+            tree, [&] { ASSERT_TRUE(tree.KnnQuery(q, 10, &knn[t]).ok()); });
+      }
+      SCOPED_TRACE("query " + std::to_string(i));
+      EXPECT_FALSE(range[0].empty());
+      EXPECT_EQ(range[0], range[1]);
+      EXPECT_EQ(knn[0], knn[1]);
+      EXPECT_EQ(range_cost[0], range_cost[1]);
+      EXPECT_EQ(knn_cost[0], knn_cost[1]);
+    }
+  }
+  EXPECT_EQ(twins[0]->io_stats().prefetch_issued.load(), 0u);
+  EXPECT_GT(twins[1]->io_stats().prefetch_issued.load(), 0u);
+  twins[1].reset();
+  fs::remove_all(dir);
 }
 
 }  // namespace

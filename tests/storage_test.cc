@@ -22,24 +22,34 @@ std::string TempPath(const std::string& name) {
 
 // ---------------------------------------------------------------- PageFile
 
-class PageFileTest : public ::testing::TestWithParam<bool> {
+// Runs a suite over both page-file kinds: the parameter is true for disk.
+class FileKindTest : public ::testing::TestWithParam<bool> {
  protected:
+  // A fresh, empty file of the parameter's kind; disk files are removed in
+  // TearDown.
   std::unique_ptr<PageFile> MakeFile() {
-    if (GetParam()) {
-      path_ = TempPath("spb_pagefile_test.dat");
-      std::unique_ptr<PageFile> f;
-      EXPECT_TRUE(PageFile::CreateOnDisk(path_, &f).ok());
-      return f;
-    }
-    return PageFile::CreateInMemory();
+    if (!GetParam()) return PageFile::CreateInMemory();
+    paths_.push_back(
+        TempPath("spb_storage_test_" + std::to_string(paths_.size()) + ".dat"));
+    std::unique_ptr<PageFile> f;
+    EXPECT_TRUE(PageFile::CreateOnDisk(paths_.back(), &f).ok());
+    return f;
   }
+
+  bool in_memory() const { return !GetParam(); }
 
   void TearDown() override {
-    if (!path_.empty()) std::remove(path_.c_str());
+    for (const std::string& path : paths_) std::remove(path.c_str());
   }
 
-  std::string path_;
+  std::vector<std::string> paths_;
 };
+
+std::string FileKindName(const ::testing::TestParamInfo<bool>& info) {
+  return info.param ? "Disk" : "Memory";
+}
+
+class PageFileTest : public FileKindTest {};
 
 TEST_P(PageFileTest, StartsEmpty) {
   auto f = MakeFile();
@@ -172,10 +182,35 @@ TEST_P(PageFileTest, AppendSpanOverwritesAndGrows) {
   EXPECT_EQ(f->num_pages(), 7u);
 }
 
+// A memory file shares its pages as immutable frames: a write replaces the
+// frame instead of changing it, and fresh pages share one zero frame. A disk
+// file shares nothing.
+TEST_P(PageFileTest, SharedPagesAreImmutableFrames) {
+  auto f = MakeFile();
+  PageId a, b;
+  ASSERT_TRUE(f->Allocate(&a).ok());
+  ASSERT_TRUE(f->Allocate(&b).ok());
+  const std::shared_ptr<const Page> before = f->SharedPage(a);
+  if (!in_memory()) {
+    EXPECT_EQ(before, nullptr);
+    return;
+  }
+  ASSERT_NE(before, nullptr);
+  EXPECT_EQ(before.get(), f->SharedPage(b).get());
+  EXPECT_EQ(f->SharedPage(2), nullptr);  // out of range
+  ASSERT_TRUE(f->Write(a, PatternPage(1)).ok());
+  const std::shared_ptr<const Page> after = f->SharedPage(a);
+  EXPECT_NE(after.get(), before.get());
+  EXPECT_EQ(0, memcmp(after->bytes(), PatternPage(1).bytes(), kPageSize));
+  EXPECT_EQ(0, memcmp(before->bytes(), Page().bytes(), kPageSize));
+  const Page span[2] = {PatternPage(2), PatternPage(3)};
+  ASSERT_TRUE(f->AppendSpan(a, 2, span).ok());
+  EXPECT_EQ(0, memcmp(after->bytes(), PatternPage(1).bytes(), kPageSize));
+  EXPECT_EQ(0, memcmp(f->SharedPage(b)->bytes(), span[1].bytes(), kPageSize));
+}
+
 INSTANTIATE_TEST_SUITE_P(MemoryAndDisk, PageFileTest, ::testing::Bool(),
-                         [](const ::testing::TestParamInfo<bool>& info) {
-                           return info.param ? "Disk" : "Memory";
-                         });
+                         FileKindName);
 
 TEST(DiskPageFileTest, ReopenSeesPersistedPages) {
   std::string path = TempPath("spb_pagefile_reopen.dat");
@@ -207,8 +242,12 @@ TEST(DiskPageFileTest, OpenMissingFileFails) {
 
 // -------------------------------------------------------------- BufferPool
 
-TEST(BufferPoolTest, FirstReadMissesSecondHits) {
-  auto f = PageFile::CreateInMemory();
+// Every accounting test runs over both file kinds: frames the pool shares
+// with a memory file and frames it reads from disk count the same.
+class BufferPoolTest : public FileKindTest {};
+
+TEST_P(BufferPoolTest, FirstReadMissesSecondHits) {
+  auto f = MakeFile();
   PageId id;
   ASSERT_TRUE(f->Allocate(&id).ok());
   BufferPool pool(f.get(), 8);
@@ -221,8 +260,8 @@ TEST(BufferPoolTest, FirstReadMissesSecondHits) {
   EXPECT_EQ(pool.stats().cache_hits, 1u);
 }
 
-TEST(BufferPoolTest, ReadIntoMatchesReadAndAccounting) {
-  auto f = PageFile::CreateInMemory();
+TEST_P(BufferPoolTest, ReadIntoMatchesReadAndAccounting) {
+  auto f = MakeFile();
   PageId id;
   ASSERT_TRUE(f->Allocate(&id).ok());
   Page w;
@@ -248,8 +287,8 @@ TEST(BufferPoolTest, ReadIntoMatchesReadAndAccounting) {
   EXPECT_EQ(pool.stats().cache_hits, 2u);
 }
 
-TEST(BufferPoolTest, ZeroCapacityNeverHits) {
-  auto f = PageFile::CreateInMemory();
+TEST_P(BufferPoolTest, ZeroCapacityNeverHits) {
+  auto f = MakeFile();
   PageId id;
   ASSERT_TRUE(f->Allocate(&id).ok());
   BufferPool pool(f.get(), 0);
@@ -259,8 +298,8 @@ TEST(BufferPoolTest, ZeroCapacityNeverHits) {
   EXPECT_EQ(pool.stats().cache_hits, 0u);
 }
 
-TEST(BufferPoolTest, LruEvictsLeastRecentlyUsed) {
-  auto f = PageFile::CreateInMemory();
+TEST_P(BufferPoolTest, LruEvictsLeastRecentlyUsed) {
+  auto f = MakeFile();
   for (int i = 0; i < 3; ++i) {
     PageId id;
     ASSERT_TRUE(f->Allocate(&id).ok());
@@ -278,8 +317,8 @@ TEST(BufferPoolTest, LruEvictsLeastRecentlyUsed) {
   EXPECT_EQ(pool.stats().page_reads, reads_before + 1);
 }
 
-TEST(BufferPoolTest, WriteIsWriteThroughAndCaches) {
-  auto f = PageFile::CreateInMemory();
+TEST_P(BufferPoolTest, WriteIsWriteThroughAndCaches) {
+  auto f = MakeFile();
   PageId id;
   ASSERT_TRUE(f->Allocate(&id).ok());
   BufferPool pool(f.get(), 4);
@@ -298,8 +337,8 @@ TEST(BufferPoolTest, WriteIsWriteThroughAndCaches) {
   EXPECT_EQ(r.bytes()[0], 0x5A);
 }
 
-TEST(BufferPoolTest, FlushDropsCachedPages) {
-  auto f = PageFile::CreateInMemory();
+TEST_P(BufferPoolTest, FlushDropsCachedPages) {
+  auto f = MakeFile();
   PageId id;
   ASSERT_TRUE(f->Allocate(&id).ok());
   BufferPool pool(f.get(), 4);
@@ -313,11 +352,11 @@ TEST(BufferPoolTest, FlushDropsCachedPages) {
 // A span write must leave the pool exactly as per-page writes in ascending
 // order do: the same page_writes, the same cached pages, and the same LRU
 // order (checked by the hits and misses of a read sweep afterwards).
-TEST(BufferPoolTest, AppendSpanMatchesPerPageWrites) {
+TEST_P(BufferPoolTest, AppendSpanMatchesPerPageWrites) {
   for (size_t capacity : {0, 5, 40, 200}) {
     SCOPED_TRACE("capacity " + std::to_string(capacity));
-    auto fa = PageFile::CreateInMemory();
-    auto fb = PageFile::CreateInMemory();
+    auto fa = MakeFile();
+    auto fb = MakeFile();
     BufferPool a(fa.get(), capacity);
     BufferPool b(fb.get(), capacity);
     for (BufferPool* pool : {&a, &b}) {
@@ -360,6 +399,95 @@ TEST(BufferPoolTest, AppendSpanMatchesPerPageWrites) {
     EXPECT_EQ(a.stats().cache_hits, b.stats().cache_hits);
   }
 }
+
+// On a memory file the pool caches the file's own frame, not a copy: a
+// miss, a hit and a write-through all hand out the frame SharedPage returns.
+TEST_P(BufferPoolTest, MemoryFileMissCachesTheFilesOwnFrame) {
+  auto f = MakeFile();
+  PageId id;
+  ASSERT_TRUE(f->Allocate(&id).ok());
+  ASSERT_TRUE(f->Write(id, PatternPage(3)).ok());
+  BufferPool pool(f.get(), 8);
+  BufferPool::PagePin miss, hit;
+  ASSERT_TRUE(pool.ReadPinned(id, &miss).ok());
+  ASSERT_TRUE(pool.ReadPinned(id, &hit).ok());
+  EXPECT_EQ(pool.stats().page_reads, 1u);
+  EXPECT_EQ(pool.stats().cache_hits, 1u);
+  EXPECT_EQ(0, memcmp(miss->bytes(), PatternPage(3).bytes(), kPageSize));
+  EXPECT_EQ(miss.get(), hit.get());
+  if (!in_memory()) {
+    EXPECT_EQ(f->SharedPage(id), nullptr);
+    return;
+  }
+  EXPECT_EQ(miss.get(), f->SharedPage(id).get());
+  ASSERT_TRUE(pool.Write(id, PatternPage(4)).ok());
+  BufferPool::PagePin written;
+  ASSERT_TRUE(pool.ReadPinned(id, &written).ok());
+  EXPECT_EQ(pool.stats().cache_hits, 2u);
+  EXPECT_EQ(written.get(), f->SharedPage(id).get());
+  const Page span[2] = {PatternPage(5), PatternPage(6)};
+  ASSERT_TRUE(pool.AppendSpan(id, 2, span).ok());
+  for (PageId p = id; p < id + 2; ++p) {
+    BufferPool::PagePin pin;
+    ASSERT_TRUE(pool.ReadPinned(p, &pin).ok());
+    EXPECT_EQ(pin.get(), f->SharedPage(p).get()) << "page " << p;
+  }
+  EXPECT_EQ(pool.stats().cache_hits, 4u);
+}
+
+// A pin keeps the bytes it was taken on: a later Write or AppendSpan of the
+// same page, through the pool or straight to the file, replaces the frame
+// for later readers and leaves the pinned one alone.
+TEST_P(BufferPoolTest, PinHeldAcrossWritesKeepsOldBytes) {
+  auto f = MakeFile();
+  PageId id;
+  ASSERT_TRUE(f->Allocate(&id).ok());
+  ASSERT_TRUE(f->Write(id, PatternPage(1)).ok());
+  BufferPool pool(f.get(), 8);
+  BufferPool::PagePin old_pin;
+  ASSERT_TRUE(pool.ReadPinned(id, &old_pin).ok());
+
+  ASSERT_TRUE(pool.Write(id, PatternPage(2)).ok());
+  BufferPool::PagePin mid_pin;
+  ASSERT_TRUE(pool.ReadPinned(id, &mid_pin).ok());
+  EXPECT_EQ(0, memcmp(mid_pin->bytes(), PatternPage(2).bytes(), kPageSize));
+
+  const Page span[1] = {PatternPage(3)};
+  ASSERT_TRUE(pool.AppendSpan(id, 1, span).ok());
+  Page now;
+  ASSERT_TRUE(pool.Read(id, &now).ok());
+  EXPECT_EQ(0, memcmp(now.bytes(), PatternPage(3).bytes(), kPageSize));
+  ASSERT_TRUE(f->Write(id, PatternPage(4)).ok());
+
+  EXPECT_EQ(0, memcmp(old_pin->bytes(), PatternPage(1).bytes(), kPageSize));
+  EXPECT_EQ(0, memcmp(mid_pin->bytes(), PatternPage(2).bytes(), kPageSize));
+}
+
+// Capacity 0 caches nothing, on either file kind; on a memory file each
+// miss still hands out the file's own frame rather than a copy.
+TEST_P(BufferPoolTest, ZeroCapacityHandsOutFramesWithoutCaching) {
+  auto f = MakeFile();
+  PageId id;
+  ASSERT_TRUE(f->Allocate(&id).ok());
+  ASSERT_TRUE(f->Write(id, PatternPage(7)).ok());
+  BufferPool pool(f.get(), 0);
+  for (int i = 0; i < 3; ++i) {
+    BufferPool::PagePin pin;
+    ASSERT_TRUE(pool.ReadPinned(id, &pin).ok());
+    EXPECT_EQ(0, memcmp(pin->bytes(), PatternPage(7).bytes(), kPageSize));
+    if (in_memory()) {
+      EXPECT_EQ(pin.get(), f->SharedPage(id).get());
+    }
+    EXPECT_FALSE(pool.Contains(id));
+  }
+  ASSERT_TRUE(pool.Write(id, PatternPage(8)).ok());
+  EXPECT_FALSE(pool.Contains(id));
+  EXPECT_EQ(pool.stats().page_reads, 3u);
+  EXPECT_EQ(pool.stats().cache_hits, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(MemoryAndDisk, BufferPoolTest, ::testing::Bool(),
+                         FileKindName);
 
 // --------------------------------------------------------------------- RAF
 

@@ -8,13 +8,15 @@
 # batch-decode/encode tests — once with the dispatched SIMD variants and
 # once with SPB_DISABLE_SIMD=1 — so out-of-bounds lane loads or UB in any
 # dispatch table fail loudly on every path, plus the bulk load's span-write
-# and parallel-build tests. Finally an io_uring
+# and parallel-build tests and the concurrency tests (pins on memory-file
+# frames must outlive the writer's frame swaps). Finally an io_uring
 # configure check: -DSPB_IOURING=ON must degrade gracefully (warning + the
 # portable pread backend) on machines without liburing.
 #
 #   tools/check.sh            # everything
 #   tools/check.sh --tsan     # only the TSan stage (incl. parallel build)
-#   tools/check.sh --asan     # only the ASan/UBSan kernel + bulk-load stage
+#   tools/check.sh --asan     # only the ASan/UBSan kernel, bulk-load and
+#                             # concurrency stage
 #   tools/check.sh --iouring  # only the io_uring configure/build check
 #   tools/check.sh --warmab   # only the warm A/B identity sweep (ASan+TSan)
 #   tools/check.sh --updates  # only the update-engine stage (TSan+ASan)
@@ -53,7 +55,7 @@ run_asan() {
   echo "==> asan: kernel/SFC parity + metric tests under ASan/UBSan"
   cmake -B build-asan -S . -DSPB_SANITIZE=address >/dev/null
   cmake --build build-asan -j "${JOBS}" --target kernels_test metrics_test \
-    sfc_test storage_test common_test persistence_test
+    sfc_test storage_test common_test persistence_test concurrency_test
   ./build-asan/tests/kernels_test
   ./build-asan/tests/metrics_test
   ./build-asan/tests/sfc_test
@@ -67,6 +69,10 @@ run_asan() {
   ./build-asan/tests/storage_test
   ./build-asan/tests/common_test
   ./build-asan/tests/persistence_test
+  # Pins on shared memory-file frames across concurrent rewrites, the
+  # single-flight hand-off and readahead staging lifetimes.
+  echo "==> asan: concurrency tests under ASan/UBSan"
+  ./build-asan/tests/concurrency_test
 }
 
 run_warmab() {
