@@ -4,21 +4,26 @@
 // capacity-constrained 64 pages):
 //
 //   cold  — the paper's protocol (flush caches before every query), run at
-//           T=1 because FlushCaches() is a single-writer operation. Each
+//           T=1 because FlushCaches() is a single-writer operation, on a
+//           disk-backed tree (only a tree with files does readahead). Each
 //           workload runs twice, prefetch off then on; the off run is the
 //           demand-path baseline, the on run must produce byte-identical
 //           results and identical logical PA (the I/O engine's
 //           claim-on-touch contract), and the reported speedup is the
 //           engine's cold-path win.
 //   warm  — sweeps the QueryExecutor's thread count T over {1, 2, 4, 8}
-//           with a shared warm pool, the production regime the ROADMAP
-//           targets. Result sets are checked to be identical across all T.
+//           with a shared warm pool on an in-memory tree, the production
+//           regime the ROADMAP targets. Result sets are checked to be
+//           identical across all T.
 //
-// Later PR sections ride along: the warm-path decode engine A/B (PR 4,
-// BENCH_PR4.json), the mixed 90/10 read/write sweep (PR 5, BENCH_PR5.json),
-// the sharded scatter-gather sweep (PR 6, BENCH_PR6.json, also standalone
-// via --shards-only) and the durable write-path engine sweep (PR 7,
-// BENCH_PR7.json, standalone via --wal-only).
+// Later sections ride along: the warm-path decode engine A/B
+// (BENCH_PR4.json; with the cold rows also standalone via --warmab-only),
+// the mixed 90/10 read/write sweep (BENCH_PR5.json), the sharded
+// scatter-gather sweep (BENCH_PR6.json, also standalone via
+// --shards-only), the durable write-path engine sweep (BENCH_PR7.json,
+// standalone via --wal-only) and the parallel fan-out sweep
+// (BENCH_PR8.json, standalone via --fanout-only). Disk-backed trees live
+// in directories under the system temp directory, removed on return.
 //
 // Every row reports logical PA (the paper's reproduction metric, invariant
 // under prefetch) alongside the engine's physical counters: physical_reads
@@ -27,9 +32,12 @@
 // multi-page span read). Emits one JSON line per configuration alongside
 // the table so results can be scraped like the other bench targets'
 // outputs.
+#include <unistd.h>
+
 #include <chrono>
 #include <cstdlib>
 #include <cstring>
+#include <filesystem>
 #include <functional>
 #include <string>
 
@@ -133,32 +141,56 @@ RunResult FromBatchStats(const BatchStats& s) {
   return out;
 }
 
-void RunCapacity(const BenchConfig& config, const Dataset& ds,
-                 const std::vector<Blob>& queries, double r, size_t k,
-                 size_t cache_pages) {
-  SpbTreeOptions opts;
-  opts.seed = config.seed;
-  opts.btree_cache_pages = cache_pages;
-  opts.raf_cache_pages = cache_pages;
-  // Disk-backed: readahead runs only there (an in-memory tree has no
-  // fetcher), so the cold prefetch-vs-demand rows need real files.
-  opts.storage_dir = "bench_cold_dir";
-  std::unique_ptr<SpbTree> tree;
-  if (!SpbTree::Build(ds.objects, ds.metric.get(), opts, &tree).ok()) {
-    std::abort();
+// An index directory under the system temp directory, emptied on creation
+// and removed when it goes out of scope: declare it before the tree that
+// uses it, so the tree closes its files first.
+class TempIndexDir {
+ public:
+  explicit TempIndexDir(const std::string& name)
+      : path_((std::filesystem::temp_directory_path() /
+               (name + "_" + std::to_string(::getpid())))
+                  .string()) {
+    std::filesystem::remove_all(path_);
   }
+  ~TempIndexDir() { std::filesystem::remove_all(path_); }
+  TempIndexDir(const TempIndexDir&) = delete;
+  TempIndexDir& operator=(const TempIndexDir&) = delete;
 
-  std::printf("\n[cache=%zu pages, range r=8%% of d+, kNN k=%zu]\n",
-              cache_pages, k);
+  const std::string& path() const { return path_; }
+
+ private:
+  std::string path_;
+};
+
+void PrintCapacityHeader(const char* regime, size_t cache_pages, size_t k) {
+  std::printf("\n[%s, cache=%zu pages, range r=8%% of d+, kNN k=%zu]\n",
+              regime, cache_pages, k);
   PrintRule(96);
   std::printf("%-5s %-6s %-9s | %8s | %9s %9s | %9s %9s %9s | %7s\n", "mode",
               "work", "variant", "QPS", "pa/q", "phys/q", "issued", "hits",
               "coalesced", "speedup");
   PrintRule(96);
+}
 
-  // ---- Cold regime: flush-per-query at T=1 (FlushCaches is
-  // single-writer), prefetch off (demand baseline) then on. The on run must
-  // match the off run's results and logical PA exactly.
+// Cold regime: flush-per-query at T=1 (FlushCaches is single-writer),
+// prefetch off (demand baseline) then on. The on run must match the off
+// run's results and logical PA exactly. Disk-backed: only a tree with files
+// has a readahead fetcher.
+void RunColdPrefetchAb(const BenchConfig& config, const Dataset& ds,
+                       const std::vector<Blob>& queries, double r, size_t k,
+                       size_t cache_pages) {
+  const TempIndexDir dir("spb_bench_cold");
+  SpbTreeOptions opts;
+  opts.seed = config.seed;
+  opts.btree_cache_pages = cache_pages;
+  opts.raf_cache_pages = cache_pages;
+  opts.storage_dir = dir.path();
+  std::unique_ptr<SpbTree> tree;
+  if (!SpbTree::Build(ds.objects, ds.metric.get(), opts, &tree).ok()) {
+    std::abort();
+  }
+  PrintCapacityHeader("cold, disk-backed", cache_pages, k);
+
   std::vector<std::vector<ObjectId>> cold_range(queries.size());
   std::vector<std::vector<Neighbor>> cold_knn(queries.size());
   std::vector<std::vector<ObjectId>> base_range;
@@ -208,13 +240,26 @@ void RunCapacity(const BenchConfig& config, const Dataset& ds,
     PrintRow("cold", "knn", "prefetch", ck, k_speed);
     PrintJson("cold", "knn", cache_pages, true, 1, ck, k_speed);
   }
+  PrintRule(96);
   std::printf("cold: prefetch results and logical PA identical to demand "
               "path\n");
+}
 
-  // ---- Warm regime: executor thread sweep, prefetch on.
-  TuningOptions warm_tn = tree->tuning();
-  warm_tn.enable_prefetch = true;
-  if (!tree->ApplyTuning(warm_tn).ok()) std::abort();
+// Warm regime: executor thread sweep on an in-memory tree. Result sets must
+// be identical across all T.
+void RunWarmThreadSweep(const BenchConfig& config, const Dataset& ds,
+                        const std::vector<Blob>& queries, double r, size_t k,
+                        size_t cache_pages) {
+  SpbTreeOptions opts;
+  opts.seed = config.seed;
+  opts.btree_cache_pages = cache_pages;
+  opts.raf_cache_pages = cache_pages;
+  std::unique_ptr<SpbTree> tree;
+  if (!SpbTree::Build(ds.objects, ds.metric.get(), opts, &tree).ok()) {
+    std::abort();
+  }
+  PrintCapacityHeader("warm, in-memory", cache_pages, k);
+
   const size_t thread_counts[] = {1, 2, 4, 8};
   std::vector<std::vector<ObjectId>> range_baseline;
   std::vector<std::vector<Neighbor>> knn_baseline;
@@ -1014,11 +1059,11 @@ struct ChurnResult {
 };
 
 ChurnResult RunChurnCompaction(const BenchConfig& config, const Dataset& ds,
-                               const std::vector<Blob>& queries, double r,
-                               const std::string& dir) {
+                               const std::vector<Blob>& queries, double r) {
+  const TempIndexDir dir("spb_bench_wal_churn");
   SpbTreeOptions opts;
   opts.seed = config.seed;
-  opts.storage_dir = dir;
+  opts.storage_dir = dir.path();
   std::unique_ptr<SpbTree> tree;
   if (!SpbTree::Build(ds.objects, ds.metric.get(), opts, &tree).ok()) {
     std::abort();
@@ -1084,10 +1129,10 @@ void RunWriteEngine(const BenchConfig& config, const Dataset& ds,
   // BENCH_PR6.json, cells[shards=1].write_ops_s.
   constexpr double kPr6BaselineWriteOpsS = 244.9;
 
-  const std::string dir = "bench_wal_dir";
+  const TempIndexDir dir("spb_bench_wal");
   SpbTreeOptions opts;
   opts.seed = config.seed;
-  opts.storage_dir = dir;
+  opts.storage_dir = dir.path();
   opts.enable_wal = true;
   opts.enable_group_commit = true;
   opts.wal_fsync = true;
@@ -1147,8 +1192,7 @@ void RunWriteEngine(const BenchConfig& config, const Dataset& ds,
 
   std::printf("\n[churn + compaction: delete/re-insert 1/3 of the tree, "
               "compact, cold range QPS]\n");
-  const ChurnResult churn =
-      RunChurnCompaction(config, ds, queries, r, dir + "_churn");
+  const ChurnResult churn = RunChurnCompaction(config, ds, queries, r);
   std::printf("churned %zu/%zu objects; dead bytes %llu -> %llu; cold "
               "range QPS fresh %.1f / churned %.1f / compacted %.1f "
               "(%.2fx of fresh)\n",
@@ -1235,10 +1279,9 @@ double MedianOf(std::vector<double> v) {
 /// regime where cumulative-counter deltas attribute per query — with the
 /// query's own shard fan-out still parallel).
 ///
-/// The mixed cell at T=8 additionally A/Bs the arena itself: the lock-free
-/// ticket ring vs the SPB_ARENA_MUTEX=1 mutex/condvar fallback (the
-/// pre-PR 8 executor shape), reporting p99 and busy_retries for both, plus
-/// the contention-registry counters accumulated during the measured phase.
+/// A mixed 90/10 cell at T=8 on S=4 then reports median QPS, p99 and
+/// busy_retries, the arena's queue counters and the contention-registry
+/// counters accumulated during the measured phase.
 void RunFanoutSweep(const BenchConfig& config, const Dataset& ds,
                     const std::vector<Blob>& queries, double r, size_t k) {
   const size_t n = queries.size();
@@ -1392,17 +1435,16 @@ void RunFanoutSweep(const BenchConfig& config, const Dataset& ds,
   }
   PrintRule(96);
 
-  // Mixed 90/10 at T=8 on S=4: lock-free ring vs mutex-fallback arena, with
-  // the contention registry accumulating over each measured phase.
+  // Mixed 90/10 at T=8 on S=4, with the contention registry accumulating
+  // over the measured phase.
   struct MixedCell {
-    const char* arena;
     double qps = 0.0, p99_ms = 0.0;
     uint64_t busy_retries = 0;
     ArenaQueueStats queue;
     std::vector<LockStatsSnapshot> locks;
   };
-  std::vector<MixedCell> mixed_cells;
-  for (const bool mutex_arena : {false, true}) {
+  MixedCell mc;
+  {
     SpbTreeOptions opts;
     opts.seed = config.seed;
     opts.num_shards = 4;
@@ -1411,9 +1453,7 @@ void RunFanoutSweep(const BenchConfig& config, const Dataset& ds,
              .ok()) {
       std::abort();
     }
-    if (mutex_arena) ::setenv("SPB_ARENA_MUTEX", "1", 1);
     QueryExecutor exec(tree.get(), 8);
-    if (mutex_arena) ::unsetenv("SPB_ARENA_MUTEX");
 
     std::vector<Request> ops;
     ObjectId next_id = ObjectId(ds.objects.size());
@@ -1477,20 +1517,15 @@ void RunFanoutSweep(const BenchConfig& config, const Dataset& ds,
       p99.push_back(rep_batch.stats.p99_seconds * 1e3);
       busy += rep_batch.stats.busy_retries;
     }
-    MixedCell mc;
-    mc.arena = mutex_arena ? "mutex_fallback" : "ring";
     mc.qps = MedianOf(qps);
     mc.p99_ms = MedianOf(p99);
     mc.busy_retries = busy;
     mc.queue = exec.arena()->queue_stats();
     mc.locks = ContentionSnapshot();
-    mixed_cells.push_back(std::move(mc));
-    std::printf("mixed 90/10 T=8 S=4 arena=%-14s: %10.1f QPS, p99 %.3f ms, "
-                "%llu busy retries\n",
-                mixed_cells.back().arena, mixed_cells.back().qps,
-                mixed_cells.back().p99_ms,
-                (unsigned long long)mixed_cells.back().busy_retries);
   }
+  std::printf("mixed 90/10 T=8 S=4: %10.1f QPS, p99 %.3f ms, %llu busy "
+              "retries\n",
+              mc.qps, mc.p99_ms, (unsigned long long)mc.busy_retries);
 
   FILE* json = std::fopen("BENCH_PR8.json", "w");
   if (json != nullptr) {
@@ -1517,42 +1552,33 @@ void RunFanoutSweep(const BenchConfig& config, const Dataset& ds,
                    c.serial_p99_ms, c.parallel_p99_ms,
                    i + 1 < cells.size() ? "," : "");
     }
-    std::fprintf(json, "  ],\n  \"mixed_t8_s4\": [\n");
-    for (size_t i = 0; i < mixed_cells.size(); ++i) {
-      const MixedCell& mc = mixed_cells[i];
-      std::fprintf(
-          json,
-          "    {\"arena\": \"%s\", \"qps\": %.1f, \"p99_ms\": %.3f, "
-          "\"busy_retries\": %llu,\n"
-          "     \"queue\": {\"tickets_pushed\": %llu, \"tickets_popped\": "
-          "%llu, \"stale_tickets\": %llu, \"inline_drains\": %llu, "
-          "\"parks\": %llu, \"unparks\": %llu, \"fallback_lock_claims\": "
-          "%llu, \"fallback_tickets_claimed\": %llu},\n"
-          "     \"locks\": [",
-          mc.arena, mc.qps, mc.p99_ms, (unsigned long long)mc.busy_retries,
-          (unsigned long long)mc.queue.tickets_pushed,
-          (unsigned long long)mc.queue.tickets_popped,
-          (unsigned long long)mc.queue.stale_tickets,
-          (unsigned long long)mc.queue.inline_drains,
-          (unsigned long long)mc.queue.parks,
-          (unsigned long long)mc.queue.unparks,
-          (unsigned long long)mc.queue.fallback_lock_claims,
-          (unsigned long long)mc.queue.fallback_tickets_claimed);
-      bool first = true;
-      for (const LockStatsSnapshot& l : mc.locks) {
-        if (l.acquires == 0) continue;
-        std::fprintf(json,
-                     "%s\n       {\"name\": \"%s\", \"acquires\": %llu, "
-                     "\"contended\": %llu, \"wait_ms\": %.3f}",
-                     first ? "" : ",", l.name.c_str(),
-                     (unsigned long long)l.acquires,
-                     (unsigned long long)l.contended, l.wait_ns / 1e6);
-        first = false;
-      }
-      std::fprintf(json, "\n     ]}%s\n",
-                   i + 1 < mixed_cells.size() ? "," : "");
+    std::fprintf(
+        json,
+        "  ],\n  \"mixed_t8_s4\": {\"qps\": %.1f, \"p99_ms\": %.3f, "
+        "\"busy_retries\": %llu,\n"
+        "    \"queue\": {\"tickets_pushed\": %llu, \"tickets_popped\": "
+        "%llu, \"stale_tickets\": %llu, \"inline_drains\": %llu, "
+        "\"parks\": %llu, \"unparks\": %llu},\n"
+        "    \"locks\": [",
+        mc.qps, mc.p99_ms, (unsigned long long)mc.busy_retries,
+        (unsigned long long)mc.queue.tickets_pushed,
+        (unsigned long long)mc.queue.tickets_popped,
+        (unsigned long long)mc.queue.stale_tickets,
+        (unsigned long long)mc.queue.inline_drains,
+        (unsigned long long)mc.queue.parks,
+        (unsigned long long)mc.queue.unparks);
+    bool first = true;
+    for (const LockStatsSnapshot& l : mc.locks) {
+      if (l.acquires == 0) continue;
+      std::fprintf(json,
+                   "%s\n      {\"name\": \"%s\", \"acquires\": %llu, "
+                   "\"contended\": %llu, \"wait_ms\": %.3f}",
+                   first ? "" : ",", l.name.c_str(),
+                   (unsigned long long)l.acquires,
+                   (unsigned long long)l.contended, l.wait_ns / 1e6);
+      first = false;
     }
-    std::fprintf(json, "  ]\n}\n");
+    std::fprintf(json, "\n    ]}\n}\n");
     std::fclose(json);
     std::printf("wrote BENCH_PR8.json\n");
   }
@@ -1570,7 +1596,8 @@ void Run(const BenchConfig& config) {
   // fraction of the working set, so every query faults pages back in even
   // without an explicit flush).
   for (size_t cache_pages : {size_t(256), size_t(64)}) {
-    RunCapacity(config, ds, queries, r, kK, cache_pages);
+    RunColdPrefetchAb(config, ds, queries, r, kK, cache_pages);
+    RunWarmThreadSweep(config, ds, queries, r, kK, cache_pages);
   }
 
   // Warm-path decode engine A/B (PR 4): default pool sizes, T=1.
@@ -1589,7 +1616,7 @@ void Run(const BenchConfig& config) {
   RunWriteEngine(config, ds, queries, r, kK);
 
   // Parallel fan-out sweep (PR 8): serial vs parallel cross-shard scatter,
-  // identity-gated, plus the ring vs mutex-fallback arena A/B.
+  // identity-gated, plus a mixed 90/10 cell.
   RunFanoutSweep(config, ds, queries, r, kK);
 
   std::printf(
@@ -1621,6 +1648,21 @@ void RunFanoutOnly(const BenchConfig& config) {
   RunFanoutSweep(config, ds, queries, r, /*k=*/8);
 }
 
+// Runs only the two identity A/Bs of the read path (check.sh --warmab entry
+// point): cold prefetch on vs off at both pool sizes, and the warm-path
+// decode engine on vs off. Either aborts on a result or counter mismatch.
+void RunWarmAbOnly(const BenchConfig& config) {
+  std::printf("Prefetch and decode-engine identity A/Bs (standalone)\n");
+  std::printf("scale=%zu queries=%zu\n", config.scale, config.queries);
+  Dataset ds = MakeDatasetByName("synthetic", config.scale, config.seed);
+  const auto queries = QueryWorkload(ds, config.queries);
+  const double r = 0.08 * ds.metric->max_distance();
+  for (size_t cache_pages : {size_t(256), size_t(64)}) {
+    RunColdPrefetchAb(config, ds, queries, r, /*k=*/8, cache_pages);
+  }
+  RunEngineAb(config, ds, queries, r, /*k=*/8);
+}
+
 // Runs only the write-path engine sweep (produces BENCH_PR7.json in the
 // working directory without touching the other bench JSONs).
 void RunWalOnly(const BenchConfig& config) {
@@ -1642,10 +1684,12 @@ int main(int argc, char** argv) {
   bool shards_only = false;
   bool wal_only = false;
   bool fanout_only = false;
+  bool warmab_only = false;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--shards-only") == 0) shards_only = true;
     if (std::strcmp(argv[i], "--wal-only") == 0) wal_only = true;
     if (std::strcmp(argv[i], "--fanout-only") == 0) fanout_only = true;
+    if (std::strcmp(argv[i], "--warmab-only") == 0) warmab_only = true;
   }
   const spb::bench::BenchConfig config = spb::bench::ParseArgs(
       argc, argv, /*default_scale=*/20000, /*default_queries=*/256);
@@ -1655,6 +1699,8 @@ int main(int argc, char** argv) {
     spb::bench::RunFanoutOnly(config);
   } else if (wal_only) {
     spb::bench::RunWalOnly(config);
+  } else if (warmab_only) {
+    spb::bench::RunWarmAbOnly(config);
   } else {
     spb::bench::Run(config);
   }

@@ -394,10 +394,9 @@ int RunFull(const BenchConfig& config) {
               k10_off, s10, r_sys);
   std::printf("  node touches: %" PRIu64 " -> %" PRIu64 "  (identical passes)\n",
               touches_off, touches_on);
-  std::printf("  model: %zu leaves, %" PRIu64 " segments, eps=%" PRIu64
-              ", pla_ok=%d, hits=%" PRIu64 ", fallbacks=%" PRIu64 "\n",
-              size_t(ls.locator_leaves), ls.locator_segments, ls.locator_epsilon, int(ls.locator_pla_ok),
-              ls.locator_hits, ls.locator_fallbacks);
+  std::printf("  model: %zu leaves, hits=%" PRIu64 ", fallbacks=%" PRIu64
+              "\n",
+              size_t(ls.locator_leaves), ls.locator_hits, ls.locator_fallbacks);
 
   // ---- Planner vs static configs, default caches.
   SpbTreeOptions plan_opts = BaseOptions(config.seed);
@@ -505,10 +504,9 @@ int RunFull(const BenchConfig& config) {
   }
   const StatsSnapshot ps = planned->CollectStats();
   std::printf("  routed: %" PRIu64 " greedy / %" PRIu64
-              " incremental, cutoff off on %" PRIu64
-              " | calibration=%.3f drift=%.3f\n",
-              ps.planner_routed_greedy, ps.planner_routed_incremental, ps.planner_cutoff_disabled,
-              ps.planner_calibration, ps.planner_drift);
+              " incremental, cutoff off on %" PRIu64 "\n",
+              ps.planner_routed_greedy, ps.planner_routed_incremental,
+              ps.planner_cutoff_disabled);
 
   // ---- Gates.
   PrintRule();
@@ -542,8 +540,7 @@ int RunFull(const BenchConfig& config) {
     std::fprintf(json,
                  "  \"locator\": {\n"
                  "    \"node_cache_entries\": 0,\n"
-                 "    \"epsilon\": %" PRIu64 ", \"leaves\": %" PRIu64
-                 ", \"segments\": %" PRIu64 ", \"pla_ok\": %s,\n"
+                 "    \"leaves\": %" PRIu64 ",\n"
                  "    \"point_qps_off\": %.1f, \"point_qps_on\": %.1f, "
                  "\"point_speedup\": %.3f,\n"
                  "    \"knn1_qps_off\": %.1f, \"knn1_qps_on\": %.1f, "
@@ -555,8 +552,7 @@ int RunFull(const BenchConfig& config) {
                  "    \"node_touches_off\": %" PRIu64
                  ", \"node_touches_on\": %" PRIu64 ",\n"
                  "    \"identity\": true\n  },\n",
-                 ls.locator_epsilon, ls.locator_leaves, ls.locator_segments,
-                 ls.locator_pla_ok ? "true" : "false", p_off, p_on, r_point,
+                 ls.locator_leaves, p_off, p_on, r_point,
                  k_off, k_on, r_k1, k10_off, k10_on, r_k10,
                  s10, r_sys, touches_off, touches_on);
     std::fprintf(json, "  \"planner\": {\n    \"workloads\": [\n");
@@ -574,10 +570,9 @@ int RunFull(const BenchConfig& config) {
                  "    ],\n    \"min_ratio\": %.3f, \"wins\": %zu,\n"
                  "    \"routed_greedy\": %" PRIu64
                  ", \"routed_incremental\": %" PRIu64
-                 ", \"cutoff_disabled\": %" PRIu64 ",\n"
-                 "    \"calibration\": %.4f, \"drift\": %.4f\n  },\n",
-                 min_ratio, wins, ps.planner_routed_greedy, ps.planner_routed_incremental,
-                 ps.planner_cutoff_disabled, ps.planner_calibration, ps.planner_drift);
+                 ", \"cutoff_disabled\": %" PRIu64 "\n  },\n",
+                 min_ratio, wins, ps.planner_routed_greedy,
+                 ps.planner_routed_incremental, ps.planner_cutoff_disabled);
     std::fprintf(json, "  \"gates_pass\": %s\n}\n", pass ? "true" : "false");
     std::fclose(json);
     std::printf("wrote BENCH_PR9.json\n");

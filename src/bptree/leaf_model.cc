@@ -1,28 +1,13 @@
 #include "bptree/leaf_model.h"
 
 #include <algorithm>
-#include <cmath>
-#include <limits>
 
 namespace spb {
 
-namespace {
-
-// Probe window half-width around the PLA prediction. ε bounds the error on
-// *trained* keys (the directory's max keys); a query key between two trained
-// keys lands between their predictions (slope >= 0), so +2 covers the
-// off-grid drift. The lookup guard below makes correctness independent of
-// this constant anyway — it only sizes the fast window.
-size_t ProbeWindow(size_t epsilon) { return epsilon + 2; }
-
-}  // namespace
-
 Status LeafModel::Build(BPlusTree* tree, const TreeVersion& version,
-                        size_t epsilon, uint64_t epoch,
-                        std::shared_ptr<const LeafModel>* out) {
+                        uint64_t epoch, std::shared_ptr<const LeafModel>* out) {
   auto model = std::shared_ptr<LeafModel>(new LeafModel());
   model->epoch_ = epoch;
-  model->epsilon_ = epsilon;
   if (version.root == kInvalidPageId) {
     *out = std::move(model);
     return Status::OK();
@@ -72,116 +57,11 @@ Status LeafModel::Build(BPlusTree* tree, const TreeVersion& version,
     return Status::Corruption("LeafModel: leaf level out of key order");
   }
 
-  model->TrainSegments();
   *out = std::move(model);
   return Status::OK();
 }
 
-void LeafModel::TrainSegments() {
-  segments_.clear();
-  pla_ok_ = false;
-  const size_t n = max_keys_.size();
-  if (n == 0) return;
-
-  // Greedy shrinking-cone PLA over the points (max_keys_[i], i), in long
-  // double over (key - segment base): a 64-bit SFC key does not fit double's
-  // mantissa, but the per-segment delta almost always does, and the
-  // verification pass below catches any case where it does not.
-  const long double eps = static_cast<long double>(epsilon_);
-  const long double inf = std::numeric_limits<long double>::infinity();
-  size_t start = 0;
-  while (start < n) {
-    const uint64_t base = max_keys_[start];
-    long double slope_lo = -inf, slope_hi = inf;
-    size_t end = start + 1;
-    for (; end < n; ++end) {
-      const uint64_t dx_u = max_keys_[end] - base;
-      const long double dy = static_cast<long double>(end - start);
-      if (dx_u == 0) {
-        // Duplicate max keys (a duplicate run spanning leaves): the segment
-        // can absorb at most ε of them at the same x.
-        if (dy > eps) break;
-        continue;
-      }
-      const long double dx = static_cast<long double>(dx_u);
-      slope_lo = std::max(slope_lo, (dy - eps) / dx);
-      slope_hi = std::min(slope_hi, (dy + eps) / dx);
-      if (slope_lo > slope_hi) break;
-    }
-    long double slope;
-    if (slope_hi == inf) {
-      slope = 0.0L;  // single-point / duplicate-only segment
-    } else if (slope_lo == -inf) {
-      slope = slope_hi;
-    } else {
-      slope = (slope_lo + slope_hi) / 2.0L;
-    }
-    if (slope < 0.0L) slope = 0.0L;  // ranks are nondecreasing in key
-    segments_.push_back(Segment{base, static_cast<uint32_t>(start),
-                                static_cast<double>(slope)});
-    start = end;
-  }
-
-  // Exact verification of every trained key: the prediction must land within
-  // the probe window of the key's true rank (the FIRST directory entry with
-  // that max key — lower_bound semantics, which is what SeekRank returns).
-  // Any violation disables the PLA: SeekRank then binary-searches the whole
-  // directory, so correctness never rests on floating point.
-  const size_t w = ProbeWindow(epsilon_);
-  for (size_t i = 0; i < n; ++i) {
-    const size_t truth =
-        static_cast<size_t>(std::lower_bound(max_keys_.begin(),
-                                             max_keys_.end(), max_keys_[i]) -
-                            max_keys_.begin());
-    const size_t pred = PredictRank(max_keys_[i]);
-    const size_t delta = pred > truth ? pred - truth : truth - pred;
-    if (delta > w) return;  // pla_ok_ stays false
-  }
-  pla_ok_ = true;
-}
-
-size_t LeafModel::PredictRank(uint64_t key) const {
-  // Last segment with base_key <= key. Segments are few (each covers many
-  // leaves), so this binary search is over a tiny array — the point is
-  // eliding *page* accesses, not this in-memory search.
-  auto it = std::upper_bound(
-      segments_.begin(), segments_.end(), key,
-      [](uint64_t k, const Segment& s) { return k < s.base_key; });
-  if (it == segments_.begin()) return 0;
-  const Segment& s = *(it - 1);
-  const long double dx = static_cast<long double>(key - s.base_key);
-  long double p = static_cast<long double>(s.base_rank) +
-                  static_cast<long double>(s.slope) * dx;
-  const long double max_rank =
-      static_cast<long double>(max_keys_.size() - 1);
-  if (!(p > 0.0L)) p = 0.0L;
-  if (p > max_rank) p = max_rank;
-  return static_cast<size_t>(p);
-}
-
-size_t LeafModel::SeekRank(uint64_t key, bool* pla_miss) const {
-  if (pla_miss != nullptr) *pla_miss = false;
-  const size_t n = max_keys_.size();
-  if (n == 0) return 0;
-  size_t lo = 0, hi = n;
-  if (pla_ok_) {
-    const size_t pred = PredictRank(key);
-    const size_t w = ProbeWindow(epsilon_);
-    lo = pred > w ? pred - w : 0;
-    hi = std::min(n, pred + w + 1);
-  }
-  size_t r = static_cast<size_t>(
-      std::lower_bound(max_keys_.begin() + static_cast<ptrdiff_t>(lo),
-                       max_keys_.begin() + static_cast<ptrdiff_t>(hi), key) -
-      max_keys_.begin());
-  // Exactness guard: the window result must be the GLOBAL lower bound. When
-  // the true rank lies outside the probe window, r sits pinned at a window
-  // edge whose neighbors contradict lower-bound-ness — re-search the whole
-  // directory (exact, still zero page accesses).
-  const bool exact = (r == 0 || max_keys_[r - 1] < key) &&
-                     (r == n || max_keys_[r] >= key);
-  if (exact) return r;
-  if (pla_miss != nullptr) *pla_miss = true;
+size_t LeafModel::SeekRank(uint64_t key) const {
   return static_cast<size_t>(
       std::lower_bound(max_keys_.begin(), max_keys_.end(), key) -
       max_keys_.begin());

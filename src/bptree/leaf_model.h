@@ -12,17 +12,18 @@
 
 namespace spb {
 
-/// Learned leaf-location layer over ONE immutable TreeVersion (the SPB-tree's
-/// PGM-style locator, docs/ARCHITECTURE.md §"Learned locator + planner").
+/// Learned leaf-location layer over ONE immutable TreeVersion
+/// (docs/ARCHITECTURE.md §"Learned locator + planner").
 ///
 /// The mapped keys are one-dimensional SFC integers and the leaf level of a
-/// bulk-loaded B+-tree is a sorted array of (key, ptr) runs, which is exactly
-/// the regime where a piecewise-linear key→position model replaces the inner
-/// node descent (the LIMS observation, PAPERS.md). A LeafModel holds three
-/// things, all derived from one raw (uncounted) pass over the version:
+/// bulk-loaded B+-tree is a sorted array of (key, ptr) runs, so the owning
+/// leaf of a key is a binary search over the leaves' max keys — no inner
+/// node descent needed (the LIMS observation, PAPERS.md). A LeafModel holds
+/// two things, both derived from one raw (uncounted) pass over the version:
 ///
 ///  1. A *leaf directory*: the page ids of every non-empty leaf in key order,
-///     with each leaf's min/max key. Ranks into this directory are exact.
+///     with each leaf's min/max key. SeekRank is a lower_bound over the max
+///     keys, so ranks into this directory are exact.
 ///  2. An *internal-node image*: every internal node of the version, fully
 ///     decoded (parsed entries + MBB corners). Traversals serve inner-node
 ///     reads from this image instead of the buffer pool — the image covers
@@ -30,13 +31,6 @@ namespace spb {
 ///     a leaf and falls through to the counted demand path. Inner-node page
 ///     accesses drop to zero while the visit *sequence* stays untouched,
 ///     which is what keeps results and compdists byte-identical.
-///  3. ε-bounded piecewise-linear segments over the directory's max keys
-///     (greedy shrinking-cone PLA): SeekRank predicts the rank of the leaf
-///     owning a key and verifies it inside a ±(ε+2) probe window. Every
-///     trained key is verified at build time; lookups additionally guard the
-///     window result against the directory, so a floating-point surprise
-///     degrades to a full binary search over the directory — never to a
-///     wrong leaf.
 ///
 /// Immutable after Build and safe to share across reader threads (lookups
 /// are const and touch no mutable state). Validity is tagged, not checked:
@@ -47,30 +41,19 @@ namespace spb {
 /// construction.
 class LeafModel {
  public:
-  /// One PLA segment: predicted rank = base_rank + slope * (key - base_key),
-  /// valid from base_key up to the next segment's base_key.
-  struct Segment {
-    uint64_t base_key;
-    uint32_t base_rank;
-    double slope;
-  };
-
-  /// Builds the model of `version` with error bound `epsilon`, stamped with
-  /// the snapshot `epoch` the version is published under. One raw pass:
-  /// level-order walk decoding internal nodes into the image, then the leaf
-  /// level into the directory (children are visited in entry order, so the
-  /// directory comes out in global key order). Zero accounting footprint
+  /// Builds the model of `version`, stamped with the snapshot `epoch` the
+  /// version is published under. One raw pass: level-order walk decoding
+  /// internal nodes into the image, then the leaf level into the directory
+  /// (children are visited in entry order, so the directory comes out in
+  /// global key order). Zero accounting footprint
   /// (BPlusTree::DecodeNodeUncounted).
   static Status Build(BPlusTree* tree, const TreeVersion& version,
-                      size_t epsilon, uint64_t epoch,
-                      std::shared_ptr<const LeafModel>* out);
+                      uint64_t epoch, std::shared_ptr<const LeafModel>* out);
 
   /// Rank of the first non-empty leaf whose max key >= `key` — the leaf that
   /// owns `key` — or num_leaves() when every key is smaller. Exact for any
-  /// key. `*pla_miss` (optional) reports that the PLA probe window did not
-  /// contain the answer and a full directory binary search ran instead
-  /// (diagnostic; the result is exact either way).
-  size_t SeekRank(uint64_t key, bool* pla_miss = nullptr) const;
+  /// key, with zero page accesses.
+  size_t SeekRank(uint64_t key) const;
 
   /// The decoded internal node for `id`, or nullptr when `id` is not an
   /// internal page of this version (i.e. it is a leaf).
@@ -80,14 +63,8 @@ class LeafModel {
   }
 
   uint64_t epoch() const { return epoch_; }
-  size_t epsilon() const { return epsilon_; }
   size_t num_leaves() const { return leaf_ids_.size(); }
-  size_t num_segments() const { return segments_.size(); }
   size_t num_internal_nodes() const { return internal_.size(); }
-  /// True when the PLA trained within ε on every directory key; false means
-  /// SeekRank always binary-searches the directory (still exact, still
-  /// O(log leaves) with zero page accesses).
-  bool pla_ok() const { return pla_ok_; }
 
   PageId leaf_id(size_t rank) const { return leaf_ids_[rank]; }
   uint64_t min_key(size_t rank) const { return min_keys_[rank]; }
@@ -96,13 +73,7 @@ class LeafModel {
  private:
   LeafModel() = default;
 
-  void TrainSegments();
-  /// PLA-predicted rank for `key`, clamped to [0, num_leaves()-1].
-  size_t PredictRank(uint64_t key) const;
-
   uint64_t epoch_ = 0;
-  size_t epsilon_ = 0;
-  bool pla_ok_ = false;
 
   // Leaf directory, global key order. max_keys_ is nondecreasing (the leaf
   // level is globally sorted), which is what makes rank = lower_bound(max
@@ -110,8 +81,6 @@ class LeafModel {
   std::vector<PageId> leaf_ids_;
   std::vector<uint64_t> min_keys_;
   std::vector<uint64_t> max_keys_;
-
-  std::vector<Segment> segments_;
 
   // node-based map: DecodedNode addresses stay stable, so NodeHandle can
   // borrow straight into the image.

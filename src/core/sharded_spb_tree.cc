@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cmath>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
@@ -299,33 +298,6 @@ Status ShardedSpbTree::Compact() {
     SPB_RETURN_IF_ERROR(shard->Compact());
   }
   return Status::OK();
-}
-
-Wal::Stats ShardedSpbTree::wal_stats() const {
-  Wal::Stats agg;
-  for (const auto& shard : shards_) {
-    const Wal::Stats s = shard->wal_stats();
-    agg.segment_bytes += s.segment_bytes;
-    agg.checkpoint_lsn += s.checkpoint_lsn;
-    agg.next_lsn += s.next_lsn;
-    agg.pending_records += s.pending_records;
-    agg.groups += s.groups;
-    agg.fsyncs += s.fsyncs;
-    agg.replayed_records += s.replayed_records;
-  }
-  return agg;
-}
-
-WriteQueue::Stats ShardedSpbTree::write_queue_stats() const {
-  WriteQueue::Stats agg;
-  for (const auto& shard : shards_) {
-    const WriteQueue::Stats s = shard->write_queue_stats();
-    agg.ops += s.ops;
-    agg.groups += s.groups;
-    agg.max_group = std::max(agg.max_group, s.max_group);
-    agg.compactions += s.compactions;
-  }
-  return agg;
 }
 
 namespace {
@@ -699,28 +671,6 @@ QueryStats ShardedSpbTree::cumulative_stats() const {
   return total;
 }
 
-LocatorStats ShardedSpbTree::locator_stats() const {
-  LocatorStats total;
-  total.model_present = !shards_.empty();
-  total.pla_ok = !shards_.empty();
-  for (size_t s = 0; s < shards_.size(); ++s) {
-    const LocatorStats one = shards_[s]->locator_stats();
-    total.model_present = total.model_present && one.model_present;
-    total.pla_ok = total.pla_ok && one.pla_ok;
-    total.epoch = std::max(total.epoch, one.epoch);
-    total.leaves += one.leaves;
-    total.internal_nodes += one.internal_nodes;
-    total.segments += one.segments;
-    if (s == 0) total.epsilon = one.epsilon;
-    total.hits += one.hits;
-    total.fallbacks += one.fallbacks;
-    total.stale += one.stale;
-    total.seek_misses += one.seek_misses;
-    total.rebuilds += one.rebuilds;
-  }
-  return total;
-}
-
 StatsSnapshot ShardedSpbTree::CollectStats() const {
   StatsSnapshot s;
   s.name = name();
@@ -735,17 +685,13 @@ StatsSnapshot ShardedSpbTree::CollectStats() const {
   s.page_accesses = q.page_accesses;
   s.distance_computations = q.distance_computations;
   s.SetIoStats(io_stats());
-  // Aggregate the subsystem sections from the per-shard snapshots under the
-  // same rules the per-subsystem accessors use: sums, except wq_max_group
-  // (max), the locator flags (AND) / epoch (max) / epsilon (shard 0's), and
-  // the planner calibration (mean of the per-shard EMAs).
+  // Aggregate the subsystem sections from the per-shard snapshots: sums,
+  // except wq_max_group and locator_epoch (max) and locator_model_present
+  // (AND).
   s.shards.reserve(shards_.size());
   for (const auto& shard : shards_) s.shards.push_back(shard->CollectStats());
   s.locator_model_present = !s.shards.empty();
-  s.locator_pla_ok = !s.shards.empty();
-  double ema_sum = 0.0;
-  for (size_t i = 0; i < s.shards.size(); ++i) {
-    const StatsSnapshot& c = s.shards[i];
+  for (const StatsSnapshot& c : s.shards) {
     s.wal_segment_bytes += c.wal_segment_bytes;
     s.wal_checkpoint_lsn += c.wal_checkpoint_lsn;
     s.wal_next_lsn += c.wal_next_lsn;
@@ -759,49 +705,20 @@ StatsSnapshot ShardedSpbTree::CollectStats() const {
     s.wq_compactions += c.wq_compactions;
     s.locator_model_present =
         s.locator_model_present && c.locator_model_present;
-    s.locator_pla_ok = s.locator_pla_ok && c.locator_pla_ok;
     s.locator_epoch = std::max(s.locator_epoch, c.locator_epoch);
     s.locator_leaves += c.locator_leaves;
     s.locator_internal_nodes += c.locator_internal_nodes;
-    s.locator_segments += c.locator_segments;
-    if (i == 0) s.locator_epsilon = c.locator_epsilon;
     s.locator_hits += c.locator_hits;
     s.locator_fallbacks += c.locator_fallbacks;
     s.locator_stale += c.locator_stale;
-    s.locator_seek_misses += c.locator_seek_misses;
     s.locator_rebuilds += c.locator_rebuilds;
     s.planner_planned_range += c.planner_planned_range;
     s.planner_planned_knn += c.planner_planned_knn;
     s.planner_routed_greedy += c.planner_routed_greedy;
     s.planner_routed_incremental += c.planner_routed_incremental;
     s.planner_cutoff_disabled += c.planner_cutoff_disabled;
-    ema_sum += c.planner_calibration;
-  }
-  if (!s.shards.empty()) {
-    s.planner_calibration = ema_sum / double(s.shards.size());
-    s.planner_drift =
-        std::abs(std::log(std::max(s.planner_calibration, 1e-12)));
   }
   return s;
-}
-
-PlannerStats ShardedSpbTree::planner_stats() const {
-  PlannerStats total;
-  double ema_sum = 0.0;
-  for (const auto& shard : shards_) {
-    const PlannerStats one = shard->planner_stats();
-    total.planned_range += one.planned_range;
-    total.planned_knn += one.planned_knn;
-    total.routed_greedy += one.routed_greedy;
-    total.routed_incremental += one.routed_incremental;
-    total.cutoff_disabled += one.cutoff_disabled;
-    ema_sum += one.calibration;
-  }
-  if (!shards_.empty()) {
-    total.calibration = ema_sum / double(shards_.size());
-    total.drift = std::abs(std::log(std::max(total.calibration, 1e-12)));
-  }
-  return total;
 }
 
 void ShardedSpbTree::ResetCounters() {

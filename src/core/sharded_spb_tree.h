@@ -109,21 +109,12 @@ class ShardedSpbTree : public MetricIndex {
   /// order; queries keep running against their pinned snapshots throughout.
   Status Compact();
 
-  /// Sum of every shard's WAL counters (checkpoint_lsn/next_lsn summed too:
-  /// meaningful as totals, not as a single log's position). Deprecated:
-  /// read the wal_* fields of CollectStats() (per-shard drill-down in
-  /// CollectStats().shards).
-  Wal::Stats wal_stats() const;
-  /// Sum of every shard's commit-queue counters (max_group is the max).
-  /// Deprecated: read the wq_* fields of CollectStats().
-  WriteQueue::Stats write_queue_stats() const;
-
-  /// The one stats surface (PR 10): the aggregate over every shard under
-  /// the same summation rules the per-subsystem accessors used (sums;
-  /// wq_max_group the max; locator flags AND-ed, epoch the max, epsilon
-  /// shard 0's; planner calibration the mean of the per-shard EMAs), plus
-  /// the router's own mapping distance computations. `shards` holds one
-  /// full per-shard snapshot — the drill-down `spb_cli stats` prints.
+  /// The one stats surface: the aggregate over every shard's snapshot
+  /// (sums, checkpoint_lsn/next_lsn included — meaningful as totals, not as
+  /// one log's position; wq_max_group the max; locator_model_present
+  /// AND-ed; locator_epoch the max), plus the router's own mapping distance
+  /// computations. `shards` holds one full per-shard snapshot — the
+  /// drill-down `spb_cli stats` prints.
   StatsSnapshot CollectStats() const override;
 
   /// Routed single insert: phi/key are computed once at the router, the
@@ -178,14 +169,6 @@ class ShardedSpbTree : public MetricIndex {
                   QueryStats* stats = nullptr) override {
     return KnnQuery(q, k, result, stats, KnnTraversal::kAuto);
   }
-
-  /// Aggregated learned-locator counters: sums over shards; model_present /
-  /// pla_ok hold iff they hold on every shard, epoch is the max, epsilon is
-  /// shard 0's (ApplyTuning fans one value out to all shards).
-  LocatorStats locator_stats() const;
-  /// Aggregated planner counters: decision counts summed, calibration is
-  /// the mean of the per-shard EMAs, drift = |log(mean)|.
-  PlannerStats planner_stats() const;
 
   /// Structural self-check: every shard's CheckIntegrity plus the routing
   /// invariant (every leaf key routes to the shard holding it).

@@ -6,8 +6,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cmath>
-#include <cstdio>
 #include <limits>
 #include <filesystem>
 #include <cstring>
@@ -523,13 +521,6 @@ Status SpbTree::SaveLocked() {
   // the compactor what it owed before the restart (replayed deletes re-add
   // their own debt on top). Pre-PR7 meta files read back as 0.
   w.U64(raf_->dead_bytes());
-  // Planner calibration EMA, so a reopened tree keeps the calibration it
-  // learned from live traffic. Appended last: pre-PR9 meta files read back
-  // the neutral 1.0.
-  {
-    std::lock_guard<std::mutex> lock(cost_mu_);
-    w.F64(planner_ema_);
-  }
 
   std::unique_ptr<PageFile> meta;
   SPB_RETURN_IF_ERROR(
@@ -641,8 +632,8 @@ Status SpbTree::Open(const std::string& storage_dir,
   r.U64(&meta_raf_generation);
   uint64_t meta_dead_bytes = 0;
   r.U64(&meta_dead_bytes);
-  double planner_ema = 1.0;
-  r.F64(&planner_ema);  // absent in pre-PR9 meta files: neutral 1.0
+  // Older meta files end with one more F64 (a retired planner field);
+  // trailing bytes are never read, so those files still open.
   if (tree->raf_->generation() != meta_raf_generation) {
     SPB_RETURN_IF_ERROR(tree->RebuildBtreeFromRaf());
     num_objects = tree->num_objects_.load(std::memory_order_relaxed);
@@ -661,7 +652,6 @@ Status SpbTree::Open(const std::string& storage_dir,
                 std::move(boxes));
   tree->cost_model_.set_precision(precision);
   tree->cost_model_.set_distance_distribution(std::move(pair_distances), rho);
-  tree->planner_ema_ = planner_ema;
   tree->InitFetcher();
   tree->InitSnapshots();
   // InitEngine replays WAL records past the checkpoint (idempotently, so a
@@ -1174,27 +1164,21 @@ Status SpbTree::RangeSearch(const Blob& q, double r, const Snapshot& snap,
   const bool use_cutoff = options_.enable_cutoff;
 
   // Planner: the O(log) selectivity proxy predicts the verification count
-  // and sizes the readahead session; the prediction is squared against the
-  // measured distance-call delta afterwards (feedback). Zero distance
-  // computations — everything works off phi_q and the sampled distribution.
-  const bool planned = options_.enable_planner;
-  double predicted = 0.0;
+  // and sizes the readahead session. Zero distance computations —
+  // everything works off phi_q and the sampled distribution.
   size_t ra_budget = options_.max_readahead_pages;
-  uint64_t dist_before = 0;
-  if (planned) {
+  if (options_.enable_planner) {
     plan_range_.fetch_add(1, std::memory_order_relaxed);
-    double frac, f, ema;
+    double frac, f;
     uint64_t total;
     {
       std::lock_guard<std::mutex> lock(cost_mu_);
       frac = cost_model_.DistanceFractionLE(r);
       f = cost_model_.objects_per_page();
       total = cost_model_.total_objects();
-      ema = planner_ema_;
     }
-    predicted = std::max(1.0, frac * double(total) * ema);
+    const double predicted = std::max(1.0, frac * double(total));
     ra_budget = PlannedBudget(f > 0.0 ? predicted / f : predicted);
-    dist_before = counting_.count();
   }
 
   // The snapshot's RAF, not the tree's current one: a concurrent compaction
@@ -1207,13 +1191,8 @@ Status SpbTree::RangeSearch(const Blob& q, double r, const Snapshot& snap,
   // owning leaf → duplicate run). Byte-identical results/compdists to the
   // classic r == 0 traversal; only B+-tree inner-node accesses differ.
   if (r == 0.0 && model != nullptr && model->num_leaves() > 0) {
-    const Status s =
-        PointSearchWithLocator(q, *model, snap, A, use_cutoff, result, &ra);
-    if (planned && s.ok()) {
-      UpdatePlannerFeedback(predicted,
-                            double(counting_.count() - dist_before));
-    }
-    return s;
+    return PointSearchWithLocator(q, *model, snap, A, use_cutoff, result,
+                                  &ra);
   }
 
   space_->RangeRegion(A.phi_q, r, &A.rr_lo, &A.rr_hi);
@@ -1316,9 +1295,6 @@ Status SpbTree::RangeSearch(const Blob& q, double r, const Snapshot& snap,
                                           &ra));
     }
   }
-  if (planned) {
-    UpdatePlannerFeedback(predicted, double(counting_.count() - dist_before));
-  }
   return Status::OK();
 }
 
@@ -1335,9 +1311,7 @@ Status SpbTree::PointSearchWithLocator(const Blob& q, const LeafModel& model,
   // so results, RAF accesses and compdists are byte-identical; the elided
   // root-to-leaf descent is the only difference.
   const uint64_t key_q = space_->KeyFor(A.phi_q.data());
-  bool miss = false;
-  size_t rank = model.SeekRank(key_q, &miss);
-  if (miss) loc_seek_misses_.fetch_add(1, std::memory_order_relaxed);
+  size_t rank = model.SeekRank(key_q);
   Raf* const sraf = snap.version().raf.get();
   NodeHandle h;
   bool past = false;
@@ -1416,7 +1390,6 @@ Status SpbTree::KnnSearch(const Blob& q, size_t k, const Snapshot& snap,
   const bool use_cutoff = options_.enable_cutoff && plan.use_cutoff;
   const size_t ra_budget =
       planned ? plan.readahead_budget : options_.max_readahead_pages;
-  const uint64_t dist_before = planned ? counting_.count() : 0;
   const auto time_before = std::chrono::steady_clock::now();
 
   // Max-heap of current k best over the arena vector (std::push_heap /
@@ -1590,9 +1563,8 @@ Status SpbTree::KnnSearch(const Blob& q, size_t k, const Snapshot& snap,
     const double elapsed = std::chrono::duration<double>(
                                std::chrono::steady_clock::now() - time_before)
                                .count();
-    UpdateKnnPlannerFeedback(plan.predicted_verifications,
-                             double(counting_.count() - dist_before),
-                             traversal, elapsed);
+    UpdateKnnPlannerFeedback(plan.predicted_verifications, traversal,
+                             elapsed);
   }
   return Status::OK();
 }
@@ -1654,7 +1626,6 @@ void SpbTree::RebuildLocatorLocked() {
   std::shared_ptr<const LeafModel> m;
   if (options_.enable_learned_locator) {
     const Status s = LeafModel::Build(btree_.get(), btree_->version(),
-                                      options_.locator_epsilon,
                                       snapshots_->current_epoch(), &m);
     if (!s.ok()) {
       m = nullptr;  // best-effort: every query falls back to classic descent
@@ -1682,47 +1653,6 @@ void SpbTree::InvalidateLocator() {
   ++locator_stale_writes_;
 }
 
-LocatorStats SpbTree::locator_stats() const {
-  LocatorStats s;
-  std::shared_ptr<const LeafModel> m;
-  {
-    std::lock_guard<InstrumentedMutex> lock(locator_mu_);
-    m = locator_;
-  }
-  if (m != nullptr) {
-    s.model_present = true;
-    s.pla_ok = m->pla_ok();
-    s.epoch = m->epoch();
-    s.leaves = m->num_leaves();
-    s.internal_nodes = m->num_internal_nodes();
-    s.segments = m->num_segments();
-    s.epsilon = m->epsilon();
-  } else {
-    s.epsilon = options_.locator_epsilon;
-  }
-  s.hits = loc_hits_.load(std::memory_order_relaxed);
-  s.fallbacks = loc_fallbacks_.load(std::memory_order_relaxed);
-  s.stale = loc_stale_.load(std::memory_order_relaxed);
-  s.seek_misses = loc_seek_misses_.load(std::memory_order_relaxed);
-  s.rebuilds = loc_rebuilds_.load(std::memory_order_relaxed);
-  return s;
-}
-
-PlannerStats SpbTree::planner_stats() const {
-  PlannerStats s;
-  s.planned_range = plan_range_.load(std::memory_order_relaxed);
-  s.planned_knn = plan_knn_.load(std::memory_order_relaxed);
-  s.routed_greedy = plan_greedy_.load(std::memory_order_relaxed);
-  s.routed_incremental = plan_incremental_.load(std::memory_order_relaxed);
-  s.cutoff_disabled = plan_cutoff_off_.load(std::memory_order_relaxed);
-  {
-    std::lock_guard<std::mutex> lock(cost_mu_);
-    s.calibration = planner_ema_;
-  }
-  s.drift = std::abs(std::log(std::max(s.calibration, 1e-12)));
-  return s;
-}
-
 namespace {
 
 // Route to greedy when the predicted candidate set exceeds this fraction of
@@ -1741,7 +1671,7 @@ SpbTree::KnnPlan SpbTree::PlanKnn(const std::vector<double>& phi_q,
                                   size_t k) const {
   KnnPlan plan;
   const uint64_t seq = plan_knn_.fetch_add(1, std::memory_order_relaxed);
-  double radius, frac, ema, f;
+  double radius, frac, f;
   uint64_t total;
   double cost_inc, cost_grd;
   uint64_t obs_inc, obs_grd;
@@ -1749,7 +1679,6 @@ SpbTree::KnnPlan SpbTree::PlanKnn(const std::vector<double>& phi_q,
     std::lock_guard<std::mutex> lock(cost_mu_);
     radius = cost_model_.EstimateKnnRadius(phi_q, k);
     frac = cost_model_.DistanceFractionLE(radius);
-    ema = planner_ema_;
     total = cost_model_.total_objects();
     f = cost_model_.objects_per_page();
     cost_inc = arm_cost_[0];
@@ -1757,8 +1686,7 @@ SpbTree::KnnPlan SpbTree::PlanKnn(const std::vector<double>& phi_q,
     obs_inc = arm_obs_[0];
     obs_grd = arm_obs_[1];
   }
-  const double candidates =
-      std::max(double(k), frac * double(total) * ema);
+  const double candidates = std::max(double(k), frac * double(total));
   plan.predicted_verifications = std::max(1.0, candidates);
   const double cand_frac = total > 0 ? candidates / double(total) : 0.0;
   // Routing, in preference order: measured per-arm runtime once both arms
@@ -1812,51 +1740,15 @@ size_t SpbTree::PlannedBudget(double predicted_pages) const {
   return std::max<size_t>(std::min<size_t>(size_t(want), cap), 1);
 }
 
-void SpbTree::UpdateKnnPlannerFeedback(double predicted, double measured,
-                                       KnnTraversal used,
+void SpbTree::UpdateKnnPlannerFeedback(double predicted, KnnTraversal used,
                                        double elapsed_seconds) {
-  if (predicted > 0.0 && elapsed_seconds > 0.0) {
-    const size_t arm = used == KnnTraversal::kGreedy ? 1 : 0;
-    const double unit = elapsed_seconds / predicted;
-    std::lock_guard<std::mutex> lock(cost_mu_);
-    arm_cost_[arm] = arm_obs_[arm] == 0
-                         ? unit
-                         : 0.8 * arm_cost_[arm] + 0.2 * unit;
-    ++arm_obs_[arm];
-  }
-  UpdatePlannerFeedback(predicted, measured);
-}
-
-void SpbTree::UpdatePlannerFeedback(double predicted, double measured) {
-  if (!(predicted > 0.0)) return;
-  // Clamp so one pathological query cannot wreck the calibration. The
-  // clamp is tunable (planner_feedback_clamp): on datasets where the
-  // radius/selectivity estimate is off by more than the clamp on EVERY
-  // query (synthetic-uniform kNN underestimates >= 64x), the default pins
-  // each observation and the EMA saturates below the true ratio — warn
-  // once so such runs are diagnosable, and let operators widen it.
-  const double clamp =
-      std::max(1.0, planner_clamp_.load(std::memory_order_relaxed));
-  const double raw = measured / predicted;
-  const double ratio = std::clamp(raw, 1.0 / clamp, clamp);
-  if (ratio != raw &&
-      !planner_clamp_warned_.exchange(true, std::memory_order_relaxed)) {
-    std::fprintf(stderr,
-                 "[spb] planner feedback pinned at its %gx clamp "
-                 "(measured/predicted = %.3g); calibration can no longer "
-                 "follow this workload — consider raising "
-                 "TuningOptions::planner_feedback_clamp\n",
-                 clamp, raw);
-  }
+  if (!(predicted > 0.0) || !(elapsed_seconds > 0.0)) return;
+  const size_t arm = used == KnnTraversal::kGreedy ? 1 : 0;
+  const double unit = elapsed_seconds / predicted;
   std::lock_guard<std::mutex> lock(cost_mu_);
-  planner_ema_ = 0.9 * planner_ema_ + 0.1 * ratio;
-  // Nudge the pivot-set precision (Definition 1) the same direction, gently
-  // and clamped: measured > predicted means the radius/selectivity estimate
-  // ran hot, i.e. the mapped lower bounds are looser than the recorded
-  // precision claims.
-  const double p = cost_model_.precision();
-  cost_model_.set_precision(
-      std::clamp(p * std::pow(ratio, -0.05), 0.02, 1.0));
+  arm_cost_[arm] =
+      arm_obs_[arm] == 0 ? unit : 0.8 * arm_cost_[arm] + 0.2 * unit;
+  ++arm_obs_[arm];
 }
 
 uint64_t SpbTree::storage_bytes() const {
@@ -1898,12 +1790,9 @@ void SpbTree::ResetCounters() {
   RafPtr()->ResetStats();
   counting_.Reset();
   extra_distance_computations_ = 0;
-  // Locator/planner counters are counters; the calibration EMA is model
-  // state and deliberately survives (same rule as the cost model itself).
   loc_hits_.store(0, std::memory_order_relaxed);
   loc_fallbacks_.store(0, std::memory_order_relaxed);
   loc_stale_.store(0, std::memory_order_relaxed);
-  loc_seek_misses_.store(0, std::memory_order_relaxed);
   loc_rebuilds_.store(0, std::memory_order_relaxed);
   plan_range_.store(0, std::memory_order_relaxed);
   plan_knn_.store(0, std::memory_order_relaxed);
@@ -1924,91 +1813,48 @@ Status SpbTree::ApplyTuning(const TuningOptions& t) {
         "num_shards is a construction-time parameter: a plain SPB-tree has "
         "exactly one shard (re-partitioning is a ShardedSpbTree rebuild)");
   }
-  if (!(t.planner_feedback_clamp >= 1.0)) {
-    return Status::InvalidArgument(
-        "planner_feedback_clamp must be >= 1 (the ratio is clamped to "
-        "[1/clamp, clamp])");
-  }
   std::unique_lock<std::mutex> wlock(writer_mu_, std::try_to_lock);
   if (!wlock.owns_lock()) {
     return Status::Busy(
         "ApplyTuning raced a writer; retry when it drains");
   }
-  options_.enable_lemma2 = t.enable_lemma2;
-  options_.enable_compute_sfc = t.enable_compute_sfc;
-  options_.enable_cutoff = t.enable_cutoff;
-  options_.enable_prefetch = t.enable_prefetch;
-  options_.enable_zero_copy = t.enable_zero_copy;
-  options_.max_readahead_pages = t.max_readahead_pages;
+  const TuningOptions was = options_;
+  static_cast<TuningOptions&>(options_) = t;
   // Capacity changes rebuild sharded caches — the caller quiesces readers
   // for these (see the ApplyTuning contract). Skipped when unchanged so a
   // read-modify-write of the flags never drops a warm cache.
-  if (t.node_cache_entries != options_.node_cache_entries) {
-    options_.node_cache_entries = t.node_cache_entries;
+  if (t.node_cache_entries != was.node_cache_entries) {
     SPB_RETURN_IF_ERROR(btree_->SetNodeCacheEntries(t.node_cache_entries));
   }
-  if (t.btree_cache_pages != options_.btree_cache_pages) {
-    options_.btree_cache_pages = t.btree_cache_pages;
+  if (t.btree_cache_pages != was.btree_cache_pages) {
     btree_->pool().set_capacity(t.btree_cache_pages);
   }
-  if (t.raf_cache_pages != options_.raf_cache_pages) {
-    options_.raf_cache_pages = t.raf_cache_pages;
+  if (t.raf_cache_pages != was.raf_cache_pages) {
     SPB_RETURN_IF_ERROR(raf_->SetCachePages(t.raf_cache_pages));
   }
   // Write-path engine knobs: the group-commit leader and the compactor read
   // these through atomics / the queue's own lock, so they retune live.
-  options_.wal_group_max = t.wal_group_max;
-  options_.wal_fsync = t.wal_fsync;
-  options_.compact_dead_bytes_threshold = t.compact_dead_bytes_threshold;
   wal_fsync_.store(t.wal_fsync, std::memory_order_relaxed);
   compact_threshold_.store(t.compact_dead_bytes_threshold,
                            std::memory_order_relaxed);
   if (write_queue_ != nullptr) {
     write_queue_->set_group_max(std::max<size_t>(1, t.wal_group_max));
   }
-  // Locator/planner knobs. Toggling the locator on (or changing ε) builds
-  // the model here, under the writer lock; toggling it off drops it. Both
-  // are flag-safe under concurrent queries — readers copy the shared_ptr
-  // per query and validate by epoch.
-  const bool locator_was = options_.enable_learned_locator;
-  const size_t epsilon_was = options_.locator_epsilon;
-  options_.enable_learned_locator = t.enable_learned_locator;
-  options_.locator_epsilon = t.locator_epsilon;
-  options_.enable_planner = t.enable_planner;
-  if (t.planner_feedback_clamp != options_.planner_feedback_clamp) {
-    options_.planner_feedback_clamp = t.planner_feedback_clamp;
-    planner_clamp_.store(t.planner_feedback_clamp,
-                         std::memory_order_relaxed);
-    // A widened clamp gives the EMA new headroom — re-arm the pinned
-    // warning so it fires again if the new bound saturates too.
-    planner_clamp_warned_.store(false, std::memory_order_relaxed);
-  }
-  if (t.enable_learned_locator != locator_was ||
-      (t.enable_learned_locator && t.locator_epsilon != epsilon_was)) {
+  // Toggling the locator on builds the model here, under the writer lock;
+  // toggling it off drops it. Both are flag-safe under concurrent queries —
+  // readers copy the shared_ptr per query and validate by epoch.
+  if (t.enable_learned_locator != was.enable_learned_locator) {
     RebuildLocatorLocked();
   }
   return Status::OK();
 }
 
 TuningOptions SpbTree::tuning() const {
-  TuningOptions t;
-  t.enable_lemma2 = options_.enable_lemma2;
-  t.enable_compute_sfc = options_.enable_compute_sfc;
-  t.enable_cutoff = options_.enable_cutoff;
-  t.enable_prefetch = options_.enable_prefetch;
-  t.enable_zero_copy = options_.enable_zero_copy;
-  t.node_cache_entries = options_.node_cache_entries;
-  t.btree_cache_pages = options_.btree_cache_pages;
-  t.raf_cache_pages = options_.raf_cache_pages;
-  t.max_readahead_pages = options_.max_readahead_pages;
-  t.wal_group_max = options_.wal_group_max;
+  TuningOptions t = options_;
+  t.num_shards = 1;
   t.wal_fsync = wal_fsync_.load(std::memory_order_relaxed);
   t.compact_dead_bytes_threshold =
       compact_threshold_.load(std::memory_order_relaxed);
-  t.enable_learned_locator = options_.enable_learned_locator;
-  t.locator_epsilon = options_.locator_epsilon;
-  t.enable_planner = options_.enable_planner;
-  t.planner_feedback_clamp = planner_clamp_.load(std::memory_order_relaxed);
   return t;
 }
 
@@ -2026,8 +1872,6 @@ Status SpbTree::InitEngine() {
   wal_fsync_.store(options_.wal_fsync, std::memory_order_relaxed);
   compact_threshold_.store(options_.compact_dead_bytes_threshold,
                            std::memory_order_relaxed);
-  planner_clamp_.store(options_.planner_feedback_clamp,
-                       std::memory_order_relaxed);
   if (options_.enable_wal) {
     if (options_.storage_dir.empty()) {
       return Status::InvalidArgument(
@@ -2271,15 +2115,6 @@ bool SpbTree::NeedsCompaction() const {
   return RafPtr()->dead_bytes() >= threshold;
 }
 
-Wal::Stats SpbTree::wal_stats() const {
-  return wal_ != nullptr ? wal_->stats() : Wal::Stats{};
-}
-
-WriteQueue::Stats SpbTree::write_queue_stats() const {
-  return write_queue_ != nullptr ? write_queue_->stats()
-                                 : WriteQueue::Stats{};
-}
-
 StatsSnapshot SpbTree::CollectStats() const {
   StatsSnapshot s;
   s.name = name();
@@ -2289,40 +2124,44 @@ StatsSnapshot SpbTree::CollectStats() const {
   s.page_accesses = q.page_accesses;
   s.distance_computations = q.distance_computations;
   s.SetIoStats(io_stats());
-  const Wal::Stats w = wal_stats();
-  s.wal_segment_bytes = w.segment_bytes;
-  s.wal_checkpoint_lsn = w.checkpoint_lsn;
-  s.wal_next_lsn = w.next_lsn;
-  s.wal_pending_records = w.pending_records;
-  s.wal_groups = w.groups;
-  s.wal_fsyncs = w.fsyncs;
-  s.wal_replayed_records = w.replayed_records;
-  const WriteQueue::Stats wq = write_queue_stats();
-  s.wq_ops = wq.ops;
-  s.wq_groups = wq.groups;
-  s.wq_max_group = wq.max_group;
-  s.wq_compactions = wq.compactions;
-  const LocatorStats ls = locator_stats();
-  s.locator_model_present = ls.model_present;
-  s.locator_pla_ok = ls.pla_ok;
-  s.locator_epoch = ls.epoch;
-  s.locator_leaves = ls.leaves;
-  s.locator_internal_nodes = ls.internal_nodes;
-  s.locator_segments = ls.segments;
-  s.locator_epsilon = ls.epsilon;
-  s.locator_hits = ls.hits;
-  s.locator_fallbacks = ls.fallbacks;
-  s.locator_stale = ls.stale;
-  s.locator_seek_misses = ls.seek_misses;
-  s.locator_rebuilds = ls.rebuilds;
-  const PlannerStats ps = planner_stats();
-  s.planner_planned_range = ps.planned_range;
-  s.planner_planned_knn = ps.planned_knn;
-  s.planner_routed_greedy = ps.routed_greedy;
-  s.planner_routed_incremental = ps.routed_incremental;
-  s.planner_cutoff_disabled = ps.cutoff_disabled;
-  s.planner_calibration = ps.calibration;
-  s.planner_drift = ps.drift;
+  if (wal_ != nullptr) {
+    const Wal::Stats w = wal_->stats();
+    s.wal_segment_bytes = w.segment_bytes;
+    s.wal_checkpoint_lsn = w.checkpoint_lsn;
+    s.wal_next_lsn = w.next_lsn;
+    s.wal_pending_records = w.pending_records;
+    s.wal_groups = w.groups;
+    s.wal_fsyncs = w.fsyncs;
+    s.wal_replayed_records = w.replayed_records;
+  }
+  if (write_queue_ != nullptr) {
+    const WriteQueue::Stats wq = write_queue_->stats();
+    s.wq_ops = wq.ops;
+    s.wq_groups = wq.groups;
+    s.wq_max_group = wq.max_group;
+    s.wq_compactions = wq.compactions;
+  }
+  std::shared_ptr<const LeafModel> m;
+  {
+    std::lock_guard<InstrumentedMutex> lock(locator_mu_);
+    m = locator_;
+  }
+  if (m != nullptr) {
+    s.locator_model_present = true;
+    s.locator_epoch = m->epoch();
+    s.locator_leaves = m->num_leaves();
+    s.locator_internal_nodes = m->num_internal_nodes();
+  }
+  s.locator_hits = loc_hits_.load(std::memory_order_relaxed);
+  s.locator_fallbacks = loc_fallbacks_.load(std::memory_order_relaxed);
+  s.locator_stale = loc_stale_.load(std::memory_order_relaxed);
+  s.locator_rebuilds = loc_rebuilds_.load(std::memory_order_relaxed);
+  s.planner_planned_range = plan_range_.load(std::memory_order_relaxed);
+  s.planner_planned_knn = plan_knn_.load(std::memory_order_relaxed);
+  s.planner_routed_greedy = plan_greedy_.load(std::memory_order_relaxed);
+  s.planner_routed_incremental =
+      plan_incremental_.load(std::memory_order_relaxed);
+  s.planner_cutoff_disabled = plan_cutoff_off_.load(std::memory_order_relaxed);
   return s;
 }
 

@@ -29,8 +29,10 @@
 
 namespace spb {
 
-/// Construction/runtime knobs of an SPB-tree, mirroring Table 3 of the paper.
-struct SpbTreeOptions {
+/// Knobs of an SPB-tree, mirroring Table 3 of the paper: the runtime-tunable
+/// TuningOptions base plus the construction-time parameters below (changing
+/// one of those is a rebuild, not a tune).
+struct SpbTreeOptions : TuningOptions {
   /// |P| — number of pivots (paper default 5, near the datasets' intrinsic
   /// dimensionality).
   size_t num_pivots = 5;
@@ -42,9 +44,6 @@ struct SpbTreeOptions {
   /// Space-filling curve (Hilbert by default; similarity joins require
   /// Z-order, see SimilarityJoin()).
   CurveType curve = CurveType::kHilbert;
-  /// LRU buffer-pool sizes in 4 KB pages (paper default 32; 0 disables).
-  size_t btree_cache_pages = 32;
-  size_t raf_cache_pages = 32;
   /// Reservoir size for the cost model's union distance distribution; 0
   /// disables cost-model collection.
   size_t cost_sample_size = CostModel::kDefaultSampleCapacity;
@@ -52,53 +51,11 @@ struct SpbTreeOptions {
   uint64_t seed = 20150415;
   /// Directory for the index files (btree.spb, raf.spb). Empty = in-memory.
   std::string storage_dir;
-  /// Ablation switches (DESIGN.md §5): disable the Lemma 2 "free inclusion"
-  /// shortcut or the computeSFC leaf optimization of Algorithm 1 to measure
-  /// their contribution. Production defaults: both on.
-  bool enable_lemma2 = true;
-  bool enable_compute_sfc = true;
-  /// Early-abandoning verification: queries pass their pruning threshold to
-  /// DistanceWithCutoff (RQA the radius, NNA the current k-th NN distance,
-  /// SJA the join radius) so the metric may stop mid-computation once the
-  /// object is provably pruned. Never changes results or compdists counts —
-  /// only the work done inside each distance call (see
-  /// docs/ARCHITECTURE.md §"Distance kernels"). Off = plain Distance(),
-  /// for ablation and regression tests.
-  bool enable_cutoff = true;
-  /// I/O engine (docs/ARCHITECTURE.md §"I/O engine"): when on, each query
-  /// opens a readahead session over the RAF and schedules the pages of
-  /// Lemma-surviving leaf entries (RQA/NNA) before fetching them, so runs of
-  /// SFC-adjacent pages coalesce into span reads. Results, logical PA and
-  /// compdists are identical either way — readahead stages bytes outside the
-  /// buffer pool and claims them with demand-path accounting on first touch.
-  /// This and the next two knobs act only on disk-backed trees: an
-  /// in-memory tree (empty storage_dir) has no fetcher, because its pool
-  /// caches the memory file's own pages and a staged copy would only add one.
-  bool enable_prefetch = true;
-  /// Background fetch threads. SIZE_MAX = auto (2 when the machine has more
-  /// than one hardware thread, else 0); 0 = no threads, span reads run
-  /// inline at schedule time (coalescing still applies, overlap does not).
+  /// Background fetch threads of the I/O engine (disk-backed trees only).
+  /// SIZE_MAX = auto (2 when the machine has more than one hardware thread,
+  /// else 0); 0 = no threads, span reads run inline at schedule time
+  /// (coalescing still applies, overlap does not).
   size_t prefetch_threads = SIZE_MAX;
-  /// Per-session readahead bound, in pages: caps the pages in flight and the
-  /// length of one span read. Staged runs are kept until the query ends, so
-  /// it does not bound a session's staging memory.
-  size_t max_readahead_pages = 64;
-  /// Warm-path decode engine (docs/ARCHITECTURE.md §"Warm-path decode
-  /// engine"). `node_cache_entries` sizes the decoded-node cache (B+-tree
-  /// nodes kept parsed, with internal MBB corners pre-decoded; 0 disables).
-  /// `enable_zero_copy` serves RAF records from pinned buffer-pool frames
-  /// instead of copying into a fresh Blob. Results, logical PA, cache_hits
-  /// and compdists are byte-identical with either switch on or off (the
-  /// accounting-parity rule, asserted by the warm A/B bench); the toggles
-  /// exist for ablation and the identity harness.
-  size_t node_cache_entries = 1024;
-  bool enable_zero_copy = true;
-  /// Number of SFC key-range shards (power of two; 1 = a single tree).
-  /// Consumed by ShardedSpbTree::Build, which splits the Hilbert key space
-  /// into `num_shards` contiguous ranges and builds one independent SpbTree
-  /// (own B+-tree + RAF + buffer pools + snapshot manager) per range.
-  /// Ignored by SpbTree itself.
-  size_t num_shards = 1;
   /// Write-path engine (docs/OPERATIONS.md §"Durability"). With
   /// `enable_group_commit` on, Insert/Delete/BatchInsert enqueue into a
   /// per-tree commit queue instead of try-locking the writer mutex: a
@@ -111,43 +68,6 @@ struct SpbTreeOptions {
   /// last checkpoint (a Save() checkpoints and truncates the log).
   bool enable_group_commit = false;
   bool enable_wal = false;
-  size_t wal_group_max = 64;
-  bool wal_fsync = true;
-  /// Dead-byte debt at which the background compactor rewrites the RAF back
-  /// into SFC order on fresh pages (0 disables the compactor thread). The
-  /// swap goes through the snapshot/retire protocol, so in-flight queries
-  /// keep reading their pinned version's file.
-  uint64_t compact_dead_bytes_threshold = 0;
-  /// Learned leaf locator (docs/ARCHITECTURE.md §"Learned locator +
-  /// planner"): a per-TreeVersion PGM-style model — leaf directory +
-  /// internal-node image + ε-bounded piecewise-linear segments — built in
-  /// one uncounted pass at Build/Open/compaction and refreshed per snapshot
-  /// epoch. Point lookups, RQA/NNA traversals, SJA leaf scans and the write
-  /// path's descent then skip inner B+-tree pages entirely; any miss or
-  /// stale (COW-invalidated) model falls back to classic descent. Results
-  /// and compdists are byte-identical either way; B+-tree inner-node page
-  /// accesses are NOT — eliding them is the optimization — which is why the
-  /// default is off: the paper-protocol figures keep their classic PA
-  /// accounting unless a bench opts in (the accounting-parity rule applies
-  /// to the default configuration only).
-  bool enable_learned_locator = false;
-  /// Locator PLA error bound ε, in directory ranks (probe window ±(ε+2)).
-  /// Smaller = more segments, tighter probes; 0 still works (pure directory
-  /// binary search per miss).
-  size_t locator_epsilon = 16;
-  /// Cost-model query planner: routes each query online from the persisted
-  /// cost model — greedy vs best-first NNA, per-query cutoff, readahead
-  /// budget, sharded scatter parallelism — and calibrates itself with a
-  /// measured-vs-predicted distance-computation feedback loop (EMA +
-  /// precision_ nudges). Results are identical for every routing choice;
-  /// compdists match whichever static configuration the plan resolves to.
-  /// Default off so the fig15/fig16 estimate-accuracy experiments see the
-  /// untouched build-time model.
-  bool enable_planner = false;
-  /// Clamp on each measured/predicted planner-feedback ratio before it
-  /// enters the calibration EMA (see TuningOptions::planner_feedback_clamp
-  /// for the tuning story; runtime-adjustable there).
-  double planner_feedback_clamp = 64.0;
 };
 
 /// The global NDk bound one kNN query shares across shards: a monotonically
@@ -191,36 +111,6 @@ enum class KnnTraversal {
   /// when enable_planner is off). The resolved traversal runs byte-identical
   /// to passing it explicitly.
   kAuto,
-};
-
-/// Learned-locator observability (spb_cli stats, bench_learned,
-/// docs/OPERATIONS.md §"Reading locator/planner counters").
-struct LocatorStats {
-  bool model_present = false;
-  bool pla_ok = false;
-  uint64_t epoch = 0;         // snapshot epoch the model was built at
-  uint64_t leaves = 0;        // non-empty leaves in the directory
-  uint64_t internal_nodes = 0;
-  uint64_t segments = 0;      // PLA segments
-  uint64_t epsilon = 0;
-  uint64_t hits = 0;          // inner-node reads served from the model image
-  uint64_t fallbacks = 0;     // queries that ran classic descent instead
-  uint64_t stale = 0;         // fallbacks due to a snapshot/model epoch mismatch
-  uint64_t seek_misses = 0;   // SeekRank probes outside the ±(ε+2) window
-  uint64_t rebuilds = 0;
-};
-
-/// Planner observability: routing decisions + calibration state.
-struct PlannerStats {
-  uint64_t planned_range = 0;
-  uint64_t planned_knn = 0;
-  uint64_t routed_greedy = 0;
-  uint64_t routed_incremental = 0;
-  uint64_t cutoff_disabled = 0;  // kNN queries planned without the cutoff
-  /// EMA of measured/predicted distance computations (1.0 = perfectly
-  /// calibrated); drift = |log(calibration)|.
-  double calibration = 1.0;
-  double drift = 0.0;
 };
 
 /// The Space-filling-curve and Pivot-based B+-tree (the paper's primary
@@ -314,19 +204,9 @@ class SpbTree : public MetricIndex {
   /// Blocks behind in-flight writers (takes the writer lock, waiting).
   Status Compact();
 
-  /// WAL counters (zeros when the WAL is off): segment bytes, checkpoint
-  /// LSN, records appended since the checkpoint, group/fsync totals.
-  /// Deprecated: read the wal_* fields of CollectStats() instead (kept one
-  /// PR for drill-down call sites; see docs/API.md §"Stats surface").
-  Wal::Stats wal_stats() const;
-  /// Commit-queue counters (zeros when group commit is off). Deprecated:
-  /// read the wq_* fields of CollectStats() instead.
-  WriteQueue::Stats write_queue_stats() const;
-
-  /// The one stats surface (PR 10): every counter group this tree has —
-  /// paper cost metrics, I/O engine, WAL, commit queue, learned locator,
-  /// planner — in a single plain-value snapshot. Supersedes the six
-  /// per-subsystem accessors.
+  /// The one stats surface: every counter group this tree has — paper cost
+  /// metrics, I/O engine, WAL, commit queue, learned locator, planner — in
+  /// a single plain-value snapshot.
   StatsSnapshot CollectStats() const override;
 
   /// With the commit queue on, concurrent writers enqueue and never see
@@ -429,12 +309,6 @@ class SpbTree : public MetricIndex {
   /// snapshot is held. Public for the joins' leaf scans and for tests.
   std::shared_ptr<const LeafModel> LocatorForSnapshot(
       const Snapshot& snap) const;
-
-  /// Locator/planner counters (cumulative since ResetCounters; calibration
-  /// survives resets — it is model state, not a counter). Deprecated: read
-  /// the locator_* / planner_* fields of CollectStats() instead.
-  LocatorStats locator_stats() const;
-  PlannerStats planner_stats() const;
 
   uint64_t size() const { return num_objects_.load(std::memory_order_relaxed); }
   const MappedSpace& space() const { return *space_; }
@@ -631,23 +505,19 @@ class SpbTree : public MetricIndex {
     KnnTraversal traversal = KnnTraversal::kIncremental;
     bool use_cutoff = true;
     size_t readahead_budget = 0;
-    double predicted_verifications = 0.0;  // feedback baseline
+    double predicted_verifications = 0.0;  // arm-cost normalizer
   };
   KnnPlan PlanKnn(const std::vector<double>& phi_q, size_t k) const;
   // Readahead budget from a predicted page-access count: clamped to
   // [8, options_.max_readahead_pages] — the planner only ever shrinks the
   // configured budget (physical I/O shaping; logical PA is untouched).
   size_t PlannedBudget(double predicted_pages) const;
-  // Measured-vs-predicted feedback: folds measured/predicted verification
-  // counts into the calibration EMA and nudges the cost model's precision_
-  // (Definition 1) so radius estimates track live traffic.
-  void UpdatePlannerFeedback(double predicted, double measured);
-  // kNN variant: additionally feeds the per-traversal runtime EMAs that
-  // drive the greedy/incremental routing (elapsed normalized by the plan's
-  // predicted work, so observations from different (k, query) mixes stay
-  // comparable). `used` is the traversal that actually ran.
-  void UpdateKnnPlannerFeedback(double predicted, double measured,
-                                KnnTraversal used, double elapsed_seconds);
+  // Feeds the per-traversal runtime EMAs that drive the greedy/incremental
+  // routing (elapsed normalized by the plan's predicted work, so
+  // observations from different (k, query) mixes stay comparable). `used`
+  // is the traversal that actually ran.
+  void UpdateKnnPlannerFeedback(double predicted, KnnTraversal used,
+                                double elapsed_seconds);
 
   // Publishes the current adopted version, handing `superseded` to the
   // epoch retire queue.
@@ -753,27 +623,14 @@ class SpbTree : public MetricIndex {
   mutable std::atomic<uint64_t> loc_hits_{0};
   mutable std::atomic<uint64_t> loc_fallbacks_{0};
   mutable std::atomic<uint64_t> loc_stale_{0};
-  mutable std::atomic<uint64_t> loc_seek_misses_{0};
   mutable std::atomic<uint64_t> loc_rebuilds_{0};
 
-  // ---- Planner counters + calibration (calibration under cost_mu_) ----
+  // ---- Planner counters ----
   mutable std::atomic<uint64_t> plan_range_{0};
   mutable std::atomic<uint64_t> plan_knn_{0};
   mutable std::atomic<uint64_t> plan_greedy_{0};
   mutable std::atomic<uint64_t> plan_incremental_{0};
   mutable std::atomic<uint64_t> plan_cutoff_off_{0};
-  // EMA of measured/predicted verification counts (persisted in meta so a
-  // reopened tree keeps its calibration).
-  mutable double planner_ema_ = 1.0;
-  // One-shot latch for the "feedback pinned at the clamp" warning (see
-  // UpdatePlannerFeedback): first pinned observation logs, the rest stay
-  // silent so a miscalibrated workload does not flood stderr.
-  mutable std::atomic<bool> planner_clamp_warned_{false};
-  // Atomic mirror of options_.planner_feedback_clamp: ApplyTuning writes
-  // under writer_mu_ while UpdatePlannerFeedback reads on the query hot
-  // path, so the feedback path reads this (like wal_fsync_) instead of
-  // racing on the plain double in options_. Default mirrors SpbTreeOptions.
-  std::atomic<double> planner_clamp_{64.0};
   // Per-traversal runtime EMAs (seconds / predicted verification), index
   // 0 = kIncremental, 1 = kGreedy, under cost_mu_. Compdists say which
   // traversal is work-optimal (Lemma 4: always best-first), but wall clock

@@ -9,11 +9,9 @@
 
 namespace spb {
 
-/// The one stats surface (PR 10): everything an index can report, collected
-/// at a single point in time by MetricIndex::CollectStats(). Replaces the
-/// six parallel accessors that accreted over PRs 1-9 (cumulative_stats /
-/// io_stats / wal_stats / write_queue_stats / locator_stats /
-/// planner_stats) with a single plain-value struct that
+/// The one stats surface: everything an index can report, collected at a
+/// single point in time by MetricIndex::CollectStats(). A single
+/// plain-value struct that
 ///  - `spb_cli stats` prints,
 ///  - the bench JSON emitters scrape, and
 ///  - the wire protocol's STATS op serializes verbatim (every field is a
@@ -23,9 +21,9 @@ namespace spb {
 /// All values are snapshots of cumulative counters (since the last
 /// ResetCounters() unless noted); sections an index does not implement stay
 /// zero. For a ShardedSpbTree the top-level struct holds the aggregate
-/// (same summation rules the old per-subsystem accessors used) and `shards`
-/// holds one entry per shard, preserving the drill-down `spb_cli stats`
-/// always printed. Plain SpbTree and the baselines leave `shards` empty.
+/// (summation rules per section below) and `shards` holds one entry per
+/// shard, the drill-down `spb_cli stats` prints. Plain SpbTree and the
+/// baselines leave `shards` empty.
 struct StatsSnapshot {
   /// MetricIndex::name() of the index that produced the snapshot.
   std::string name;
@@ -66,31 +64,23 @@ struct StatsSnapshot {
   uint64_t wq_compactions = 0;
 
   // Learned-locator model + counters (zeros when the locator is off).
-  // Sharded: counters summed; model_present/pla_ok hold iff they hold on
-  // every shard; epoch is the max; epsilon is shard 0's.
+  // Sharded: counters summed; model_present holds iff it holds on every
+  // shard; epoch is the max.
   bool locator_model_present = false;
-  bool locator_pla_ok = false;
   uint64_t locator_epoch = 0;
   uint64_t locator_leaves = 0;
   uint64_t locator_internal_nodes = 0;
-  uint64_t locator_segments = 0;
-  uint64_t locator_epsilon = 0;
   uint64_t locator_hits = 0;
   uint64_t locator_fallbacks = 0;
   uint64_t locator_stale = 0;
-  uint64_t locator_seek_misses = 0;
   uint64_t locator_rebuilds = 0;
 
-  // Planner routing counters + calibration state (calibration survives
-  // ResetCounters — it is model state). Sharded: counts summed,
-  // calibration is the mean of the per-shard EMAs, drift = |log(mean)|.
+  // Planner routing counters. Sharded: summed.
   uint64_t planner_planned_range = 0;
   uint64_t planner_planned_knn = 0;
   uint64_t planner_routed_greedy = 0;
   uint64_t planner_routed_incremental = 0;
   uint64_t planner_cutoff_disabled = 0;
-  double planner_calibration = 1.0;
-  double planner_drift = 0.0;
 
   /// Per-shard drill-down (ShardedSpbTree only; one level deep — shard
   /// entries never have sub-shards).

@@ -6,15 +6,9 @@
 
 namespace spb {
 
-/// The runtime-adjustable subset of SpbTreeOptions, applied atomically as a
+/// The runtime-adjustable knobs of an SPB-tree: the base of SpbTreeOptions
+/// (which adds the construction-time parameters), applied atomically as a
 /// group via SpbTree::ApplyTuning() and read back via SpbTree::tuning().
-/// Replaces the grab-bag of one-off setters (set_enable_cutoff,
-/// set_enable_prefetch, set_node_cache_entries, set_enable_zero_copy,
-/// SetRafCachePages) that benches and the CLI used to poke individually.
-///
-/// Construction-time parameters (pivots, delta, curve, seed, storage_dir,
-/// prefetch_threads, cost_sample_size) are deliberately absent — changing
-/// them requires a rebuild, not a tune.
 ///
 /// Write one by reading the current values first, then overriding fields:
 ///
@@ -27,62 +21,95 @@ namespace spb {
 /// capacity fields rebuild sharded caches and require quiesced readers — see
 /// the ApplyTuning contract in core/spb_tree.h.
 struct TuningOptions {
-  /// Lemma 2 "free inclusion" shortcut (ablation switch).
+  /// Ablation switches (DESIGN.md §5): disable the Lemma 2 "free inclusion"
+  /// shortcut or the computeSFC leaf optimization of Algorithm 1 to measure
+  /// their contribution. Production defaults: both on.
   bool enable_lemma2 = true;
-  /// computeSFC leaf optimization of Algorithm 1 (ablation switch).
   bool enable_compute_sfc = true;
-  /// Early-abandoning distance verification (never changes results).
+  /// Early-abandoning verification: queries pass their pruning threshold to
+  /// DistanceWithCutoff (RQA the radius, NNA the current k-th NN distance,
+  /// SJA the join radius) so the metric may stop mid-computation once the
+  /// object is provably pruned. Never changes results or compdists counts —
+  /// only the work done inside each distance call (see
+  /// docs/ARCHITECTURE.md §"Distance kernels"). Off = plain Distance(),
+  /// for ablation and regression tests.
   bool enable_cutoff = true;
-  /// RAF readahead sessions (the cold-path I/O engine; disk-backed trees
-  /// only).
+  /// I/O engine (docs/ARCHITECTURE.md §"I/O engine"): when on, each query
+  /// opens a readahead session over the RAF and schedules the pages of
+  /// Lemma-surviving leaf entries (RQA/NNA) before fetching them, so runs of
+  /// SFC-adjacent pages coalesce into span reads. Results, logical PA and
+  /// compdists are identical either way — readahead stages bytes outside the
+  /// buffer pool and claims them with demand-path accounting on first touch.
+  /// This knob, max_readahead_pages and SpbTreeOptions::prefetch_threads act
+  /// only on disk-backed trees: an in-memory tree (empty storage_dir) has no
+  /// fetcher, because its pool caches the memory file's own pages and a
+  /// staged copy would only add one.
   bool enable_prefetch = true;
-  /// Zero-copy RAF record views from pinned frames.
+  /// Warm-path decode engine (docs/ARCHITECTURE.md §"Warm-path decode
+  /// engine"): serve RAF records from pinned buffer-pool frames instead of
+  /// copying into a fresh Blob. Results, logical PA, cache_hits and
+  /// compdists are byte-identical on or off (the accounting-parity rule,
+  /// asserted by the warm A/B bench); the toggle exists for ablation and the
+  /// identity harness.
   bool enable_zero_copy = true;
-  /// Decoded-node cache entries (0 disables). Capacity change: quiesce
-  /// readers.
+  /// Decoded-node cache entries (B+-tree nodes kept parsed, with internal
+  /// MBB corners pre-decoded; 0 disables). Same parity rule as
+  /// enable_zero_copy. Capacity change: quiesce readers.
   size_t node_cache_entries = 1024;
-  /// LRU buffer-pool sizes in pages (0 disables). Capacity changes: quiesce
-  /// readers.
+  /// LRU buffer-pool sizes in 4 KB pages (paper default 32; 0 disables).
+  /// Capacity changes: quiesce readers.
   size_t btree_cache_pages = 32;
   size_t raf_cache_pages = 32;
-  /// Per-readahead-session bound on pages in flight, in pages (also the max
-  /// span-read length; disk-backed trees only).
+  /// Per-readahead-session bound, in pages: caps the pages in flight and the
+  /// length of one span read. Staged runs are kept until the query ends, so
+  /// it does not bound a session's staging memory.
   size_t max_readahead_pages = 64;
-  /// Number of SFC key-range shards (power of two). Read back from
-  /// ShardedSpbTree::tuning(); construction-time in practice — ApplyTuning
-  /// rejects a change with InvalidArgument (re-partitioning is a rebuild,
-  /// not a tune). Plain SpbTree reports and accepts only 1.
+  /// Number of SFC key-range shards (power of two; 1 = a single tree).
+  /// Consumed by ShardedSpbTree::Build, which splits the Hilbert key space
+  /// into `num_shards` contiguous ranges and builds one independent SpbTree
+  /// (own B+-tree + RAF + buffer pools + snapshot manager) per range.
+  /// Construction-time in practice: ApplyTuning rejects a change with
+  /// InvalidArgument (re-partitioning is a rebuild, not a tune). Plain
+  /// SpbTree ignores it at Build, and reports and accepts only 1.
   size_t num_shards = 1;
-  /// Write-path engine knobs (docs/OPERATIONS.md §"Durability"). Only
-  /// meaningful when the corresponding SpbTreeOptions switches enabled the
-  /// engine at construction time; ApplyTuning on a tree without the queue /
-  /// WAL / compactor simply records the values for tuning() readback.
+  /// Write-path engine knobs (docs/OPERATIONS.md §"Durability"), meaningful
+  /// when SpbTreeOptions::enable_group_commit / enable_wal (or a nonzero
+  /// compaction threshold) enabled the engine at construction time;
+  /// ApplyTuning on a tree without the queue / WAL / compactor simply
+  /// records the values for tuning() readback.
   /// Max logical records one group commit drains (and fsyncs) at once.
   size_t wal_group_max = 64;
   /// fsync the WAL once per commit group (off trades durability of the
   /// last group for throughput; replay still stops at the torn tail).
   bool wal_fsync = true;
-  /// RAF dead-byte debt that wakes the background compactor (0 = never).
+  /// Dead-byte debt at which the background compactor rewrites the RAF back
+  /// into SFC order on fresh pages (0 disables the compactor thread). The
+  /// swap goes through the snapshot/retire protocol, so in-flight queries
+  /// keep reading their pinned version's file.
   uint64_t compact_dead_bytes_threshold = 0;
-  /// Learned leaf locator (see SpbTreeOptions::enable_learned_locator).
-  /// Turning it on (or changing ε) builds the model inside ApplyTuning —
-  /// one uncounted pass over the leaf level; turning it off drops it.
-  /// Flag-safe under concurrent queries either way: readers pick the model
-  /// up (or lose it) on their next snapshot acquire.
+  /// Learned leaf locator (docs/ARCHITECTURE.md §"Learned locator +
+  /// planner"): a per-TreeVersion leaf directory + internal-node image,
+  /// built in one uncounted pass at Build/Open/compaction and refreshed per
+  /// snapshot epoch. Point lookups, RQA/NNA traversals, SJA leaf scans and
+  /// the write path's descent then skip inner B+-tree pages entirely; any
+  /// stale (COW-invalidated) model falls back to classic descent. Results
+  /// and compdists are byte-identical either way; B+-tree inner-node page
+  /// accesses are NOT — eliding them is the optimization — which is why the
+  /// default is off: the paper-protocol figures keep their classic PA
+  /// accounting unless a bench opts in (the accounting-parity rule applies
+  /// to the default configuration only). Turning it on in ApplyTuning
+  /// builds the model there; turning it off drops it. Flag-safe under
+  /// concurrent queries either way: readers pick the model up (or lose it)
+  /// on their next snapshot acquire.
   bool enable_learned_locator = false;
-  size_t locator_epsilon = 16;
-  /// Cost-model query planner (see SpbTreeOptions::enable_planner).
+  /// Cost-model query planner: routes each kNN query online — greedy vs
+  /// best-first NNA by per-arm runtime EMAs, per-query cutoff — and sizes
+  /// each query's readahead budget from the cost model. Results are
+  /// identical for every routing choice; compdists match whichever static
+  /// configuration the plan resolves to. Default off so the paper-protocol
+  /// figures run the kIncremental default with the configured cutoff and
+  /// readahead budget.
   bool enable_planner = false;
-  /// Per-observation clamp on the planner's measured/predicted feedback
-  /// ratio (the calibration EMA absorbs ratios clamped to
-  /// [1/clamp, clamp]). The default 64 protects the EMA from one
-  /// pathological query, but synthetic-uniform data underestimates kNN
-  /// radii by >= 64x (EXPERIMENTS.md §"learned leaf locator"), pinning
-  /// every observation at the clamp and capping what the EMA can learn —
-  /// widen it (e.g. 4096) to let the calibration follow such data. A
-  /// one-line warning is logged (once per tree) when observations pin at
-  /// the clamp. Values < 1 are rejected by ApplyTuning.
-  double planner_feedback_clamp = 64.0;
 };
 
 }  // namespace spb

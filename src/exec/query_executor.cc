@@ -189,13 +189,4 @@ BatchResult QueryExecutor::Submit(std::span<const Request> requests) {
   return batch;
 }
 
-Status QueryExecutor::RunMixedBatch(const std::vector<MixedOp>& ops,
-                                    std::vector<MixedResult>* results,
-                                    BatchStats* stats) {
-  BatchResult batch = Submit(std::span<const Request>(ops));
-  *results = std::move(batch.results);
-  if (stats != nullptr) *stats = batch.stats;
-  return batch.first_error;
-}
-
 }  // namespace spb

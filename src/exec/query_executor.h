@@ -48,12 +48,6 @@ struct BatchStats {
   uint64_t busy_retries = 0;
 };
 
-/// Deprecated names for the unified request/result shapes (exec/request.h).
-/// PR 10 collapsed the RunBatch/RunMixedBatch/RunWrite entry points into
-/// Submit(); these aliases keep pre-PR 10 call sites compiling for one PR.
-using MixedOp = Request;
-using MixedResult = OpResult;
-
 /// Everything one Submit() call produced: per-op outcomes in submission
 /// order, the first per-op error (Status::OK() when every op succeeded —
 /// the remaining ops still ran either way), and the batch-level aggregates.
@@ -136,13 +130,6 @@ class QueryExecutor {
   Status RunKnnBatch(const std::vector<Blob>& queries, size_t k,
                      std::vector<std::vector<Neighbor>>* results,
                      BatchStats* stats = nullptr);
-
-  /// Deprecated pre-PR 10 mixed-batch entry point; forwards to Submit().
-  /// Will be removed next PR — new call sites use Submit().
-  [[deprecated("use Submit()")]]
-  Status RunMixedBatch(const std::vector<MixedOp>& ops,
-                       std::vector<MixedResult>* results,
-                       BatchStats* stats = nullptr);
 
   size_t num_threads() const { return arena_.num_threads(); }
   MetricIndex* index() { return index_; }

@@ -14,7 +14,7 @@ namespace spb {
 /// every submission path: QueryExecutor::Submit() consumes a span of these,
 /// and the wire protocol (src/net/protocol.h) encodes/decodes exactly this
 /// struct, so an op that arrived over TCP is *the same object* an in-process
-/// batch would submit. Replaces the PR 5 MixedOp (now an alias).
+/// batch would submit.
 ///
 /// Only the members matching `kind` are meaningful; the rest stay at their
 /// defaults and are ignored (and encode as zeros on the wire).
@@ -65,7 +65,7 @@ struct Request {
 /// Per-op outcome. Only the member matching the request's kind is populated.
 /// Range ids are sorted ascending (deterministic regardless of thread
 /// interleaving); kNN neighbors come back in the index's own order
-/// (ascending distance). Replaces the PR 5 MixedResult (now an alias).
+/// (ascending distance).
 struct OpResult {
   Status status;
   std::vector<ObjectId> range_ids;  ///< kRange, sorted ascending

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <cstdlib>
 
 namespace spb {
 
@@ -11,11 +10,6 @@ namespace {
 thread_local TaskArena* tl_arena = nullptr;
 
 constexpr size_t kRingCapacity = 256;  // power of two
-
-bool MutexFallbackRequested() {
-  const char* v = std::getenv("SPB_ARENA_MUTEX");
-  return v != nullptr && v[0] == '1';
-}
 
 }  // namespace
 
@@ -77,8 +71,7 @@ bool TaskArena::TicketRing::EmptyApprox() const {
          tail_.load(std::memory_order_seq_cst);
 }
 
-TaskArena::TaskArena(size_t num_threads)
-    : use_mutex_(MutexFallbackRequested()), ring_(kRingCapacity) {
+TaskArena::TaskArena(size_t num_threads) : ring_(kRingCapacity) {
   const size_t n = std::clamp<size_t>(num_threads, 1, 64);
   park_words_.reset(new ParkWord[n]);
   threads_.reserve(n);
@@ -88,24 +81,16 @@ TaskArena::TaskArena(size_t num_threads)
 }
 
 TaskArena::~TaskArena() {
-  if (use_mutex_) {
-    {
-      std::lock_guard<InstrumentedMutex> lock(queue_mu_);
-      stop_.store(true, std::memory_order_seq_cst);
+  stop_.store(true, std::memory_order_seq_cst);
+  // Keep posting wake tokens until every worker has observed stop_: a token
+  // written before a worker's park-entry reset would otherwise be lost, and
+  // atomic wait has no timeout to recover with.
+  while (exited_.load(std::memory_order_acquire) < threads_.size()) {
+    for (size_t i = 0; i < threads_.size(); ++i) {
+      park_words_[i].w.store(1, std::memory_order_release);
+      park_words_[i].w.notify_all();
     }
-    queue_cv_.notify_all();
-  } else {
-    stop_.store(true, std::memory_order_seq_cst);
-    // Keep posting wake tokens until every worker has observed stop_: a
-    // token written before a worker's park-entry reset would otherwise be
-    // lost, and atomic wait has no timeout to recover with.
-    while (exited_.load(std::memory_order_acquire) < threads_.size()) {
-      for (size_t i = 0; i < threads_.size(); ++i) {
-        park_words_[i].w.store(1, std::memory_order_release);
-        park_words_[i].w.notify_all();
-      }
-      std::this_thread::yield();
-    }
+    std::this_thread::yield();
   }
   for (std::thread& t : threads_) t.join();
 }
@@ -140,36 +125,24 @@ void TaskArena::RunGroup(size_t n, const std::function<void(size_t)>& fn,
   // can grab a shard.
   g->chunk = std::clamp<size_t>(n / (threads_.size() * 4), 1, 16);
   size_t want = std::min(n, threads_.size());
-  size_t pushed = 0;
-  if (use_mutex_) {
-    {
-      std::lock_guard<InstrumentedMutex> lock(queue_mu_);
-      for (; pushed < want; ++pushed) queue_.push_back(g);
-    }
-    if (pushed == 1) {
-      queue_cv_.notify_one();
-    } else {
-      queue_cv_.notify_all();
-    }
-  } else {
-    if (help) {
-      // Nested fan-out from a worker: publish tickets only up to the idle
-      // (parked) worker count. A busy worker that stole a chunk couldn't
-      // run it sooner than we can ourselves — it would only couple this
-      // query's latency to another thread's scheduling — whereas parked
-      // workers are genuinely free capacity. With zero idle workers the
-      // group degrades to an inline drain, which is exactly the serial
-      // path. Results are identical either way (byte-identity holds
-      // regardless of who runs a task).
-      const auto idle = static_cast<size_t>(
-          std::popcount(parked_mask_.load(std::memory_order_seq_cst)));
-      want = std::min(want, idle);
-    }
-    for (; pushed < want; ++pushed) {
-      if (!ring_.Push(g)) break;
-    }
-    if (pushed > 0) Unpark(pushed);
+  if (help) {
+    // Nested fan-out from a worker: publish tickets only up to the idle
+    // (parked) worker count. A busy worker that stole a chunk couldn't run
+    // it sooner than we can ourselves — it would only couple this query's
+    // latency to another thread's scheduling — whereas parked workers are
+    // genuinely free capacity. With zero idle workers the group degrades to
+    // an inline drain, which is exactly the serial path. Results are
+    // identical either way (byte-identity holds regardless of who runs a
+    // task).
+    const auto idle = static_cast<size_t>(
+        std::popcount(parked_mask_.load(std::memory_order_seq_cst)));
+    want = std::min(want, idle);
   }
+  size_t pushed = 0;
+  for (; pushed < want; ++pushed) {
+    if (!ring_.Push(g)) break;
+  }
+  if (pushed > 0) Unpark(pushed);
   stats_.tickets_pushed.fetch_add(pushed);
   if (help || pushed == 0) {
     // help: nested fan-out — the caller is a worker and must make progress
@@ -185,50 +158,18 @@ void TaskArena::RunGroup(size_t n, const std::function<void(size_t)>& fn,
 
 void TaskArena::WorkerLoop(size_t id) {
   tl_arena = this;
-  if (use_mutex_) {
-    MutexWorkerLoop();
-  } else {
-    while (!stop_.load(std::memory_order_acquire)) {
-      std::shared_ptr<GroupState> g;
-      if (ring_.Pop(&g)) {
-        stats_.tickets_popped.fetch_add(1);
-        if (DrainGroup(*g) == 0) stats_.stale_tickets.fetch_add(1);
-        g.reset();
-        continue;
-      }
-      Park(id);
+  while (!stop_.load(std::memory_order_acquire)) {
+    std::shared_ptr<GroupState> g;
+    if (ring_.Pop(&g)) {
+      stats_.tickets_popped.fetch_add(1);
+      if (DrainGroup(*g) == 0) stats_.stale_tickets.fetch_add(1);
+      g.reset();
+      continue;
     }
+    Park(id);
   }
   tl_arena = nullptr;
   exited_.fetch_add(1, std::memory_order_release);
-}
-
-void TaskArena::MutexWorkerLoop() {
-  std::vector<std::shared_ptr<GroupState>> claimed;
-  claimed.reserve(kClaimBatch);
-  for (;;) {
-    claimed.clear();
-    {
-      std::unique_lock<InstrumentedMutex> lock(queue_mu_);
-      queue_cv_.wait(lock, [&] {
-        return stop_.load(std::memory_order_relaxed) || !queue_.empty();
-      });
-      if (queue_.empty()) break;  // stop requested and nothing left
-      // Claim a batch of tickets under one lock acquisition: O(tickets / K)
-      // lock round-trips instead of one per ticket.
-      while (!queue_.empty() && claimed.size() < kClaimBatch) {
-        claimed.push_back(std::move(queue_.front()));
-        queue_.pop_front();
-      }
-    }
-    stats_.fallback_lock_claims.fetch_add(1);
-    stats_.fallback_tickets_claimed.fetch_add(claimed.size());
-    stats_.tickets_popped.fetch_add(claimed.size());
-    for (auto& g : claimed) {
-      if (DrainGroup(*g) == 0) stats_.stale_tickets.fetch_add(1);
-      g.reset();
-    }
-  }
 }
 
 void TaskArena::Park(size_t id) {
@@ -278,8 +219,6 @@ ArenaQueueStats TaskArena::queue_stats() const {
   s.inline_drains = stats_.inline_drains.load();
   s.parks = stats_.parks.load();
   s.unparks = stats_.unparks.load();
-  s.fallback_lock_claims = stats_.fallback_lock_claims.load();
-  s.fallback_tickets_claimed = stats_.fallback_tickets_claimed.load();
   return s;
 }
 

@@ -2,16 +2,13 @@
 #define SPB_EXEC_TASK_ARENA_H_
 
 #include <atomic>
-#include <condition_variable>
 #include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <thread>
 #include <vector>
 
-#include "common/contention.h"
 #include "common/striped.h"
 
 namespace spb {
@@ -24,10 +21,8 @@ struct ArenaQueueStats {
   uint64_t tickets_popped = 0;   ///< tickets taken by workers
   uint64_t stale_tickets = 0;    ///< popped tickets whose group was drained
   uint64_t inline_drains = 0;    ///< RunGroup ran inline (ring full)
-  uint64_t parks = 0;            ///< worker went to sleep (ring mode)
+  uint64_t parks = 0;            ///< worker went to sleep
   uint64_t unparks = 0;          ///< producer woke a parked worker
-  uint64_t fallback_lock_claims = 0;     ///< mutex mode: claiming lock grabs
-  uint64_t fallback_tickets_claimed = 0; ///< mutex mode: tickets per grab sum
 };
 
 /// A fixed pool of worker threads executing *task groups*: RunGroup(n, fn)
@@ -62,17 +57,8 @@ struct ArenaQueueStats {
 /// tickets. The mask-register / ring-recheck on the parking side and the
 /// ring-push / mask-read on the waking side are seq_cst (store-buffering
 /// crossing), so a worker can never sleep through a push.
-///
-/// Setting SPB_ARENA_MUTEX=1 in the environment swaps the ring + parking
-/// for a mutex/condvar ticket queue (the pre-PR 8 shape, kept as an A/B
-/// lever for the contention bench). Workers in that mode claim up to
-/// kClaimBatch tickets per lock acquisition so the queue lock is taken
-/// O(tickets / K) times instead of O(tickets).
 class TaskArena {
  public:
-  /// Tickets claimed per queue-lock acquisition in mutex-fallback mode.
-  static constexpr size_t kClaimBatch = 4;
-
   /// `num_threads` is clamped to [1, 64] (the parking bitmask is one word).
   explicit TaskArena(size_t num_threads);
   ~TaskArena();
@@ -97,7 +83,6 @@ class TaskArena {
   void RunGroup(size_t n, const std::function<void(size_t)>& fn, bool help);
 
   size_t num_threads() const { return threads_.size(); }
-  bool mutex_fallback() const { return use_mutex_; }
   ArenaQueueStats queue_stats() const;
 
  private:
@@ -145,24 +130,16 @@ class TaskArena {
   /// of tasks this thread ran (0 for a stale ticket).
   size_t DrainGroup(GroupState& g);
   void WorkerLoop(size_t id);
-  void MutexWorkerLoop();
   void Park(size_t id);
   void Unpark(size_t want);
 
   std::vector<std::thread> threads_;
   std::atomic<bool> stop_{false};
   std::atomic<size_t> exited_{0};
-  const bool use_mutex_;
 
-  // Ring mode.
   TicketRing ring_;
   std::atomic<uint64_t> parked_mask_{0};
   std::unique_ptr<ParkWord[]> park_words_;
-
-  // Mutex-fallback mode (SPB_ARENA_MUTEX=1).
-  InstrumentedMutex queue_mu_{"arena.queue_mu"};
-  std::condition_variable_any queue_cv_;
-  std::deque<std::shared_ptr<GroupState>> queue_;
 
   // Observability (striped: workers bump their own slabs).
   struct {
@@ -172,8 +149,6 @@ class TaskArena {
     StripedU64 inline_drains;
     StripedU64 parks;
     StripedU64 unparks;
-    StripedU64 fallback_lock_claims;
-    StripedU64 fallback_tickets_claimed;
   } stats_;
 };
 

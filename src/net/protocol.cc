@@ -90,7 +90,7 @@ constexpr size_t kMinEncodedRequest = 25;   // kind + id + radius + k + obj_len
 constexpr size_t kMinEncodedOpResult = 6;   // status code + msg_len + kind
 constexpr size_t kMinEncodedRangeId = 4;    // u32 id
 constexpr size_t kMinEncodedNeighbor = 12;  // u32 id + f64 distance
-constexpr size_t kMinStatsScalars = 330;    // empty name + every scalar field
+constexpr size_t kMinStatsScalars = 289;    // empty name + every scalar field
 
 bool CountFits(const Cursor& c, uint64_t count, size_t min_elem_bytes) {
   return count <= (c.n - c.pos) / min_elem_bytes;
@@ -170,24 +170,18 @@ void AppendStatsScalars(const StatsSnapshot& s, std::vector<uint8_t>* out) {
   AppendU64(out, s.wq_max_group);
   AppendU64(out, s.wq_compactions);
   AppendU8(out, s.locator_model_present ? 1 : 0);
-  AppendU8(out, s.locator_pla_ok ? 1 : 0);
   AppendU64(out, s.locator_epoch);
   AppendU64(out, s.locator_leaves);
   AppendU64(out, s.locator_internal_nodes);
-  AppendU64(out, s.locator_segments);
-  AppendU64(out, s.locator_epsilon);
   AppendU64(out, s.locator_hits);
   AppendU64(out, s.locator_fallbacks);
   AppendU64(out, s.locator_stale);
-  AppendU64(out, s.locator_seek_misses);
   AppendU64(out, s.locator_rebuilds);
   AppendU64(out, s.planner_planned_range);
   AppendU64(out, s.planner_planned_knn);
   AppendU64(out, s.planner_routed_greedy);
   AppendU64(out, s.planner_routed_incremental);
   AppendU64(out, s.planner_cutoff_disabled);
-  AppendF64(out, s.planner_calibration);
-  AppendF64(out, s.planner_drift);
 }
 
 bool ReadStatsScalars(Cursor* c, StatsSnapshot* s) {
@@ -216,23 +210,17 @@ bool ReadStatsScalars(Cursor* c, StatsSnapshot* s) {
   if (!ok) return false;
   if (!c->ReadU8(&b)) return false;
   s->locator_model_present = (b != 0);
-  if (!c->ReadU8(&b)) return false;
-  s->locator_pla_ok = (b != 0);
   return c->ReadU64(&s->locator_epoch) && c->ReadU64(&s->locator_leaves) &&
          c->ReadU64(&s->locator_internal_nodes) &&
-         c->ReadU64(&s->locator_segments) &&
-         c->ReadU64(&s->locator_epsilon) && c->ReadU64(&s->locator_hits) &&
+         c->ReadU64(&s->locator_hits) &&
          c->ReadU64(&s->locator_fallbacks) &&
          c->ReadU64(&s->locator_stale) &&
-         c->ReadU64(&s->locator_seek_misses) &&
          c->ReadU64(&s->locator_rebuilds) &&
          c->ReadU64(&s->planner_planned_range) &&
          c->ReadU64(&s->planner_planned_knn) &&
          c->ReadU64(&s->planner_routed_greedy) &&
          c->ReadU64(&s->planner_routed_incremental) &&
-         c->ReadU64(&s->planner_cutoff_disabled) &&
-         c->ReadF64(&s->planner_calibration) &&
-         c->ReadF64(&s->planner_drift);
+         c->ReadU64(&s->planner_cutoff_disabled);
 }
 
 }  // namespace

@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <filesystem>
 #include <thread>
 #include <vector>
 
@@ -315,11 +316,20 @@ class SpbConcurrencyTest : public ::testing::Test {
     // summed concurrent totals must equal the serial totals exactly.
     opts.btree_cache_pages = 0;
     opts.raf_cache_pages = 0;
+    // Disk-backed: only a tree with files gets a readahead fetcher, so the
+    // concurrent queries below run real readahead sessions.
+    std::filesystem::remove_all(dir_);
+    opts.storage_dir = dir_;
     ASSERT_TRUE(
         SpbTree::Build(ds_.objects, ds_.metric.get(), opts, &tree_).ok());
     const double d_plus = ds_.metric->max_distance();
     radius_ = 0.08 * d_plus;
     for (size_t i = 0; i < 24; ++i) queries_.push_back(ds_.objects[i]);
+  }
+
+  void TearDown() override {
+    tree_.reset();
+    std::filesystem::remove_all(dir_);
   }
 
   QueryStats SerialRange(std::vector<std::vector<ObjectId>>* results) {
@@ -342,6 +352,9 @@ class SpbConcurrencyTest : public ::testing::Test {
     return tree_->cumulative_stats();
   }
 
+  const std::string dir_ =
+      (std::filesystem::temp_directory_path() / "spb_concurrency_test")
+          .string();
   Dataset ds_;
   std::unique_ptr<SpbTree> tree_;
   std::vector<Blob> queries_;
@@ -445,13 +458,16 @@ TEST_F(SpbConcurrencyTest, PrefetchOnOffIdenticalResultsAndLogicalPa) {
   const QueryStats range_off_totals = SerialRange(&range_off);
   std::vector<std::vector<Neighbor>> knn_off;
   const QueryStats knn_off_totals = SerialKnn(kK, &knn_off);
+  EXPECT_EQ(tree_->CollectStats().prefetch_issued, 0u);
 
   tn.enable_prefetch = true;
   ASSERT_TRUE(tree_->ApplyTuning(tn).ok());
   std::vector<std::vector<ObjectId>> range_on;
   const QueryStats range_on_totals = SerialRange(&range_on);
+  EXPECT_GT(tree_->CollectStats().prefetch_issued, 0u);
   std::vector<std::vector<Neighbor>> knn_on;
   const QueryStats knn_on_totals = SerialKnn(kK, &knn_on);
+  EXPECT_GT(tree_->CollectStats().prefetch_issued, 0u);
 
   EXPECT_EQ(range_on, range_off);
   EXPECT_EQ(knn_on, knn_off);
@@ -482,6 +498,7 @@ TEST_F(SpbConcurrencyTest, PrefetchOnOffIdenticalResultsAndLogicalPa) {
   EXPECT_EQ(concurrent, range_off);
   EXPECT_EQ(tree_->cumulative_stats().page_accesses,
             range_off_totals.page_accesses);
+  EXPECT_GT(tree_->CollectStats().prefetch_issued, 0u);
 }
 
 // ---------------------------------------------------------- QueryExecutor

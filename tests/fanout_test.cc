@@ -1,16 +1,15 @@
 // PR 8 concurrency tests: TaskArena scheduling (including the pool-size-1
-// nested fan-out deadlock regression and the mutex-fallback claim batching),
-// the SnapshotManager mutex-free Acquire/Release fast path (zero
-// "snapshot.admin" acquires under pure reader churn, asserted through the
-// contention registry), snapshot churn vs publish/retire (the TSan stress
-// target — tools/check.sh --fanout runs this binary under ThreadSanitizer
-// and AddressSanitizer), parallel-scatter identity against the serial path
-// across S x T, and unit checks for StripedU64 / InstrumentedMutex.
+// nested fan-out deadlock regression), the SnapshotManager mutex-free
+// Acquire/Release fast path (zero "snapshot.admin" acquires under pure
+// reader churn, asserted through the contention registry), snapshot churn
+// vs publish/retire (the TSan stress target — tools/check.sh --fanout runs
+// this binary under ThreadSanitizer and AddressSanitizer), parallel-scatter
+// identity against the serial path across S x T, and unit checks for
+// StripedU64 / InstrumentedMutex.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
-#include <cstdlib>
 #include <set>
 #include <thread>
 #include <vector>
@@ -97,30 +96,6 @@ TEST(TaskArenaTest, DeepNestedFanoutAcrossPoolSizes) {
     arena.RunGroup(4, outer, /*help=*/false);
     EXPECT_EQ(leaf_runs.load(), 64) << "threads=" << threads;
   }
-}
-
-TEST(TaskArenaTest, MutexFallbackBatchesTicketClaims) {
-  ::setenv("SPB_ARENA_MUTEX", "1", 1);
-  {
-    TaskArena arena(4);
-    ASSERT_TRUE(arena.mutex_fallback());
-    std::atomic<int> runs{0};
-    const std::function<void(size_t)> fn = [&](size_t) {
-      runs.fetch_add(1, std::memory_order_relaxed);
-    };
-    for (int round = 0; round < 32; ++round) {
-      arena.RunGroup(16, fn, /*help=*/false);
-    }
-    EXPECT_EQ(runs.load(), 32 * 16);
-    const ArenaQueueStats qs = arena.queue_stats();
-    EXPECT_GT(qs.fallback_lock_claims, 0u);
-    // The whole point of the claim batch: strictly fewer lock grabs than
-    // tickets claimed on average (up to kClaimBatch per grab).
-    EXPECT_GE(qs.fallback_tickets_claimed, qs.fallback_lock_claims);
-    EXPECT_LE(qs.fallback_tickets_claimed,
-              qs.fallback_lock_claims * TaskArena::kClaimBatch);
-  }
-  ::unsetenv("SPB_ARENA_MUTEX");
 }
 
 // ----------------------------------------------- SnapshotManager fast path

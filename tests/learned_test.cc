@@ -4,21 +4,25 @@
 // against the classic descent (results AND compdists, with strictly fewer
 // B+-tree node touches), stale-model fallback under COW churn (flat and
 // S=4 sharded), planner routing identity (planner-on results equal both
-// static traversals; compdists equal one of them), and planner-EMA
-// persistence across Save/Open. tools/check.sh also runs this binary under
-// ThreadSanitizer and AddressSanitizer (--learned stage).
+// static traversals; compdists equal one of them), and reopening an index
+// whose meta file still carries the retired planner-calibration field.
+// tools/check.sh also runs this binary under ThreadSanitizer and
+// AddressSanitizer (--learned stage).
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cmath>
 #include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <random>
 #include <vector>
 
 #include "bptree/leaf_model.h"
+#include "common/coding.h"
 #include "core/sharded_spb_tree.h"
 #include "core/spb_tree.h"
 #include "data/datasets.h"
+#include "storage/page.h"
 
 namespace spb {
 namespace {
@@ -37,75 +41,60 @@ SpbTreeOptions BaseOptions() {
   return opts;
 }
 
-SpbTreeOptions LocatorOptions(size_t epsilon = 16) {
+SpbTreeOptions LocatorOptions() {
   SpbTreeOptions opts = BaseOptions();
   opts.enable_learned_locator = true;
-  opts.locator_epsilon = epsilon;
   return opts;
 }
 
 // ---------------------------------------------------------------------------
-// LeafModel property tests: the rank SeekRank returns must equal the
-// lower_bound over the directory's max keys for *any* key, at any ε —
-// including ε=0, where the PLA window is smallest and misses (full binary
-// search fallback) are most likely. Exactness must hold either way.
-TEST(LeafModelTest, SeekRankIsExactForAnyKeyAtAnyEpsilon) {
+// LeafModel property test: the rank SeekRank returns must equal the
+// lower_bound over the directory's max keys for *any* key.
+TEST(LeafModelTest, SeekRankIsExactForAnyKey) {
   Dataset ds = MakeSynthetic(3000, 41);
-  for (size_t epsilon : {size_t{0}, size_t{4}, size_t{64}}) {
-    SpbTreeOptions opts = LocatorOptions(epsilon);
-    std::unique_ptr<SpbTree> tree;
-    ASSERT_TRUE(SpbTree::Build(ds.objects, ds.metric.get(), opts, &tree).ok());
-    const Snapshot snap = tree->AcquireSnapshot();
-    const std::shared_ptr<const LeafModel> model =
-        tree->LocatorForSnapshot(snap);
-    ASSERT_NE(model, nullptr) << "eps=" << epsilon;
-    EXPECT_EQ(model->epsilon(), epsilon);
-    EXPECT_EQ(model->epoch(), snap.epoch());
-    ASSERT_GT(model->num_leaves(), 1u);
+  std::unique_ptr<SpbTree> tree;
+  ASSERT_TRUE(
+      SpbTree::Build(ds.objects, ds.metric.get(), LocatorOptions(), &tree)
+          .ok());
+  const Snapshot snap = tree->AcquireSnapshot();
+  const std::shared_ptr<const LeafModel> model = tree->LocatorForSnapshot(snap);
+  ASSERT_NE(model, nullptr);
+  EXPECT_EQ(model->epoch(), snap.epoch());
+  ASSERT_GT(model->num_leaves(), 1u);
 
-    // Directory invariants: per-leaf min <= max, max keys nondecreasing.
-    std::vector<uint64_t> max_keys;
-    for (size_t i = 0; i < model->num_leaves(); ++i) {
-      EXPECT_LE(model->min_key(i), model->max_key(i));
-      if (i > 0) {
-        EXPECT_GE(model->max_key(i), model->max_key(i - 1));
-      }
-      max_keys.push_back(model->max_key(i));
+  // Directory invariants: per-leaf min <= max, max keys nondecreasing.
+  std::vector<uint64_t> max_keys;
+  for (size_t i = 0; i < model->num_leaves(); ++i) {
+    EXPECT_LE(model->min_key(i), model->max_key(i));
+    if (i > 0) {
+      EXPECT_GE(model->max_key(i), model->max_key(i - 1));
     }
-
-    auto truth = [&](uint64_t key) {
-      return size_t(std::lower_bound(max_keys.begin(), max_keys.end(), key) -
-                    max_keys.begin());
-    };
-
-    // Every directory boundary key, its neighbours, and a swept range of
-    // arbitrary keys (uniform over the key range plus far beyond it).
-    size_t pla_misses = 0;
-    auto check = [&](uint64_t key) {
-      bool miss = false;
-      EXPECT_EQ(model->SeekRank(key, &miss), truth(key))
-          << "eps=" << epsilon << " key=" << key;
-      if (miss) ++pla_misses;
-    };
-    for (size_t i = 0; i < model->num_leaves(); ++i) {
-      check(model->min_key(i));
-      check(model->max_key(i));
-      if (model->max_key(i) > 0) check(model->max_key(i) - 1);
-      check(model->max_key(i) + 1);
-    }
-    std::mt19937_64 rng(123);
-    const uint64_t top = max_keys.back();
-    for (int i = 0; i < 2000; ++i) {
-      check(rng() % (top + top / 2 + 1));
-    }
-    check(top + 1);  // past every leaf: rank == num_leaves()
-    EXPECT_EQ(model->SeekRank(top + 1), model->num_leaves());
-    // A PLA miss is legal (it degrades to binary search, verified exact
-    // above); with ε=64 on this tree the cone should hold everywhere.
-    if (epsilon == 64 && model->pla_ok()) {
-      EXPECT_EQ(pla_misses, 0u);
-    }
+    max_keys.push_back(model->max_key(i));
   }
+
+  auto truth = [&](uint64_t key) {
+    return size_t(std::lower_bound(max_keys.begin(), max_keys.end(), key) -
+                  max_keys.begin());
+  };
+
+  // Every directory boundary key, its neighbours, and a swept range of
+  // arbitrary keys (uniform over the key range plus far beyond it).
+  auto check = [&](uint64_t key) {
+    EXPECT_EQ(model->SeekRank(key), truth(key)) << "key=" << key;
+  };
+  for (size_t i = 0; i < model->num_leaves(); ++i) {
+    check(model->min_key(i));
+    check(model->max_key(i));
+    if (model->max_key(i) > 0) check(model->max_key(i) - 1);
+    check(model->max_key(i) + 1);
+  }
+  std::mt19937_64 rng(123);
+  const uint64_t top = max_keys.back();
+  for (int i = 0; i < 2000; ++i) {
+    check(rng() % (top + top / 2 + 1));
+  }
+  // Past every leaf: rank == num_leaves().
+  EXPECT_EQ(model->SeekRank(top + 1), model->num_leaves());
 }
 
 // ---------------------------------------------------------------------------
@@ -318,10 +307,6 @@ TEST(PlannerTest, RoutedKnnMatchesOneOfTheStaticConfigs) {
   const StatsSnapshot ps = planned->CollectStats();
   EXPECT_EQ(ps.planner_planned_knn, 50u);
   EXPECT_EQ(ps.planner_routed_greedy + ps.planner_routed_incremental, ps.planner_planned_knn);
-  // Feedback ran: the EMA moved off its 1.0 prior (any workload this size
-  // has nonzero prediction error) and drift stays |log(calibration)|.
-  EXPECT_NE(ps.planner_calibration, 1.0);
-  EXPECT_NEAR(ps.planner_drift, std::abs(std::log(ps.planner_calibration)), 1e-12);
 }
 
 // Planner-on range queries return the classic results (the planner only
@@ -348,49 +333,98 @@ TEST(PlannerTest, PlannedRangeQueriesMatchClassicResults) {
 }
 
 // ---------------------------------------------------------------------------
-// The planner's calibration EMA survives Save/Open (persisted in meta);
-// pre-existing behaviour — tuning toggles — rebuild/drop the model live.
-TEST(PlannerTest, CalibrationEmaSurvivesSaveOpen) {
+// Meta files written while the planner persisted its calibration EMA end in
+// one more F64. Open must ignore it: an index carrying that trailing field
+// answers every query with the same results, PA and compdists as the same
+// index without it.
+TEST(LegacyMetaTest, TrailingCalibrationFieldIsIgnoredOnOpen) {
   const std::string dir =
-      (fs::temp_directory_path() / "spb_learned_test").string();
+      (fs::temp_directory_path() / "spb_learned_meta").string();
+  const std::string old_dir =
+      (fs::temp_directory_path() / "spb_learned_meta_old").string();
   fs::remove_all(dir);
+  fs::remove_all(old_dir);
   Dataset ds = MakeSynthetic(800, 13);
   SpbTreeOptions opts = LocatorOptions();
   opts.enable_planner = true;
   opts.storage_dir = dir;
-  std::unique_ptr<SpbTree> tree;
-  ASSERT_TRUE(SpbTree::Build(ds.objects, ds.metric.get(), opts, &tree).ok());
-  std::vector<Neighbor> nn;
-  std::vector<ObjectId> ids;
-  for (size_t qi = 0; qi < 15; ++qi) {
-    ASSERT_TRUE(tree->KnnQuery(ds.objects[qi], 5, &nn).ok());
-    ASSERT_TRUE(tree->RangeQuery(ds.objects[qi], 0.2, &ids).ok());
+  {
+    std::unique_ptr<SpbTree> tree;
+    ASSERT_TRUE(SpbTree::Build(ds.objects, ds.metric.get(), opts, &tree).ok());
+    ASSERT_TRUE(tree->Save().ok());
   }
-  const double ema = tree->CollectStats().planner_calibration;
-  EXPECT_NE(ema, 1.0);
-  ASSERT_TRUE(tree->Save().ok());
-  tree.reset();
+  fs::copy(dir, old_dir, fs::copy_options::recursive);
 
-  std::unique_ptr<SpbTree> reopened;
-  ASSERT_TRUE(SpbTree::Open(dir, ds.metric.get(), opts, &reopened).ok());
-  EXPECT_DOUBLE_EQ(reopened->CollectStats().planner_calibration, ema);
-  // Open rebuilt the locator for the restored version.
-  EXPECT_TRUE(reopened->CollectStats().locator_model_present);
-  ASSERT_TRUE(reopened->RangeQuery(ds.objects[0], 0.0, &ids).ok());
-  EXPECT_TRUE(std::find(ids.begin(), ids.end(), ObjectId(0)) != ids.end());
+  // Append one F64 to the meta payload and bump the length word at page 0,
+  // offset 8 (the payload starts at page 1).
+  const std::string meta = old_dir + "/meta.spb";
+  std::vector<uint8_t> bytes;
+  {
+    std::ifstream in(meta, std::ios::binary);
+    bytes.assign(std::istreambuf_iterator<char>(in),
+                 std::istreambuf_iterator<char>());
+  }
+  ASSERT_GE(bytes.size(), 2 * kPageSize);
+  const uint64_t len = DecodeFixed64(bytes.data() + 8);
+  const size_t end = kPageSize + len;
+  bytes.resize(std::max(bytes.size(),
+                        (end + 8 + kPageSize - 1) / kPageSize * kPageSize));
+  EncodeDouble(bytes.data() + end, 1.94e4);
+  EncodeFixed64(bytes.data() + 8, len + 8);
+  {
+    std::ofstream out(meta, std::ios::binary | std::ios::trunc);
+    out.write(reinterpret_cast<const char*>(bytes.data()),
+              std::streamsize(bytes.size()));
+    ASSERT_TRUE(out.good());
+  }
+
+  std::unique_ptr<SpbTree> fresh, old;
+  ASSERT_TRUE(SpbTree::Open(dir, ds.metric.get(), opts, &fresh).ok());
+  ASSERT_TRUE(SpbTree::Open(old_dir, ds.metric.get(), opts, &old).ok());
+  EXPECT_TRUE(old->CollectStats().locator_model_present);
+  EXPECT_TRUE(old->CheckIntegrity().ok());
+  for (size_t qi = 0; qi < 15; ++qi) {
+    const Blob& q = ds.objects[(qi * 53) % ds.objects.size()];
+    for (double r : {0.0, 0.2}) {
+      std::vector<ObjectId> a, b;
+      QueryStats sa, sb;
+      fresh->FlushCaches();
+      old->FlushCaches();
+      ASSERT_TRUE(fresh->RangeQuery(q, r, &a, &sa).ok());
+      ASSERT_TRUE(old->RangeQuery(q, r, &b, &sb).ok());
+      EXPECT_EQ(a, b) << "qi=" << qi << " r=" << r;
+      EXPECT_EQ(sa.page_accesses, sb.page_accesses) << "qi=" << qi;
+      EXPECT_EQ(sa.distance_computations, sb.distance_computations)
+          << "qi=" << qi;
+    }
+    for (KnnTraversal t : {KnnTraversal::kIncremental, KnnTraversal::kGreedy}) {
+      std::vector<Neighbor> a, b;
+      QueryStats sa, sb;
+      fresh->FlushCaches();
+      old->FlushCaches();
+      ASSERT_TRUE(fresh->KnnQuery(q, 5, &a, &sa, t).ok());
+      ASSERT_TRUE(old->KnnQuery(q, 5, &b, &sb, t).ok());
+      EXPECT_EQ(a, b) << "qi=" << qi;
+      EXPECT_EQ(sa.page_accesses, sb.page_accesses) << "qi=" << qi;
+      EXPECT_EQ(sa.distance_computations, sb.distance_computations)
+          << "qi=" << qi;
+    }
+  }
+  fresh.reset();
+  old.reset();
   fs::remove_all(dir);
+  fs::remove_all(old_dir);
 }
 
 // ApplyTuning toggles the locator live: off drops the model (queries fall
-// back), on re-trains it at the requested ε.
+// back), on re-trains it.
 TEST(LocatorTuningTest, ToggleDropsAndRetrainsModel) {
   Dataset ds = MakeSynthetic(600, 83);
   std::unique_ptr<SpbTree> tree;
   ASSERT_TRUE(
-      SpbTree::Build(ds.objects, ds.metric.get(), LocatorOptions(8), &tree)
+      SpbTree::Build(ds.objects, ds.metric.get(), LocatorOptions(), &tree)
           .ok());
   EXPECT_TRUE(tree->CollectStats().locator_model_present);
-  EXPECT_EQ(tree->CollectStats().locator_epsilon, 8u);
 
   TuningOptions t = tree->tuning();
   EXPECT_TRUE(t.enable_learned_locator);
@@ -402,11 +436,8 @@ TEST(LocatorTuningTest, ToggleDropsAndRetrainsModel) {
   EXPECT_TRUE(std::find(ids.begin(), ids.end(), ObjectId(1)) != ids.end());
 
   t.enable_learned_locator = true;
-  t.locator_epsilon = 2;
   ASSERT_TRUE(tree->ApplyTuning(t).ok());
-  const StatsSnapshot back = tree->CollectStats();
-  EXPECT_TRUE(back.locator_model_present);
-  EXPECT_EQ(back.locator_epsilon, 2u);
+  EXPECT_TRUE(tree->CollectStats().locator_model_present);
   ASSERT_TRUE(tree->RangeQuery(ds.objects[1], 0.0, &ids).ok());
   EXPECT_TRUE(std::find(ids.begin(), ids.end(), ObjectId(1)) != ids.end());
 }

@@ -23,6 +23,7 @@
 #include <thread>
 #include <vector>
 
+#include "core/sharded_spb_tree.h"
 #include "core/spb_tree.h"
 #include "data/datasets.h"
 #include "exec/query_executor.h"
@@ -87,7 +88,7 @@ TEST(ProtocolTest, StatsSnapshotRoundTripsWithShards) {
   s.num_objects = 1234;
   s.num_shards = 2;
   s.page_accesses = 9;
-  s.planner_calibration = 1.5;
+  s.planner_routed_greedy = 5;
   s.locator_model_present = true;
   s.shards.resize(2);
   s.shards[0].name = "shard0";
@@ -102,6 +103,8 @@ TEST(ProtocolTest, StatsSnapshotRoundTripsWithShards) {
   net::EncodeStatsPayload(got, &again);
   EXPECT_EQ(buf, again);
   EXPECT_EQ(got.name, s.name);
+  EXPECT_EQ(got.planner_routed_greedy, 5u);
+  EXPECT_TRUE(got.locator_model_present);
   EXPECT_EQ(got.shards.size(), 2u);
   EXPECT_EQ(got.shards[0].wal_fsyncs, 3u);
   EXPECT_EQ(got.shards[1].dead_bytes, 77u);
@@ -156,10 +159,11 @@ TEST(ProtocolTest, LyingElementCountsAreCorruptionNotBadAlloc) {
   {  // stats payload: trailing u32 shard count
     std::vector<uint8_t> buf;
     net::EncodeStatsPayload(StatsSnapshot{}, &buf);
-    // The decoder bounds shard_count by remaining/330 (kMinStatsScalars in
-    // protocol.cc). That constant must stay a LOWER bound on the encoded
-    // scalar section; if this fails, a field was removed — shrink it.
-    EXPECT_GE(buf.size() - 4, 330u);
+    // The decoder bounds shard_count by remaining/289 (kMinStatsScalars in
+    // protocol.cc): exactly the encoded scalar section of an empty-name
+    // snapshot. A larger bound would reject valid multi-shard replies; if
+    // this fails, a field was added or removed — update both.
+    EXPECT_EQ(buf.size() - 4, 289u);
     lie(&buf, buf.size() - 4);
     StatsSnapshot got;
     EXPECT_EQ(net::DecodeStatsPayload(buf.data(), buf.size(), &got).code(),
@@ -425,6 +429,37 @@ TEST_F(NetServerTest, WireResultsAndCostsAreByteIdenticalToInProcess) {
   // snapshots match except planner drift of the in-flight STATS op itself
   // (none here: stats collection does no queries).
   EXPECT_EQ(ws, ls);
+}
+
+// A STATS reply with a per-shard drill-down is larger than any bound the
+// decoder puts on its shard count: it must round-trip over loopback, byte
+// for byte, as the snapshot CollectStats() returns in process.
+TEST_F(NetServerTest, ShardedStatsReplyRoundTrips) {
+  SpbTreeOptions opts = BaseOptions();
+  opts.num_shards = 4;
+  std::unique_ptr<ShardedSpbTree> sharded;
+  ASSERT_TRUE(
+      ShardedSpbTree::Build(ds_.objects, ds_.metric.get(), opts, &sharded)
+          .ok());
+  QueryExecutor exec(sharded.get(), 2);
+  Server server(&exec, ServerOptions{});
+  ASSERT_TRUE(server.Start().ok());
+  Client client;
+  ASSERT_TRUE(client.Connect("127.0.0.1", server.port()).ok());
+  std::vector<ObjectId> ids;
+  ASSERT_TRUE(client.Range(ds_.objects[5], 0.3, &ids).ok());
+  std::vector<Neighbor> nn;
+  ASSERT_TRUE(client.Knn(ds_.objects[6], 5, &nn).ok());
+
+  StatsSnapshot wire;
+  ASSERT_TRUE(client.CollectStats(&wire).ok());
+  EXPECT_EQ(wire.num_shards, 4u);
+  ASSERT_EQ(wire.shards.size(), 4u);
+  std::vector<uint8_t> ws, ls;
+  net::EncodeStatsPayload(wire, &ws);
+  net::EncodeStatsPayload(sharded->CollectStats(), &ls);
+  EXPECT_EQ(ws, ls);
+  server.Stop();
 }
 
 // ------------------------------------------------------------ op surface

@@ -14,6 +14,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <filesystem>
 #include <set>
 #include <thread>
 #include <vector>
@@ -197,6 +198,65 @@ class SpbInterleavedTest : public ::testing::Test {
     return out;
   }
 
+  void TearDown() override {
+    tree_.reset();
+    std::filesystem::remove_all(dir_);
+  }
+
+  // Four readers loop over the query set while one writer inserts every
+  // far object; each reader's results must equal the quiesced run.
+  void CheckFarInsertsLeaveConcurrentQueriesUnchanged() {
+    const std::vector<std::set<ObjectId>> want = QuiescedRange();
+
+    constexpr size_t kReaders = 4;
+    constexpr size_t kMinChecksPerReader = 50;
+    std::atomic<bool> writer_done{false};
+    std::atomic<size_t> readers_started{0};
+    std::atomic<size_t> checked{0};
+    // The writer waits for every reader's first query so the insert sequence
+    // provably overlaps live traversals.
+    std::thread writer([&] {
+      while (readers_started.load() < kReaders) std::this_thread::yield();
+      for (size_t i = 0; i < far_.size(); ++i) {
+        Status s = tree_->Insert(far_[i], ObjectId(10000 + i));
+        ASSERT_TRUE(s.ok()) << s.ToString();
+      }
+      writer_done.store(true);
+    });
+
+    std::vector<std::thread> readers;
+    for (size_t t = 0; t < kReaders; ++t) {
+      readers.emplace_back([&, t] {
+        Rng rng(7 + t);
+        std::vector<ObjectId> ids;
+        for (size_t iter = 0;
+             iter < kMinChecksPerReader || !writer_done.load(); ++iter) {
+          const size_t i = rng.Uniform(queries_.size());
+          ASSERT_TRUE(tree_->RangeQuery(queries_[i], kRadius, &ids).ok());
+          // Far inserts carry ids >= 10000; none may ever appear.
+          EXPECT_EQ(std::set<ObjectId>(ids.begin(), ids.end()), want[i]);
+          checked.fetch_add(1);
+          if (iter == 0) readers_started.fetch_add(1);
+        }
+      });
+    }
+    writer.join();
+    for (auto& t : readers) t.join();
+
+    EXPECT_GE(checked.load(), kReaders * kMinChecksPerReader);
+    EXPECT_EQ(tree_->size(), 1200u + far_.size());
+    EXPECT_TRUE(tree_->CheckIntegrity().ok());
+    // All transient epochs drained with the last query; only the current
+    // version stays pinned (by the manager itself).
+    EXPECT_EQ(tree_->snapshots().live_epochs(), 1u);
+    EXPECT_EQ(tree_->snapshots().pending_retirements(), 0u);
+    // Quiesced results are unchanged too (the far objects are out of range).
+    EXPECT_EQ(QuiescedRange(), want);
+  }
+
+  const std::string dir_ =
+      (std::filesystem::temp_directory_path() / "spb_interleaved_test")
+          .string();
   Dataset ds_;
   std::unique_ptr<SpbTree> tree_;
   std::vector<Blob> queries_;
@@ -206,52 +266,23 @@ class SpbInterleavedTest : public ::testing::Test {
 // The identity test: inserts outside every query ball must leave every
 // concurrently running query's result byte-identical to the quiesced run.
 TEST_F(SpbInterleavedTest, FarInsertsLeaveConcurrentQueriesUnchanged) {
-  const std::vector<std::set<ObjectId>> want = QuiescedRange();
+  CheckFarInsertsLeaveConcurrentQueriesUnchanged();
+}
 
-  constexpr size_t kReaders = 4;
-  constexpr size_t kMinChecksPerReader = 50;
-  std::atomic<bool> writer_done{false};
-  std::atomic<size_t> readers_started{0};
-  std::atomic<size_t> checked{0};
-  // The writer waits for every reader's first query so the insert sequence
-  // provably overlaps live traversals.
-  std::thread writer([&] {
-    while (readers_started.load() < kReaders) std::this_thread::yield();
-    for (size_t i = 0; i < far_.size(); ++i) {
-      Status s = tree_->Insert(far_[i], ObjectId(10000 + i));
-      ASSERT_TRUE(s.ok()) << s.ToString();
-    }
-    writer_done.store(true);
-  });
-
-  std::vector<std::thread> readers;
-  for (size_t t = 0; t < kReaders; ++t) {
-    readers.emplace_back([&, t] {
-      Rng rng(7 + t);
-      std::vector<ObjectId> ids;
-      for (size_t iter = 0;
-           iter < kMinChecksPerReader || !writer_done.load(); ++iter) {
-        const size_t i = rng.Uniform(queries_.size());
-        ASSERT_TRUE(tree_->RangeQuery(queries_[i], kRadius, &ids).ok());
-        // Far inserts carry ids >= 10000; none may ever appear.
-        EXPECT_EQ(std::set<ObjectId>(ids.begin(), ids.end()), want[i]);
-        checked.fetch_add(1);
-        if (iter == 0) readers_started.fetch_add(1);
-      }
-    });
-  }
-  writer.join();
-  for (auto& t : readers) t.join();
-
-  EXPECT_GE(checked.load(), kReaders * kMinChecksPerReader);
-  EXPECT_EQ(tree_->size(), 1200u + far_.size());
-  EXPECT_TRUE(tree_->CheckIntegrity().ok());
-  // All transient epochs drained with the last query; only the current
-  // version stays pinned (by the manager itself).
-  EXPECT_EQ(tree_->snapshots().live_epochs(), 1u);
-  EXPECT_EQ(tree_->snapshots().pending_retirements(), 0u);
-  // Quiesced results are unchanged too (the far objects are out of range).
-  EXPECT_EQ(QuiescedRange(), want);
+// The same on a disk-backed tree with a 1-page RAF pool, so queries stage
+// their RAF pages through readahead sessions while the writer appends to
+// the RAF's dirty tail page: reads of that page must come from the tail
+// buffer, never from a staged copy claimed before the append.
+TEST_F(SpbInterleavedTest, FarInsertsLeaveConcurrentDiskQueriesUnchanged) {
+  SpbTreeOptions opts;
+  opts.raf_cache_pages = 1;
+  opts.storage_dir = dir_;
+  std::filesystem::remove_all(dir_);
+  tree_.reset();
+  ASSERT_TRUE(
+      SpbTree::Build(ds_.objects, ds_.metric.get(), opts, &tree_).ok());
+  CheckFarInsertsLeaveConcurrentQueriesUnchanged();
+  EXPECT_GT(tree_->CollectStats().prefetch_issued, 0u);
 }
 
 // In-ball inserts: each concurrent query must observe exactly some published

@@ -18,7 +18,8 @@
 #   tools/check.sh --asan     # only the ASan/UBSan kernel, bulk-load and
 #                             # concurrency stage
 #   tools/check.sh --iouring  # only the io_uring configure/build check
-#   tools/check.sh --warmab   # only the warm A/B identity sweep (ASan+TSan)
+#   tools/check.sh --warmab   # only the prefetch + warm A/B identity sweeps
+#                             # (ASan+TSan)
 #   tools/check.sh --updates  # only the update-engine stage (TSan+ASan)
 #   tools/check.sh --sharded  # only the sharded-tree stage (TSan+ASan)
 #   tools/check.sh --wal      # only the write-path engine stage (TSan+ASan)
@@ -76,21 +77,22 @@ run_asan() {
 }
 
 run_warmab() {
-  # The warm-path decode engine's A/B identity sweep (bench_concurrency
-  # aborts if the node cache or zero-copy reads change results, logical PA,
-  # cache_hits or compdists), run at a small scale under both ASan (pin
-  # lifetimes: a BlobView must keep evicted frames alive) and TSan (node
-  # cache sharding + pin hand-off under the concurrent executor).
-  echo "==> warmab: decode-engine A/B identity sweep under ASan"
+  # The read path's A/B identity sweeps (bench_concurrency --warmab-only
+  # aborts if prefetch on a disk-backed tree, the node cache or zero-copy
+  # reads change results, logical PA, cache_hits or compdists), run at a
+  # small scale under both ASan (pin lifetimes: a BlobView must keep evicted
+  # frames alive; staged readahead runs) and TSan (node cache sharding, pin
+  # hand-off, background span reads racing staged-page claims).
+  echo "==> warmab: prefetch + decode-engine A/B identity sweeps under ASan"
   cmake -B build-asan -S . -DSPB_SANITIZE=address >/dev/null
   cmake --build build-asan -j "${JOBS}" --target bench_concurrency \
     node_cache_test
   ./build-asan/tests/node_cache_test
-  (cd build-asan && ./bench/bench_concurrency --scale=3000 --queries=48)
-  echo "==> warmab: decode-engine A/B identity sweep under TSan"
+  (cd build-asan && ./bench/bench_concurrency --warmab-only --scale=3000 --queries=48)
+  echo "==> warmab: prefetch + decode-engine A/B identity sweeps under TSan"
   cmake -B build-tsan -S . -DSPB_SANITIZE=thread >/dev/null
   cmake --build build-tsan -j "${JOBS}" --target bench_concurrency
-  (cd build-tsan && ./bench/bench_concurrency --scale=3000 --queries=48)
+  (cd build-tsan && ./bench/bench_concurrency --warmab-only --scale=3000 --queries=48)
 }
 
 run_updates() {
@@ -169,11 +171,11 @@ run_fanout() {
 
 run_learned() {
   # The learned-layer stage: leaf-locator property tests (SeekRank exactness
-  # at any epsilon, COW-churn invalidation and threshold rebuild) and the
+  # for any key, COW-churn invalidation and threshold rebuild) and the
   # planner identity tests, plus the bench's 2x2 locator x planner identity
   # sweep. TSan covers the model swap under MaybeRefreshLocatorLocked racing
   # readers that hold the previous shared_ptr, and the planner's cost_mu_
-  # feedback path racing concurrent queries; ASan covers the borrowed
+  # arm-cost updates racing concurrent queries; ASan covers the borrowed
   # internal-node image lifetimes (NodeHandle::SetBorrowed must never
   # outlive the model that owns the DecodedNode).
   echo "==> learned: locator/planner tests under TSan"

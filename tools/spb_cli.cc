@@ -257,20 +257,16 @@ void PrintSnapshotScalars(const StatsSnapshot& s, const char* indent) {
   if (s.locator_model_present || s.locator_hits > 0 ||
       s.locator_fallbacks > 0) {
     std::printf(
-        "%slocator: %s, %llu leaves / %llu segments (eps=%llu, pla_ok=%d), "
-        "%llu internal nodes imaged\n",
+        "%slocator: %s, %llu leaves, %llu internal nodes imaged\n",
         indent, s.locator_model_present ? "model present" : "no model",
         (unsigned long long)s.locator_leaves,
-        (unsigned long long)s.locator_segments,
-        (unsigned long long)s.locator_epsilon, int(s.locator_pla_ok),
         (unsigned long long)s.locator_internal_nodes);
     std::printf(
         "%slocator counters: %llu hits, %llu fallbacks, %llu stale, "
-        "%llu seek misses, %llu rebuilds\n",
+        "%llu rebuilds\n",
         indent, (unsigned long long)s.locator_hits,
         (unsigned long long)s.locator_fallbacks,
         (unsigned long long)s.locator_stale,
-        (unsigned long long)s.locator_seek_misses,
         (unsigned long long)s.locator_rebuilds);
   }
   if (s.planner_planned_range > 0 || s.planner_planned_knn > 0) {
@@ -282,8 +278,6 @@ void PrintSnapshotScalars(const StatsSnapshot& s, const char* indent) {
         (unsigned long long)s.planner_routed_greedy,
         (unsigned long long)s.planner_routed_incremental,
         (unsigned long long)s.planner_cutoff_disabled);
-    std::printf("%splanner calibration: %.4f (drift %.4f)\n", indent,
-                s.planner_calibration, s.planner_drift);
   }
 }
 
