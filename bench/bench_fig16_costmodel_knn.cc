@@ -38,7 +38,11 @@ void Run(const BenchConfig& config) {
         est_pa += est.page_accesses;
         tree->FlushCaches();
         QueryStats stats;
-        if (!tree->KnnQuery(q, k, &result, &stats).ok()) std::abort();
+        if (!tree->KnnQuery(q, k, &result, &stats,
+                            KnnTraversal::kIncremental)
+                 .ok()) {
+          std::abort();
+        }
         actual.Accumulate(stats);
       }
       actual.Finish(queries.size());

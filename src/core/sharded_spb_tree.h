@@ -160,11 +160,11 @@ class ShardedSpbTree : public MetricIndex {
   /// truncated to k.
   Status KnnQuery(const Blob& q, size_t k, std::vector<Neighbor>* result,
                   QueryStats* stats, KnnTraversal traversal);
-  /// Default traversal is kAuto: each dispatched shard resolves it against
-  /// its own cost model (planner on) or to the kIncremental default
-  /// (planner off) — so per-shard routing decisions can differ within one
-  /// scatter, which is exactly right: the seeding shard sees k against its
-  /// own density, wave shards see the fixed seed.
+  /// Default traversal is kAuto: each dispatched shard resolves it to the
+  /// kGreedy default (planner off) or against its own cost model (planner
+  /// on) — so planned routing decisions can differ within one scatter,
+  /// which is exactly right: the seeding shard sees k against its own
+  /// density, wave shards see the fixed seed.
   Status KnnQuery(const Blob& q, size_t k, std::vector<Neighbor>* result,
                   QueryStats* stats = nullptr) override {
     return KnnQuery(q, k, result, stats, KnnTraversal::kAuto);

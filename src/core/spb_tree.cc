@@ -196,11 +196,32 @@ Status SpbTree::BuildInternal(const std::vector<Blob>& objects,
     tree->raf_ = std::move(raf);
   }
 
+  const size_t n = objects.size();
+  const size_t dims = tree->space_->dims();
+
+  // Reservoir sample for the cost model. Which rows it keeps depends only
+  // on the RNG sequence, not on the rows, so a serial pass fixes every
+  // (position, slot) pair up front and the mapping threads copy out just
+  // those rows: no n x |P| matrix is ever held.
+  const size_t sample_cap = options.cost_sample_size;
+  const size_t sample_size = std::min(sample_cap, n);
+  std::vector<std::pair<size_t, size_t>> kept(sample_size);  // (pos, slot)
+  for (size_t s = 0; s < sample_size; ++s) kept[s] = {s, s};
+  Rng sample_rng(options.seed ^ 0xc0);
+  for (size_t i = sample_size; sample_cap > 0 && i < n; ++i) {
+    const uint64_t slot = sample_rng.Uniform(i + 1);
+    if (slot < sample_cap) kept[slot].first = i;
+  }
+  // Position order; a position fills at most one slot.
+  std::sort(kept.begin(), kept.end());
+  std::vector<std::vector<double>> sample(sample_size,
+                                          std::vector<double>(dims));
+
   // ---- Stage 1+2: map every object, key it and sort by SFC value, in
   // contiguous chunks on parallel threads (common/parallel.h). `pos` is the
   // position in `objects` (needed to fetch the payload once ids are explicit
-  // and no longer double as positions). The rows of a chunk are mapped by
-  // that chunk's thread — unless the caller (a sharding router) already
+  // and no longer double as positions). A chunk maps its rows 256 at a time
+  // into a buffer of its own — unless the caller (a sharding router) already
   // mapped them and passed them in, in which case the distance calls were
   // counted at the router.
   struct Mapped {
@@ -215,23 +236,31 @@ Status SpbTree::BuildInternal(const std::vector<Blob>& objects,
     if (a.id != b.id) return a.id < b.id;
     return a.pos < b.pos;
   };
-  const size_t n = objects.size();
-  const size_t dims = tree->space_->dims();
   std::vector<Mapped> mapped(n);
-  std::vector<double> phis_own(phis_in == nullptr ? n * dims : 0);
-  const double* phis = phis_in != nullptr ? phis_in : phis_own.data();
   const MappedSpace& space = *tree->space_;
   const CountingDistance& counting = tree->counting_;
   const std::vector<size_t> runs =
       ParallelFor(n, kBuildChunkObjects, [&](size_t begin, size_t end) {
-        if (phis_in == nullptr) {
-          space.pivots().MapBatch(objects.data() + begin, end - begin,
-                                  counting, phis_own.data() + begin * dims);
-        }
-        uint64_t keys[256];
-        for (size_t i = begin; i < end; i += 256) {
-          const size_t m = std::min<size_t>(256, end - i);
-          space.KeysFor(phis + i * dims, m, keys);
+        constexpr size_t kBlock = 256;
+        std::vector<double> block(kBlock * dims);
+        auto next_kept = std::lower_bound(
+            kept.begin(), kept.end(), std::make_pair(begin, size_t{0}));
+        uint64_t keys[kBlock];
+        for (size_t i = begin; i < end; i += kBlock) {
+          const size_t m = std::min(kBlock, end - i);
+          const double* rows = block.data();
+          if (phis_in != nullptr) {
+            rows = phis_in + i * dims;
+          } else {
+            space.pivots().MapBatch(objects.data() + i, m, counting,
+                                    block.data());
+          }
+          space.KeysFor(rows, m, keys);
+          for (; next_kept != kept.end() && next_kept->first < i + m;
+               ++next_kept) {
+            const double* row = rows + (next_kept->first - i) * dims;
+            std::copy(row, row + dims, sample[next_kept->second].begin());
+          }
           for (size_t j = 0; j < m; ++j) {
             const size_t p = i + j;
             const ObjectId id = ids != nullptr ? (*ids)[p] : ObjectId(p);
@@ -242,22 +271,6 @@ Status SpbTree::BuildInternal(const std::vector<Blob>& objects,
                   mapped.begin() + ptrdiff_t(end), leaf_order);
       });
   MergeSortedRuns(&mapped, runs, leaf_order);
-
-  // Reservoir sample for the cost model: a serial pass in object order, so
-  // the RNG sequence is the same at any thread count.
-  std::vector<std::vector<double>> sample;
-  const size_t sample_cap = options.cost_sample_size;
-  Rng sample_rng(options.seed ^ 0xc0);
-  for (size_t i = 0; sample_cap > 0 && i < n; ++i) {
-    const double* phi = phis + i * dims;
-    if (sample.size() < sample_cap) {
-      sample.emplace_back(phi, phi + dims);
-    } else {
-      const uint64_t slot = sample_rng.Uniform(i + 1);
-      if (slot < sample_cap) sample[slot].assign(phi, phi + dims);
-    }
-  }
-  std::vector<double>().swap(phis_own);
 
   // ---- RAF in ascending SFC order; B+-tree entries reference offsets.
   // Reading the payloads in SFC order is a random walk over the input, so
@@ -1376,10 +1389,11 @@ Status SpbTree::KnnSearch(const Blob& q, size_t k, const Snapshot& snap,
 
   // kAuto resolves here: the planner picks greedy vs best-first, per-query
   // cutoff and the readahead budget from the cost model (zero distance
-  // calls); with the planner off it degrades to the kIncremental default.
+  // calls); with the planner off it degrades to the kGreedy default.
   // Explicit traversals bypass planning entirely. Every routing choice
-  // returns identical results; compdists match whichever static
-  // configuration the plan resolves to.
+  // returns the same neighbour distances (ids may differ among ties at the
+  // k-th distance); compdists match whichever static configuration the plan
+  // resolves to.
   KnnPlan plan;
   const bool planned =
       traversal == KnnTraversal::kAuto && options_.enable_planner;
@@ -1820,8 +1834,8 @@ Status SpbTree::ApplyTuning(const TuningOptions& t) {
   }
   const TuningOptions was = options_;
   static_cast<TuningOptions&>(options_) = t;
-  // Capacity changes rebuild sharded caches — the caller quiesces readers
-  // for these (see the ApplyTuning contract). Skipped when unchanged so a
+  // Capacity changes rebuild sharded caches (the caller has quiesced
+  // readers: see the ApplyTuning contract). Skipped when unchanged so a
   // read-modify-write of the flags never drops a warm cache.
   if (t.node_cache_entries != was.node_cache_entries) {
     SPB_RETURN_IF_ERROR(btree_->SetNodeCacheEntries(t.node_cache_entries));
@@ -1832,8 +1846,8 @@ Status SpbTree::ApplyTuning(const TuningOptions& t) {
   if (t.raf_cache_pages != was.raf_cache_pages) {
     SPB_RETURN_IF_ERROR(raf_->SetCachePages(t.raf_cache_pages));
   }
-  // Write-path engine knobs: the group-commit leader and the compactor read
-  // these through atomics / the queue's own lock, so they retune live.
+  // Write-path engine knobs: the group-commit leader and the compactor
+  // thread read these through atomics / the queue's own lock.
   wal_fsync_.store(t.wal_fsync, std::memory_order_relaxed);
   compact_threshold_.store(t.compact_dead_bytes_threshold,
                            std::memory_order_relaxed);
@@ -1841,8 +1855,7 @@ Status SpbTree::ApplyTuning(const TuningOptions& t) {
     write_queue_->set_group_max(std::max<size_t>(1, t.wal_group_max));
   }
   // Toggling the locator on builds the model here, under the writer lock;
-  // toggling it off drops it. Both are flag-safe under concurrent queries —
-  // readers copy the shared_ptr per query and validate by epoch.
+  // toggling it off drops it.
   if (t.enable_learned_locator != was.enable_learned_locator) {
     RebuildLocatorLocked();
   }

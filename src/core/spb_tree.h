@@ -99,17 +99,22 @@ class SharedKnnBound {
   std::atomic<double> bound_{std::numeric_limits<double>::infinity()};
 };
 
-/// kNN traversal strategies of Section 4.3 / Table 5.
+/// kNN traversal strategies of Section 4.3 / Table 5. Both return the same
+/// neighbour distances; among objects tied at the k-th distance they may
+/// keep different ids.
 enum class KnnTraversal {
   /// Best-first over individual leaf entries — optimal in distance
-  /// computations (Lemma 4).
+  /// computations (Lemma 4), but it revisits RAF pages and keeps one frontier
+  /// item per surviving leaf entry. Pass it for k=1 lookups of objects that
+  /// are in the index: it stops after a handful of verifications where
+  /// greedy verifies every leaf it reaches (docs/API.md §"Queries").
   kIncremental,
   /// Verifies whole leaves as soon as they are reached — optimal in RAF page
   /// accesses, the paper's default for low-precision datasets (DNA).
   kGreedy,
-  /// Let the cost-model planner pick per query (resolves to kIncremental
-  /// when enable_planner is off). The resolved traversal runs byte-identical
-  /// to passing it explicitly.
+  /// The default: resolves to kGreedy, or, with enable_planner on, lets the
+  /// cost-model planner pick per query. The resolved traversal runs
+  /// byte-identical to passing it explicitly.
   kAuto,
 };
 
@@ -122,7 +127,7 @@ enum class KnnTraversal {
 /// Thread safety — the epoch/snapshot protocol (docs/ARCHITECTURE.md
 /// §"Threading model"): RangeQuery()/KnnQuery()/EstimateRangeCost()/
 /// EstimateKnnCost() may run from any number of threads concurrently with
-/// at most one writer (Insert/Delete/BatchInsert/ApplyTuning). Each query
+/// at most one writer (Insert/Delete/BatchInsert). Each query
 /// pins a Snapshot of the published index version (B+-tree root + RAF
 /// watermark) and traverses only pages reachable from it; the writer
 /// builds new versions copy-on-write and publishes them atomically, so
@@ -136,9 +141,9 @@ enum class KnnTraversal {
 /// aggregate; per-query QueryStats deltas are only attributable when
 /// queries do not overlap, so concurrent callers should pass stats ==
 /// nullptr and read aggregate costs from cumulative_stats().
-/// Save/FlushCaches/ResetCounters and cache-capacity retuning remain
-/// quiesced-only operations (they rebuild sharded structures or reset
-/// counters mid-measurement).
+/// Save/FlushCaches/ResetCounters/ApplyTuning remain quiesced-only
+/// operations (they rebuild sharded structures, reset counters
+/// mid-measurement, or rewrite options that queries read unsynchronised).
 class SpbTree : public MetricIndex {
  public:
   /// Fewest objects per bulk-load thread. Build maps, keys and sorts the
@@ -326,13 +331,13 @@ class SpbTree : public MetricIndex {
   /// pending retirements).
   const SnapshotManager& snapshots() const { return *snapshots_; }
 
-  /// Applies the runtime-tunable option group as one atomic switch (see
-  /// core/tuning.h). Takes the writer lock: Status::Busy if an
-  /// Insert/Delete/BatchInsert is in flight. Flag-only changes (lemma2,
-  /// compute_sfc, cutoff, prefetch, zero_copy, max_readahead_pages) are
-  /// safe under concurrent queries; changes to node_cache_entries /
-  /// btree_cache_pages / raf_cache_pages rebuild sharded caches and
-  /// additionally require quiesced readers, same as FlushCaches.
+  /// Applies the runtime-tunable option group (see core/tuning.h). Takes
+  /// the writer lock: Status::Busy if an Insert/Delete/BatchInsert is in
+  /// flight. Requires quiesced readers, same as FlushCaches, whichever field
+  /// changes: the group is assigned as a plain struct, and queries read its
+  /// flags and max_readahead_pages without synchronisation. Changes to
+  /// node_cache_entries / btree_cache_pages / raf_cache_pages also rebuild
+  /// the sharded caches.
   Status ApplyTuning(const TuningOptions& t);
   /// The currently applied tuning group.
   TuningOptions tuning() const;
@@ -502,7 +507,7 @@ class SpbTree : public MetricIndex {
   // full Eq. 6/8 estimates stay available via Estimate*CostMapped; the hot
   // path avoids their sample/box sweeps). Zero distance computations.
   struct KnnPlan {
-    KnnTraversal traversal = KnnTraversal::kIncremental;
+    KnnTraversal traversal = KnnTraversal::kGreedy;
     bool use_cutoff = true;
     size_t readahead_budget = 0;
     double predicted_verifications = 0.0;  // arm-cost normalizer

@@ -17,9 +17,9 @@ namespace spb {
 ///   SPB_RETURN_IF_ERROR(tree->ApplyTuning(t));
 ///
 /// ApplyTuning takes the writer lock (Status::Busy if a writer holds it) and
-/// flag-only changes are safe under concurrent queries; changes to the three
-/// capacity fields rebuild sharded caches and require quiesced readers — see
-/// the ApplyTuning contract in core/spb_tree.h.
+/// requires quiesced readers: queries read these fields without
+/// synchronisation. Changes to the three capacity fields also rebuild the
+/// sharded caches — see the ApplyTuning contract in core/spb_tree.h.
 struct TuningOptions {
   /// Ablation switches (DESIGN.md §5): disable the Lemma 2 "free inclusion"
   /// shortcut or the computeSFC leaf optimization of Algorithm 1 to measure
@@ -54,10 +54,9 @@ struct TuningOptions {
   bool enable_zero_copy = true;
   /// Decoded-node cache entries (B+-tree nodes kept parsed, with internal
   /// MBB corners pre-decoded; 0 disables). Same parity rule as
-  /// enable_zero_copy. Capacity change: quiesce readers.
+  /// enable_zero_copy.
   size_t node_cache_entries = 1024;
   /// LRU buffer-pool sizes in 4 KB pages (paper default 32; 0 disables).
-  /// Capacity changes: quiesce readers.
   size_t btree_cache_pages = 32;
   size_t raf_cache_pages = 32;
   /// Per-readahead-session bound, in pages: caps the pages in flight and the
@@ -98,17 +97,15 @@ struct TuningOptions {
   /// default is off: the paper-protocol figures keep their classic PA
   /// accounting unless a bench opts in (the accounting-parity rule applies
   /// to the default configuration only). Turning it on in ApplyTuning
-  /// builds the model there; turning it off drops it. Flag-safe under
-  /// concurrent queries either way: readers pick the model up (or lose it)
-  /// on their next snapshot acquire.
+  /// builds the model there; turning it off drops it.
   bool enable_learned_locator = false;
-  /// Cost-model query planner: routes each kNN query online — greedy vs
-  /// best-first NNA by per-arm runtime EMAs, per-query cutoff — and sizes
-  /// each query's readahead budget from the cost model. Results are
-  /// identical for every routing choice; compdists match whichever static
-  /// configuration the plan resolves to. Default off so the paper-protocol
-  /// figures run the kIncremental default with the configured cutoff and
-  /// readahead budget.
+  /// Cost-model query planner: routes each kAuto kNN query online — greedy
+  /// vs best-first NNA by per-arm runtime EMAs, per-query cutoff — and sizes
+  /// each query's readahead budget from the cost model. Neighbour distances
+  /// are identical for every routing choice; compdists match whichever
+  /// static configuration the plan resolves to. Off, kAuto resolves to
+  /// kGreedy with the configured cutoff and readahead budget, so compdists
+  /// repeat run to run.
   bool enable_planner = false;
 };
 

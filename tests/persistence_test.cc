@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <functional>
@@ -283,6 +284,50 @@ TEST(BuildDeterminismTest, ParallelAndSerialDiskBuildsAreByteIdentical) {
     }
   }
   fs::remove_all(root);
+}
+
+// The bulk load never holds every object's pivot distances: it fixes the
+// cost model's reservoir slots from the RNG alone and copies out just the
+// rows they keep. The sample must still be exactly the serial reservoir
+// over phi(o) in object order — same rows, same slots, bit for bit — above
+// the per-thread chunk size and below the reservoir capacity.
+TEST(BuildDeterminismTest, CostSampleIsTheSerialReservoir) {
+  const size_t cap = CostModel::kDefaultSampleCapacity;
+  for (const bool words : {true, false}) {
+    for (const size_t n : {3 * SpbTree::kBuildChunkObjects + 17, cap / 2}) {
+      SCOPED_TRACE(std::string(words ? "words" : "synthetic") + " n=" +
+                   std::to_string(n));
+      const Dataset ds = words ? MakeWords(n, 6) : MakeSynthetic(n, 6);
+      SpbTreeOptions opts;
+      opts.seed = 4242;
+      ASSERT_EQ(opts.cost_sample_size, cap);
+      std::unique_ptr<SpbTree> tree;
+      ASSERT_TRUE(
+          SpbTree::Build(ds.objects, ds.metric.get(), opts, &tree).ok());
+
+      std::vector<std::vector<double>> want;
+      Rng rng(opts.seed ^ 0xc0);
+      for (size_t i = 0; i < n; ++i) {
+        std::vector<double> phi = tree->space().Phi(ds.objects[i], *ds.metric);
+        if (want.size() < cap) {
+          want.push_back(std::move(phi));
+        } else {
+          const uint64_t slot = rng.Uniform(i + 1);
+          if (slot < cap) want[slot] = std::move(phi);
+        }
+      }
+      const auto& got = tree->cost_model().sample();
+      ASSERT_EQ(got.size(), std::min(n, cap));
+      ASSERT_EQ(got.size(), want.size());
+      for (size_t s = 0; s < got.size(); ++s) {
+        ASSERT_EQ(got[s].size(), want[s].size()) << "slot " << s;
+        EXPECT_EQ(std::memcmp(got[s].data(), want[s].data(),
+                              want[s].size() * sizeof(double)),
+                  0)
+            << "slot " << s;
+      }
+    }
+  }
 }
 
 // Where a page's bytes come from must not show in any query: a memory-backed

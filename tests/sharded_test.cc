@@ -160,6 +160,35 @@ TEST_F(ShardedIdentityTest, SingleShardIsByteIdenticalToUnsharded) {
   EXPECT_EQ(ca.distance_computations, cb.distance_computations);
 }
 
+// With the planner off every shard resolves the default traversal to
+// greedy: at S=4 the router's 4-argument KnnQuery matches an explicit
+// kGreedy scatter query by query — neighbours, PA and compdists.
+TEST_F(ShardedIdentityTest, DefaultTraversalIsGreedy) {
+  SpbTreeOptions opts = BaseOptions();
+  opts.num_shards = 4;
+  std::unique_ptr<ShardedSpbTree> sharded;
+  ASSERT_TRUE(
+      ShardedSpbTree::Build(ds_.objects, ds_.metric.get(), opts, &sharded)
+          .ok());
+  ASSERT_FALSE(opts.enable_planner);
+  for (size_t qi = 0; qi < 15; ++qi) {
+    const Blob& q = ds_.objects[qi * 37 % ds_.objects.size()];
+    for (size_t k : {size_t{1}, size_t{10}}) {
+      std::vector<Neighbor> def, greedy;
+      QueryStats a, b;
+      sharded->FlushCaches();
+      ASSERT_TRUE(sharded->KnnQuery(q, k, &def, &a).ok());
+      sharded->FlushCaches();
+      ASSERT_TRUE(
+          sharded->KnnQuery(q, k, &greedy, &b, KnnTraversal::kGreedy).ok());
+      EXPECT_EQ(def, greedy) << "qi=" << qi << " k=" << k;
+      EXPECT_EQ(a.page_accesses, b.page_accesses) << "qi=" << qi << " k=" << k;
+      EXPECT_EQ(a.distance_computations, b.distance_computations)
+          << "qi=" << qi << " k=" << k;
+    }
+  }
+}
+
 TEST_F(ShardedIdentityTest, AggregateStatsSumOverShards) {
   SpbTreeOptions opts = BaseOptions();
   opts.num_shards = 4;

@@ -123,6 +123,32 @@ TEST_P(SpbQueryTest, GreedyTraversalReturnsSameKnn) {
   }
 }
 
+// With the planner off the default traversal is greedy: the 4-argument
+// KnnQuery runs exactly what an explicit kGreedy call runs — the same
+// neighbours and, from the same flushed caches, the same PA and compdists.
+TEST_P(SpbQueryTest, DefaultTraversalIsGreedy) {
+  ASSERT_FALSE(tree_->options().enable_planner);
+  Rng rng(8);
+  for (size_t k : {1u, 8u}) {
+    for (int t = 0; t < 10; ++t) {
+      const Blob& q = ds_.objects[rng.Uniform(ds_.objects.size())];
+      std::vector<Neighbor> def, greedy;
+      QueryStats s_def, s_greedy;
+      tree_->FlushCaches();
+      ASSERT_TRUE(tree_->KnnQuery(q, k, &def, &s_def).ok());
+      tree_->FlushCaches();
+      ASSERT_TRUE(
+          tree_->KnnQuery(q, k, &greedy, &s_greedy, KnnTraversal::kGreedy)
+              .ok());
+      EXPECT_EQ(def, greedy) << GetParam().label << " k=" << k;
+      EXPECT_EQ(s_def.page_accesses, s_greedy.page_accesses)
+          << GetParam().label << " k=" << k;
+      EXPECT_EQ(s_def.distance_computations, s_greedy.distance_computations)
+          << GetParam().label << " k=" << k;
+    }
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(
     DatasetsAndCurves, SpbQueryTest,
     ::testing::Values(

@@ -8,15 +8,16 @@
 # batch-decode/encode tests — once with the dispatched SIMD variants and
 # once with SPB_DISABLE_SIMD=1 — so out-of-bounds lane loads or UB in any
 # dispatch table fail loudly on every path, plus the bulk load's span-write
-# and parallel-build tests and the concurrency tests (pins on memory-file
-# frames must outlive the writer's frame swaps). Finally an io_uring
-# configure check: -DSPB_IOURING=ON must degrade gracefully (warning + the
-# portable pread backend) on machines without liburing.
+# and parallel-build tests, the SPB-tree query tests (the default range and
+# kNN paths over every dataset and curve) and the concurrency tests (pins on
+# memory-file frames must outlive the writer's frame swaps). Finally an
+# io_uring configure check: -DSPB_IOURING=ON must degrade gracefully
+# (warning + the portable pread backend) on machines without liburing.
 #
 #   tools/check.sh            # everything
 #   tools/check.sh --tsan     # only the TSan stage (incl. parallel build)
-#   tools/check.sh --asan     # only the ASan/UBSan kernel, bulk-load and
-#                             # concurrency stage
+#   tools/check.sh --asan     # only the ASan/UBSan kernel, bulk-load,
+#                             # query-core and concurrency stage
 #   tools/check.sh --iouring  # only the io_uring configure/build check
 #   tools/check.sh --warmab   # only the prefetch + warm A/B identity sweeps
 #                             # (ASan+TSan)
@@ -56,7 +57,8 @@ run_asan() {
   echo "==> asan: kernel/SFC parity + metric tests under ASan/UBSan"
   cmake -B build-asan -S . -DSPB_SANITIZE=address >/dev/null
   cmake --build build-asan -j "${JOBS}" --target kernels_test metrics_test \
-    sfc_test storage_test common_test persistence_test concurrency_test
+    sfc_test storage_test common_test persistence_test spb_tree_test \
+    concurrency_test
   ./build-asan/tests/kernels_test
   ./build-asan/tests/metrics_test
   ./build-asan/tests/sfc_test
@@ -70,6 +72,10 @@ run_asan() {
   ./build-asan/tests/storage_test
   ./build-asan/tests/common_test
   ./build-asan/tests/persistence_test
+  # The query core: RQA and the default (greedy) NNA over every dataset and
+  # curve case, plus explicit best-first and updates.
+  echo "==> asan: SPB-tree query tests under ASan/UBSan"
+  ./build-asan/tests/spb_tree_test
   # Pins on shared memory-file frames across concurrent rewrites, the
   # single-flight hand-off and readahead staging lifetimes.
   echo "==> asan: concurrency tests under ASan/UBSan"
