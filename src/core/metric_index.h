@@ -1,6 +1,7 @@
 #ifndef SPB_CORE_METRIC_INDEX_H_
 #define SPB_CORE_METRIC_INDEX_H_
 
+#include <chrono>
 #include <string>
 #include <vector>
 
@@ -110,6 +111,40 @@ class MetricIndex {
   virtual size_t writer_concurrency() const { return 1; }
 
   virtual std::string name() const = 0;
+};
+
+/// Captures an index's cost counters around one query and writes the delta
+/// (plus wall time) into `out` when it goes out of scope. The delta is over
+/// the aggregate counters, so it is attributable only when queries do not
+/// overlap (concurrent callers pass out == nullptr).
+class StatScope {
+ public:
+  StatScope(const MetricIndex& index, QueryStats* out)
+      : index_(index),
+        out_(out),
+        before_(index.cumulative_stats()),
+        start_(std::chrono::steady_clock::now()) {}
+
+  ~StatScope() {
+    if (out_ == nullptr) return;
+    const QueryStats after = index_.cumulative_stats();
+    out_->page_accesses = after.page_accesses - before_.page_accesses;
+    out_->distance_computations =
+        after.distance_computations - before_.distance_computations;
+    out_->elapsed_seconds =
+        std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                      start_)
+            .count();
+  }
+
+  StatScope(const StatScope&) = delete;
+  StatScope& operator=(const StatScope&) = delete;
+
+ private:
+  const MetricIndex& index_;
+  QueryStats* out_;
+  QueryStats before_;
+  std::chrono::steady_clock::time_point start_;
 };
 
 }  // namespace spb

@@ -1,7 +1,6 @@
 #include "core/sharded_spb_tree.h"
 
 #include <algorithm>
-#include <chrono>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
@@ -21,35 +20,33 @@ constexpr uint64_t kManifestMagic = 0x5350425348415244ULL;  // "SPBSHARD"
 
 std::string ManifestPath(const std::string& dir) { return dir + kManifestName; }
 
-/// Per-query stat delta over the *aggregate* counters, mirroring the
-/// StatScope of spb_tree.cc: valid for attribution only when queries do not
-/// overlap (concurrent callers pass stats == nullptr).
-class ShardedStatScope {
- public:
-  ShardedStatScope(const ShardedSpbTree& t, QueryStats* out)
-      : t_(t),
-        out_(out),
-        before_(t.cumulative_stats()),
-        start_(std::chrono::steady_clock::now()) {}
-
-  ~ShardedStatScope() {
-    if (out_ == nullptr) return;
-    const QueryStats after = t_.cumulative_stats();
-    out_->page_accesses = after.page_accesses - before_.page_accesses;
-    out_->distance_computations =
-        after.distance_computations - before_.distance_computations;
-    out_->elapsed_seconds =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                      start_)
-            .count();
+// Runs sub(i, &slot_i) for i in [0, n) — one shard subquery each — and
+// appends the slots to *out in index order. With `parallel` on and the
+// caller an arena worker, the subqueries run as one nested task group on
+// the executor's own pool (help=true: this thread claims its own
+// subqueries, deadlock-free at any pool size); otherwise inline in index
+// order. Subqueries share nothing, so results, logical PA and compdists are
+// byte-identical either way. Returns the first failed slot's status.
+template <typename T, typename Sub>
+Status ScatterGather(size_t n, bool parallel, const Sub& sub,
+                     std::vector<T>* out) {
+  std::vector<std::vector<T>> slots(n);
+  std::vector<Status> statuses(n);
+  const std::function<void(size_t)> run = [&](size_t i) {
+    statuses[i] = sub(i, &slots[i]);
+  };
+  TaskArena* arena = TaskArena::Current();
+  if (n > 1 && parallel && arena != nullptr) {
+    arena->RunGroup(n, run, /*help=*/true);
+  } else {
+    for (size_t i = 0; i < n; ++i) run(i);
   }
-
- private:
-  const ShardedSpbTree& t_;
-  QueryStats* out_;
-  QueryStats before_;
-  std::chrono::steady_clock::time_point start_;
-};
+  for (size_t i = 0; i < n; ++i) {
+    SPB_RETURN_IF_ERROR(statuses[i]);
+    out->insert(out->end(), slots[i].begin(), slots[i].end());
+  }
+  return Status::OK();
+}
 
 bool IsPowerOfTwo(size_t n) { return n != 0 && (n & (n - 1)) == 0; }
 
@@ -427,16 +424,7 @@ bool ShardedSpbTree::LoadBox(size_t s, std::vector<uint32_t>* lo,
 }
 
 Status ShardedSpbTree::Insert(const Blob& obj, ObjectId id) {
-  if (shards_.size() == 1) return shards_[0]->Insert(obj, id);
-  const std::vector<double> phi = space_->Phi(obj, *counting_);
-  const uint64_t key = space_->KeyFor(phi);
-  const size_t s = RouteKey(key);
-  // Grow the box before the shard publishes, so a scatter that sees the new
-  // object also sees a box covering it. If the shard turns out Busy the box
-  // merely over-covers — conservative, never wrong.
-  GrowBox(s, space_->ToCells(phi));
-  const SpbTree::MappedInsert item{&obj, id, key, phi.data()};
-  return shards_[s]->BatchInsertMapped(&item, 1);
+  return BatchInsert({obj}, {id});
 }
 
 Status ShardedSpbTree::BatchInsert(const std::vector<Blob>& objs,
@@ -445,45 +433,38 @@ Status ShardedSpbTree::BatchInsert(const std::vector<Blob>& objs,
     return Status::InvalidArgument("BatchInsert: objs/ids size mismatch");
   }
   if (shards_.size() == 1) return shards_[0]->BatchInsert(objs, ids);
-  if (objs.empty()) return Status::OK();
-  const size_t dims = space_->dims();
-  std::vector<double> phis(objs.size() * dims);
-  space_->pivots().MapBatch(objs.data(), objs.size(), *counting_,
-                            phis.data());
-  std::vector<std::vector<SpbTree::MappedInsert>> per_shard(shards_.size());
-  std::vector<uint32_t> cells;
+  std::vector<std::vector<WriteQueue::Request>> per_shard(shards_.size());
   for (size_t i = 0; i < objs.size(); ++i) {
-    const double* row = phis.data() + i * dims;
-    const uint64_t key = space_->KeyFor(row);
-    const size_t s = RouteKey(key);
-    per_shard[s].push_back(SpbTree::MappedInsert{&objs[i], ids[i], key, row});
-    cells.resize(dims);
-    for (size_t d = 0; d < dims; ++d) {
-      cells[d] = space_->discretizer().ToCell(row[d]);
-    }
-    GrowBox(s, cells);
+    WriteQueue::Request r = SpbTree::MapWrite(
+        *space_, *counting_, WriteQueue::OpKind::kInsert, objs[i], ids[i]);
+    const size_t s = RouteKey(r.key);
+    // Grow the box before the shard publishes, so a scatter that sees the
+    // new object also sees a box covering it. If the shard turns out Busy
+    // the box merely over-covers — conservative, never wrong.
+    GrowBox(s, space_->ToCells(r.phi));
+    per_shard[s].push_back(std::move(r));
   }
   for (size_t s = 0; s < shards_.size(); ++s) {
-    if (per_shard[s].empty()) continue;
-    SPB_RETURN_IF_ERROR(
-        shards_[s]->BatchInsertMapped(per_shard[s].data(),
-                                      per_shard[s].size()));
+    SPB_RETURN_IF_ERROR(shards_[s]->Write(&per_shard[s]));
   }
   return Status::OK();
 }
 
 Status ShardedSpbTree::Delete(const Blob& obj, ObjectId id, bool* found) {
   if (shards_.size() == 1) return shards_[0]->Delete(obj, id, found);
-  const std::vector<double> phi = space_->Phi(obj, *counting_);
-  const uint64_t key = space_->KeyFor(phi);
-  return shards_[RouteKey(key)]->DeleteMapped(obj, id, key, found);
+  std::vector<WriteQueue::Request> reqs;
+  reqs.push_back(SpbTree::MapWrite(*space_, *counting_,
+                                   WriteQueue::OpKind::kDelete, obj, id));
+  const Status s = shards_[RouteKey(reqs[0].key)]->Write(&reqs);
+  *found = reqs[0].found;
+  return s;
 }
 
 Status ShardedSpbTree::RangeQuery(const Blob& q, double r,
                                   std::vector<ObjectId>* result,
                                   QueryStats* stats) {
   if (shards_.size() == 1) return shards_[0]->RangeQuery(q, r, result, stats);
-  ShardedStatScope scope(*this, stats);
+  StatScope scope(*this, stats);
   result->clear();
   if (r < 0) return Status::OK();
   const size_t dims = space_->dims();
@@ -500,36 +481,13 @@ Status ShardedSpbTree::RangeQuery(const Blob& q, double r,
     survivors.push_back(s);
   }
 
-  TaskArena* arena = TaskArena::Current();
-  if (survivors.size() > 1 && arena != nullptr &&
-      parallel_scatter_.load(std::memory_order_relaxed)) {
-    // Parallel scatter: one nested task group on the executor's own pool,
-    // one slot per surviving shard. help=true — this thread is an arena
-    // worker and claims its own subqueries (deadlock-free at any pool
-    // size). Subqueries share nothing, so results (concatenated in the
-    // same shard order the serial loop uses), logical PA and compdists are
-    // byte-identical to serial execution.
-    std::vector<std::vector<ObjectId>> slots(survivors.size());
-    std::vector<Status> statuses(survivors.size(), Status::OK());
-    const std::function<void(size_t)> sub = [&](size_t i) {
-      statuses[i] = shards_[survivors[i]]->RangeQueryMapped(
-          q, phi_q, r, &slots[i], nullptr);
-    };
-    arena->RunGroup(survivors.size(), sub, /*help=*/true);
-    for (size_t i = 0; i < survivors.size(); ++i) {
-      SPB_RETURN_IF_ERROR(statuses[i]);
-      result->insert(result->end(), slots[i].begin(), slots[i].end());
-    }
-    return Status::OK();
-  }
-
-  std::vector<ObjectId> shard_result;
-  for (const size_t s : survivors) {
-    SPB_RETURN_IF_ERROR(
-        shards_[s]->RangeQueryMapped(q, phi_q, r, &shard_result, nullptr));
-    result->insert(result->end(), shard_result.begin(), shard_result.end());
-  }
-  return Status::OK();
+  return ScatterGather(
+      survivors.size(), parallel_scatter(),
+      [&](size_t i, std::vector<ObjectId>* slot) {
+        return shards_[survivors[i]]->RangeQueryMapped(q, phi_q, r, slot,
+                                                       nullptr);
+      },
+      result);
 }
 
 Status ShardedSpbTree::KnnQuery(const Blob& q, size_t k,
@@ -538,7 +496,7 @@ Status ShardedSpbTree::KnnQuery(const Blob& q, size_t k,
   if (shards_.size() == 1) {
     return shards_[0]->KnnQuery(q, k, result, stats, traversal);
   }
-  ShardedStatScope scope(*this, stats);
+  StatScope scope(*this, stats);
   result->clear();
   if (k == 0) return Status::OK();
   const size_t dims = space_->dims();
@@ -591,32 +549,15 @@ Status ShardedSpbTree::KnnQuery(const Blob& q, size_t k,
   for (; next_rank < order.size(); ++next_rank) {
     if (order[next_rank].lb < seed) wave.push_back(order[next_rank].s);
   }
-  TaskArena* arena = TaskArena::Current();
-  if (wave.size() > 1 && arena != nullptr &&
-      parallel_scatter_.load(std::memory_order_relaxed)) {
-    std::vector<std::vector<Neighbor>> slots(wave.size());
-    std::vector<Status> statuses(wave.size(), Status::OK());
-    const std::function<void(size_t)> sub = [&](size_t i) {
-      SharedKnnBound bound;
-      bound.Offer(seed);
-      statuses[i] = shards_[wave[i]]->KnnQueryMapped(
-          q, phi_q, k, &slots[i], nullptr, traversal, &bound);
-    };
-    arena->RunGroup(wave.size(), sub, /*help=*/true);
-    for (size_t i = 0; i < wave.size(); ++i) {
-      SPB_RETURN_IF_ERROR(statuses[i]);
-      candidates.insert(candidates.end(), slots[i].begin(), slots[i].end());
-    }
-  } else {
-    for (const size_t s : wave) {
-      SharedKnnBound bound;
-      bound.Offer(seed);
-      SPB_RETURN_IF_ERROR(shards_[s]->KnnQueryMapped(
-          q, phi_q, k, &shard_result, nullptr, traversal, &bound));
-      candidates.insert(candidates.end(), shard_result.begin(),
-                        shard_result.end());
-    }
-  }
+  SPB_RETURN_IF_ERROR(ScatterGather(
+      wave.size(), parallel_scatter(),
+      [&](size_t i, std::vector<Neighbor>* slot) {
+        SharedKnnBound bound;
+        bound.Offer(seed);
+        return shards_[wave[i]]->KnnQueryMapped(q, phi_q, k, slot, nullptr,
+                                                traversal, &bound);
+      },
+      &candidates));
   std::sort(candidates.begin(), candidates.end(),
             [](const Neighbor& a, const Neighbor& b) {
               return a.distance < b.distance ||

@@ -117,25 +117,25 @@ class ShardedSpbTree : public MetricIndex {
   /// drill-down `spb_cli stats` prints.
   StatsSnapshot CollectStats() const override;
 
-  /// Routed single insert: phi/key are computed once at the router, the
-  /// owning shard is the top log2(S) key bits, and the shard's pre-mapped
-  /// batch path runs with the usual COW + publish semantics.
+  /// Routed single insert: a one-element BatchInsert.
   /// Status::Busy only when a writer is active on the *same* shard.
   Status Insert(const Blob& obj, ObjectId id) override;
 
-  /// Routed batch insert: the batch is mapped once, partitioned by shard,
-  /// and applied as one pre-mapped sub-batch per shard (one snapshot
-  /// publication per touched shard). Shards are applied in shard order; on
-  /// Status::Busy the remaining shards are left unapplied and the already
-  /// published sub-batches stay — callers that need all-or-nothing retry
-  /// the whole batch (inserting an existing id is idempotent at the B+-tree
-  /// level only if the caller dedupes, so prefer retrying on quiesced
-  /// shards).
+  /// Routed batch insert: every object is mapped once at the router (its
+  /// SFC key's top bits name the owning shard) into one request vector per
+  /// shard, and each vector goes through that shard's SpbTree::Write (one
+  /// snapshot publication per touched shard). Shards are applied in shard
+  /// order; on Status::Busy the remaining shards are left unapplied and the
+  /// already published sub-batches stay — callers that need all-or-nothing
+  /// retry the whole batch (re-inserting an id under the same key is an
+  /// upsert, so a retry does not duplicate the applied part).
   Status BatchInsert(const std::vector<Blob>& objs,
                      const std::vector<ObjectId>& ids) override;
 
   /// Routed delete (lazy, as SpbTree::Delete; the shard's RAF dead-bytes
-  /// counter absorbs the orphaned record). The shard box is *not* shrunk.
+  /// counter absorbs the orphaned record): mapped once at the router, one
+  /// request through the owning shard's Write. The shard box is *not*
+  /// shrunk.
   Status Delete(const Blob& obj, ObjectId id, bool* found) override;
 
   /// Scatter-gather RQ(q, O, r): q is mapped once, shards whose box misses

@@ -17,33 +17,6 @@ namespace spb {
 
 namespace {
 
-/// Captures the cost counters around one query and writes the delta (plus
-/// wall time) into `out` when it goes out of scope.
-class StatScope {
- public:
-  StatScope(const SpbTree& tree, QueryStats* out)
-      : tree_(tree), out_(out), before_(tree.cumulative_stats()),
-        start_(std::chrono::steady_clock::now()) {}
-
-  ~StatScope() {
-    if (out_ == nullptr) return;
-    const QueryStats after = tree_.cumulative_stats();
-    out_->page_accesses = after.page_accesses - before_.page_accesses;
-    out_->distance_computations =
-        after.distance_computations - before_.distance_computations;
-    out_->elapsed_seconds =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                      start_)
-            .count();
-  }
-
- private:
-  const SpbTree& tree_;
-  QueryStats* out_;
-  QueryStats before_;
-  std::chrono::steady_clock::time_point start_;
-};
-
 // Merges the consecutive sorted runs [runs[i], runs[i+1]) of `*v` into one
 // sorted range, pairwise, the pairs of each level on parallel threads. With
 // a strict total order the result is the same for any run boundaries.
@@ -743,136 +716,21 @@ void SpbTree::PublishCurrent(std::vector<PageId> superseded) {
   snapshots_->Publish(CurrentVersion(), std::move(superseded));
 }
 
-Status SpbTree::InsertOneLocked(const Blob& obj, ObjectId id,
-                                std::vector<PageId>* superseded) {
-  const std::vector<double> phi = space_->Phi(obj, counting_);
-  return InsertOneMappedLocked(obj, id, phi.data(), space_->KeyFor(phi),
-                               superseded);
-}
-
-Status SpbTree::InsertOneMappedLocked(const Blob& obj, ObjectId id,
-                                      const double* phi, uint64_t key,
-                                      std::vector<PageId>* superseded) {
-  // Upsert: re-inserting an id that already lives at this key replaces the
-  // old entry, and the replaced RAF record's bytes join the dead-byte debt
-  // (they used to escape the accounting — the record was orphaned but never
-  // tallied). This is also what makes WAL replay of an already-applied
-  // insert idempotent.
-  if (WriterLocatorUsable()) {
-    // Locator descent: SeekRank lands on the leaf owning `key` directly, so
-    // the probe skips every inner node the cursor's root-to-leaf walk would
-    // read. The duplicate run is scanned in the same global key order as the
-    // cursor (a run may span leaves), so the RAF probe sequence — and the
-    // entry the upsert unlinks — is identical.
-    const LeafModel& model = *locator_;
-    DecodedNode scratch;
-    NodeHandle h;
-    ObjectId rid;
-    Blob robj;
-    bool done = false, past = false;
-    for (size_t rank = model.SeekRank(key);
-         !done && !past && rank < model.num_leaves() &&
-         model.min_key(rank) <= key;
-         ++rank) {
-      SPB_RETURN_IF_ERROR(btree_->GetNode(model.leaf_id(rank), &scratch, &h));
-      const auto& les = h->node.leaf_entries;
-      auto it = std::lower_bound(
-          les.begin(), les.end(), key,
-          [](const LeafEntry& e, uint64_t want) { return e.key < want; });
-      for (; it != les.end(); ++it) {
-        if (it->key != key) {
-          past = true;
-          break;
-        }
-        const uint64_t ptr = it->ptr;
-        SPB_RETURN_IF_ERROR(raf_->Get(ptr, &rid, &robj));
-        if (rid == id) {
-          bool found = false;
-          TreeVersion tv;
-          SPB_RETURN_IF_ERROR(
-              btree_->DeleteCow(key, ptr, &found, &tv, superseded));
-          if (found) {
-            btree_->AdoptVersion(tv);
-            InvalidateLocator();
-            raf_->AddDeadBytes(8 + robj.size());
-            num_objects_.fetch_sub(1, std::memory_order_relaxed);
-          }
-          done = true;
-          break;
-        }
-      }
-    }
-  } else {
-    BPlusTree::LeafCursor cur(btree_.get(), btree_->version());
-    SPB_RETURN_IF_ERROR(cur.Seek(key));
-    ObjectId rid;
-    Blob robj;
-    while (cur.valid() && cur.entry().key == key) {
-      SPB_RETURN_IF_ERROR(raf_->Get(cur.entry().ptr, &rid, &robj));
-      if (rid == id) {
-        bool found = false;
-        TreeVersion tv;
-        SPB_RETURN_IF_ERROR(
-            btree_->DeleteCow(key, cur.entry().ptr, &found, &tv, superseded));
-        if (found) {
-          btree_->AdoptVersion(tv);
-          InvalidateLocator();
-          raf_->AddDeadBytes(8 + robj.size());
-          num_objects_.fetch_sub(1, std::memory_order_relaxed);
-        }
-        break;
-      }
-      SPB_RETURN_IF_ERROR(cur.Next());
-    }
-  }
-  // RAF first: the new leaf entry references the record's offset, and the
-  // appender's release-store of the watermark happens before the version
-  // holding this entry can be published.
-  uint64_t offset;
-  SPB_RETURN_IF_ERROR(raf_->Append(id, obj, &offset));
-  TreeVersion tv;
-  SPB_RETURN_IF_ERROR(btree_->InsertCow(key, offset, &tv, superseded));
-  btree_->AdoptVersion(tv);
-  InvalidateLocator();
-  const uint64_t n = num_objects_.fetch_add(1, std::memory_order_relaxed) + 1;
-  ++inserts_seen_;
-  {
-    std::lock_guard<std::mutex> lock(cost_mu_);
-    cost_model_.set_total_objects(n);
-    if (options_.cost_sample_size > 0) {
-      cost_model_.AddSample(std::vector<double>(phi, phi + space_->dims()),
-                            inserts_seen_, sample_rng_.Uniform(UINT64_MAX));
-    }
-  }
-  return Status::OK();
+WriteQueue::Request SpbTree::MapWrite(const MappedSpace& space,
+                                      const DistanceFunction& metric,
+                                      WriteQueue::OpKind kind, const Blob& obj,
+                                      ObjectId id) {
+  WriteQueue::Request r;
+  r.kind = kind;
+  r.obj = obj;
+  r.id = id;
+  r.phi = space.Phi(obj, metric);
+  r.key = space.KeyFor(r.phi);
+  return r;
 }
 
 Status SpbTree::Insert(const Blob& obj, ObjectId id) {
-  if (write_queue_ != nullptr) {
-    // Map outside any lock (the mapped space is immutable, the distance
-    // counter atomic); the group-commit leader applies the request.
-    WriteQueue::Request req;
-    req.kind = WriteQueue::OpKind::kInsert;
-    req.obj = obj;
-    req.id = id;
-    req.phi = space_->Phi(obj, counting_);
-    req.key = space_->KeyFor(req.phi);
-    return write_queue_->Submit(std::move(req));
-  }
-  std::unique_lock<std::mutex> wlock(writer_mu_, std::try_to_lock);
-  if (!wlock.owns_lock()) {
-    return Status::Busy("Insert raced another writer; retry when it drains");
-  }
-  if (wal_ != nullptr) {
-    Wal::Record rec{Wal::RecordType::kInsert, id, obj};
-    SPB_RETURN_IF_ERROR(wal_->AppendGroup(
-        &rec, 1, wal_fsync_.load(std::memory_order_relaxed)));
-  }
-  std::vector<PageId> superseded;
-  SPB_RETURN_IF_ERROR(InsertOneLocked(obj, id, &superseded));
-  PublishCurrent(std::move(superseded));
-  MaybeRefreshLocatorLocked();
-  return Status::OK();
+  return BatchInsert({obj}, {id});
 }
 
 Status SpbTree::BatchInsert(const std::vector<Blob>& objs,
@@ -880,195 +738,125 @@ Status SpbTree::BatchInsert(const std::vector<Blob>& objs,
   if (objs.size() != ids.size()) {
     return Status::InvalidArgument("BatchInsert: objs/ids size mismatch");
   }
-  if (write_queue_ != nullptr) {
-    // Map the whole batch up front (same distance-call order as per-object
-    // Phi), then enqueue the records individually: they may commit across
-    // several groups, interleaved with other writers.
-    const size_t dims = space_->dims();
-    std::vector<double> phis(objs.size() * dims);
-    space_->pivots().MapBatch(objs.data(), objs.size(), counting_,
-                              phis.data());
-    std::vector<WriteQueue::Request> reqs(objs.size());
-    for (size_t i = 0; i < objs.size(); ++i) {
-      reqs[i].kind = WriteQueue::OpKind::kInsert;
-      reqs[i].obj = objs[i];
-      reqs[i].id = ids[i];
-      reqs[i].phi.assign(phis.data() + i * dims, phis.data() + (i + 1) * dims);
-      reqs[i].key = space_->KeyFor(reqs[i].phi);
-    }
-    return write_queue_->SubmitBatch(&reqs);
-  }
-  std::unique_lock<std::mutex> wlock(writer_mu_, std::try_to_lock);
-  if (!wlock.owns_lock()) {
-    return Status::Busy(
-        "BatchInsert raced another writer; retry when it drains");
-  }
-  if (wal_ != nullptr) {
-    std::vector<Wal::Record> recs(objs.size());
-    for (size_t i = 0; i < objs.size(); ++i) {
-      recs[i] = Wal::Record{Wal::RecordType::kInsert, ids[i], objs[i]};
-    }
-    SPB_RETURN_IF_ERROR(wal_->AppendGroup(
-        recs.data(), recs.size(), wal_fsync_.load(std::memory_order_relaxed)));
-  }
-  // One publish for the whole batch: readers keep the pre-batch version
-  // until every object is in; intermediate versions are adopted privately
-  // and never published, so queueing their superseded pages behind the
-  // final epoch is conservative and safe.
-  std::vector<PageId> superseded;
+  std::vector<WriteQueue::Request> reqs;
+  reqs.reserve(objs.size());
   for (size_t i = 0; i < objs.size(); ++i) {
-    SPB_RETURN_IF_ERROR(InsertOneLocked(objs[i], ids[i], &superseded));
+    reqs.push_back(MapWrite(*space_, counting_, WriteQueue::OpKind::kInsert,
+                            objs[i], ids[i]));
   }
-  PublishCurrent(std::move(superseded));
-  MaybeRefreshLocatorLocked();
-  return Status::OK();
-}
-
-Status SpbTree::BatchInsertMapped(const MappedInsert* items, size_t count) {
-  if (write_queue_ != nullptr) {
-    std::vector<WriteQueue::Request> reqs(count);
-    const size_t dims = space_->dims();
-    for (size_t i = 0; i < count; ++i) {
-      reqs[i].kind = WriteQueue::OpKind::kInsert;
-      reqs[i].obj = *items[i].obj;
-      reqs[i].id = items[i].id;
-      reqs[i].key = items[i].key;
-      reqs[i].phi.assign(items[i].phi, items[i].phi + dims);
-    }
-    return write_queue_->SubmitBatch(&reqs);
-  }
-  std::unique_lock<std::mutex> wlock(writer_mu_, std::try_to_lock);
-  if (!wlock.owns_lock()) {
-    return Status::Busy(
-        "BatchInsertMapped raced another writer; retry when it drains");
-  }
-  if (wal_ != nullptr) {
-    std::vector<Wal::Record> recs(count);
-    for (size_t i = 0; i < count; ++i) {
-      recs[i] = Wal::Record{Wal::RecordType::kInsert, items[i].id,
-                            *items[i].obj};
-    }
-    SPB_RETURN_IF_ERROR(wal_->AppendGroup(
-        recs.data(), recs.size(), wal_fsync_.load(std::memory_order_relaxed)));
-  }
-  // Same one-publish-per-batch contract as BatchInsert.
-  std::vector<PageId> superseded;
-  for (size_t i = 0; i < count; ++i) {
-    const MappedInsert& m = items[i];
-    SPB_RETURN_IF_ERROR(
-        InsertOneMappedLocked(*m.obj, m.id, m.phi, m.key, &superseded));
-  }
-  PublishCurrent(std::move(superseded));
-  MaybeRefreshLocatorLocked();
-  return Status::OK();
+  return Write(&reqs);
 }
 
 Status SpbTree::Delete(const Blob& obj, ObjectId id, bool* found) {
-  // Mapping outside the writer lock is safe: the mapped space is immutable
-  // and the distance counter atomic.
-  return DeleteMapped(obj, id, space_->KeyFor(space_->Phi(obj, counting_)),
-                      found);
+  std::vector<WriteQueue::Request> reqs;
+  reqs.push_back(
+      MapWrite(*space_, counting_, WriteQueue::OpKind::kDelete, obj, id));
+  const Status s = Write(&reqs);
+  *found = reqs[0].found;
+  return s;
 }
 
-Status SpbTree::DeleteMapped(const Blob& obj, ObjectId id, uint64_t key,
-                             bool* found) {
-  *found = false;
-  if (write_queue_ != nullptr) {
-    WriteQueue::Request req;
-    req.kind = WriteQueue::OpKind::kDelete;
-    req.obj = obj;
-    req.id = id;
-    req.key = key;
-    return write_queue_->Submit(std::move(req), found);
-  }
+Status SpbTree::Write(std::vector<WriteQueue::Request>* reqs) {
+  if (reqs->empty()) return Status::OK();
+  if (write_queue_ != nullptr) return write_queue_->SubmitBatch(reqs);
   std::unique_lock<std::mutex> wlock(writer_mu_, std::try_to_lock);
   if (!wlock.owns_lock()) {
-    return Status::Busy("Delete raced another writer; retry when it drains");
+    return Status::Busy("write raced another writer; retry when it drains");
   }
-  if (wal_ != nullptr) {
-    Wal::Record rec{Wal::RecordType::kDelete, id, obj};
-    SPB_RETURN_IF_ERROR(wal_->AppendGroup(
-        &rec, 1, wal_fsync_.load(std::memory_order_relaxed)));
+  std::vector<WriteQueue::Request*> group;
+  group.reserve(reqs->size());
+  for (WriteQueue::Request& r : *reqs) group.push_back(&r);
+  return CommitLocked(group, /*log=*/true);
+}
+
+Status SpbTree::CommitLocked(const std::vector<WriteQueue::Request*>& group,
+                             bool log) {
+  if (log && wal_ != nullptr) {
+    std::vector<Wal::Record> recs(group.size());
+    for (size_t i = 0; i < group.size(); ++i) {
+      recs[i].type = group[i]->kind == WriteQueue::OpKind::kInsert
+                         ? Wal::RecordType::kInsert
+                         : Wal::RecordType::kDelete;
+      recs[i].id = group[i]->id;
+      recs[i].payload = group[i]->obj;
+    }
+    // ONE segment write + ONE fsync for the whole group.
+    const Status ws = wal_->AppendGroup(
+        recs.data(), recs.size(), wal_fsync_.load(std::memory_order_relaxed));
+    if (!ws.ok()) {
+      for (WriteQueue::Request* r : group) r->status = ws;
+      return ws;
+    }
   }
+  // Intermediate versions are adopted privately and never published, so
+  // queueing their superseded pages behind the one final epoch is safe.
   std::vector<PageId> superseded;
-  SPB_RETURN_IF_ERROR(
-      DeleteOneMappedLocked(obj, id, key, found, &superseded));
+  Status first_error;
+  for (WriteQueue::Request* r : group) {
+    r->status = ApplyLocked(r, &superseded);
+    if (first_error.ok() && !r->status.ok()) first_error = r->status;
+  }
+  // ONE snapshot epoch for the whole group.
   PublishCurrent(std::move(superseded));
   MaybeRefreshLocatorLocked();
+  return first_error;
+}
+
+Status SpbTree::ApplyLocked(WriteQueue::Request* r,
+                            std::vector<PageId>* superseded) {
+  if (r->kind == WriteQueue::OpKind::kDelete) {
+    return UnlinkLocked(r->key, r->id, &r->obj, superseded, &r->found);
+  }
+  // Upsert: an entry at this key with the same id is replaced.
+  bool replaced = false;
+  SPB_RETURN_IF_ERROR(
+      UnlinkLocked(r->key, r->id, nullptr, superseded, &replaced));
+  // RAF first: the new leaf entry references the record's offset, and the
+  // appender's release-store of the watermark happens before the version
+  // holding this entry can be published.
+  uint64_t offset;
+  SPB_RETURN_IF_ERROR(raf_->Append(r->id, r->obj, &offset));
+  TreeVersion tv;
+  SPB_RETURN_IF_ERROR(btree_->InsertCow(r->key, offset, &tv, superseded));
+  btree_->AdoptVersion(tv);
+  InvalidateLocator();
+  const uint64_t n = num_objects_.fetch_add(1, std::memory_order_relaxed) + 1;
+  ++inserts_seen_;
+  std::lock_guard<std::mutex> lock(cost_mu_);
+  cost_model_.set_total_objects(n);
+  if (options_.cost_sample_size > 0) {
+    cost_model_.AddSample(r->phi, inserts_seen_,
+                          sample_rng_.Uniform(UINT64_MAX));
+  }
   return Status::OK();
 }
 
-Status SpbTree::DeleteOneMappedLocked(const Blob& obj, ObjectId id,
-                                      uint64_t key, bool* found,
-                                      std::vector<PageId>* superseded) {
-  if (found != nullptr) *found = false;
-  // Locate the duplicate whose RAF record matches (id, payload). With a
-  // current locator model SeekRank jumps straight to the owning leaf; the
-  // fallback is a chain-free cursor (the leaf chain is stale once COW
-  // writes happen). Both scan the duplicate run in global key order, so
-  // they locate the same entry with the same RAF probe sequence.
-  uint64_t ptr = 0;
-  bool located = false;
+Status SpbTree::UnlinkLocked(uint64_t key, ObjectId id, const Blob* obj,
+                             std::vector<PageId>* superseded, bool* removed) {
+  *removed = false;
+  // A chain-free cursor: the leaf chain is stale once COW writes happen.
+  BPlusTree::LeafCursor cur(btree_.get(), btree_->version());
+  SPB_RETURN_IF_ERROR(cur.Seek(key));
   ObjectId rid;
   Blob robj;
-  if (WriterLocatorUsable()) {
-    const LeafModel& model = *locator_;
-    DecodedNode scratch;
-    NodeHandle h;
-    bool past = false;
-    for (size_t rank = model.SeekRank(key);
-         !located && !past && rank < model.num_leaves() &&
-         model.min_key(rank) <= key;
-         ++rank) {
-      SPB_RETURN_IF_ERROR(btree_->GetNode(model.leaf_id(rank), &scratch, &h));
-      const auto& les = h->node.leaf_entries;
-      auto it = std::lower_bound(
-          les.begin(), les.end(), key,
-          [](const LeafEntry& e, uint64_t want) { return e.key < want; });
-      for (; it != les.end(); ++it) {
-        if (it->key != key) {
-          past = true;
-          break;
-        }
-        SPB_RETURN_IF_ERROR(raf_->Get(it->ptr, &rid, &robj));
-        if (rid == id && robj == obj) {
-          ptr = it->ptr;
-          located = true;
-          break;
-        }
-      }
-    }
-  } else {
-    BPlusTree::LeafCursor cur(btree_.get(), btree_->version());
-    SPB_RETURN_IF_ERROR(cur.Seek(key));
-    while (cur.valid() && cur.entry().key == key) {
-      SPB_RETURN_IF_ERROR(raf_->Get(cur.entry().ptr, &rid, &robj));
-      if (rid == id && robj == obj) {
-        ptr = cur.entry().ptr;
-        located = true;
-        break;
-      }
-      SPB_RETURN_IF_ERROR(cur.Next());
-    }
+  for (;;) {
+    if (!cur.valid() || cur.entry().key != key) return Status::OK();
+    SPB_RETURN_IF_ERROR(raf_->Get(cur.entry().ptr, &rid, &robj));
+    if (rid == id && (obj == nullptr || robj == *obj)) break;
+    SPB_RETURN_IF_ERROR(cur.Next());
   }
-  // Missing record: not-found, kOk — which is exactly what makes WAL replay
-  // of an already-applied delete idempotent.
-  if (!located) return Status::OK();
   TreeVersion tv;
-  bool removed = false;
-  SPB_RETURN_IF_ERROR(btree_->DeleteCow(key, ptr, &removed, &tv, superseded));
-  if (!removed) return Status::OK();
-  if (found != nullptr) *found = true;
+  SPB_RETURN_IF_ERROR(
+      btree_->DeleteCow(key, cur.entry().ptr, removed, &tv, superseded));
+  if (!*removed) return Status::OK();
+  btree_->AdoptVersion(tv);
+  InvalidateLocator();
   // The unlinked RAF record (u32 id + u32 len header plus the payload) is
   // garbage until a rebuild/compaction: tally it as compaction debt.
   raf_->AddDeadBytes(8 + robj.size());
-  btree_->AdoptVersion(tv);
-  InvalidateLocator();
   const uint64_t n = num_objects_.fetch_sub(1, std::memory_order_relaxed) - 1;
-  {
-    std::lock_guard<std::mutex> lock(cost_mu_);
-    cost_model_.set_total_objects(n);
-  }
+  std::lock_guard<std::mutex> lock(cost_mu_);
+  cost_model_.set_total_objects(n);
   return Status::OK();
 }
 
@@ -1900,7 +1688,12 @@ Status SpbTree::InitEngine() {
       options_.compact_dead_bytes_threshold > 0) {
     write_queue_ = std::make_unique<WriteQueue>(
         [this](std::vector<WriteQueue::Request*>& group) {
-          CommitGroup(group);
+          // Blocking lock: the leader queues behind a checkpoint or a
+          // compaction rather than failing, and holding it across
+          // append+fsync+apply+publish is what guarantees a concurrent Save
+          // can never truncate WAL records appended but not yet applied.
+          std::lock_guard<std::mutex> wlock(writer_mu_);
+          CommitLocked(group, /*log=*/true);
         },
         std::max<size_t>(1, options_.wal_group_max));
     if (options_.compact_dead_bytes_threshold > 0) {
@@ -1911,73 +1704,29 @@ Status SpbTree::InitEngine() {
   return Status::OK();
 }
 
-void SpbTree::CommitGroup(std::vector<WriteQueue::Request*>& group) {
-  // Blocking lock — the leader queues behind a checkpoint/compaction rather
-  // than failing, and holding it across append+fsync+apply+publish is what
-  // guarantees a concurrent Save can never truncate WAL records that are
-  // appended but not yet applied.
-  std::lock_guard<std::mutex> wlock(writer_mu_);
-  if (wal_ != nullptr) {
-    std::vector<Wal::Record> recs(group.size());
-    for (size_t i = 0; i < group.size(); ++i) {
-      recs[i].type = group[i]->kind == WriteQueue::OpKind::kInsert
-                         ? Wal::RecordType::kInsert
-                         : Wal::RecordType::kDelete;
-      recs[i].id = group[i]->id;
-      recs[i].payload = group[i]->obj;
-    }
-    // ONE segment write + ONE fsync for the whole group.
-    const Status ws = wal_->AppendGroup(
-        recs.data(), recs.size(), wal_fsync_.load(std::memory_order_relaxed));
-    if (!ws.ok()) {
-      for (WriteQueue::Request* r : group) r->status = ws;
-      return;
-    }
-  }
-  std::vector<PageId> superseded;
-  for (WriteQueue::Request* r : group) {
-    if (r->kind == WriteQueue::OpKind::kInsert) {
-      r->status = InsertOneMappedLocked(r->obj, r->id, r->phi.data(), r->key,
-                                        &superseded);
-    } else {
-      r->status =
-          DeleteOneMappedLocked(r->obj, r->id, r->key, &r->found, &superseded);
-    }
-  }
-  // ONE snapshot epoch for the whole group.
-  PublishCurrent(std::move(superseded));
-  MaybeRefreshLocatorLocked();
-}
-
 Status SpbTree::ReplayWal() {
   std::vector<Wal::Record> records;
   SPB_RETURN_IF_ERROR(wal_->ReadAll(&records));
-  if (records.empty()) return Status::OK();
   // Records below the checkpoint LSN are already captured by the tree files
   // (the checkpoint truncates, so normally none exist — a crash between the
   // meta write and the truncate leaves some, and replaying them is a no-op
   // thanks to upsert/missing-delete idempotence; skipping the provably
   // captured ones just saves the work).
   const uint64_t checkpoint_lsn = wal_->stats().checkpoint_lsn;
-  std::lock_guard<std::mutex> wlock(writer_mu_);
-  std::vector<PageId> superseded;
+  std::vector<WriteQueue::Request> reqs;
   for (const Wal::Record& rec : records) {
     if (rec.lsn < checkpoint_lsn) continue;
-    if (rec.type == Wal::RecordType::kInsert) {
-      const std::vector<double> phi = space_->Phi(rec.payload, counting_);
-      SPB_RETURN_IF_ERROR(InsertOneMappedLocked(
-          rec.payload, rec.id, phi.data(), space_->KeyFor(phi), &superseded));
-    } else {
-      bool found = false;
-      SPB_RETURN_IF_ERROR(DeleteOneMappedLocked(
-          rec.payload, rec.id,
-          space_->KeyFor(space_->Phi(rec.payload, counting_)), &found,
-          &superseded));
-    }
+    reqs.push_back(MapWrite(*space_, counting_,
+                            rec.type == Wal::RecordType::kInsert
+                                ? WriteQueue::OpKind::kInsert
+                                : WriteQueue::OpKind::kDelete,
+                            rec.payload, rec.id));
   }
-  PublishCurrent(std::move(superseded));
-  MaybeRefreshLocatorLocked();
-  return Status::OK();
+  if (reqs.empty()) return Status::OK();
+  std::vector<WriteQueue::Request*> group;
+  for (WriteQueue::Request& r : reqs) group.push_back(&r);
+  std::lock_guard<std::mutex> wlock(writer_mu_);
+  return CommitLocked(group, /*log=*/false);
 }
 
 Status SpbTree::RebuildBtreeFromRaf() {

@@ -127,15 +127,18 @@ enum class KnnTraversal {
 /// Thread safety — the epoch/snapshot protocol (docs/ARCHITECTURE.md
 /// §"Threading model"): RangeQuery()/KnnQuery()/EstimateRangeCost()/
 /// EstimateKnnCost() may run from any number of threads concurrently with
-/// at most one writer (Insert/Delete/BatchInsert). Each query
+/// at most one writer (Insert/Delete/BatchInsert/Write). Each query
 /// pins a Snapshot of the published index version (B+-tree root + RAF
 /// watermark) and traverses only pages reachable from it; the writer
 /// builds new versions copy-on-write and publishes them atomically, so
 /// readers never see a half-applied update and pay no per-node locks on
-/// the warm path. A second concurrent writer gets Status::Busy (kBusy) —
-/// writers are serialized by one try-lock, not queued. Superseded pages
-/// are retired (cache-purged and id-recycled) only after the last snapshot
-/// pinning them drains.
+/// the warm path. Every write maps its objects through the pivots before
+/// it takes any lock and then commits through one body (Write). Without
+/// the commit queue a second concurrent writer gets Status::Busy (kBusy) —
+/// writers are serialized by one try-lock, not queued; with it
+/// (enable_group_commit, or the background compactor) they queue.
+/// Superseded pages are retired (cache-purged and id-recycled) only after
+/// the last snapshot pinning them drains.
 ///
 /// Cumulative PA/compdists counters are atomic and stay exact in
 /// aggregate; per-query QueryStats deltas are only attributable when
@@ -220,14 +223,19 @@ class SpbTree : public MetricIndex {
   size_t writer_concurrency() const override;
 
   /// Inserts one object with explicit id (Appendix C path: map, append to
-  /// RAF, copy-on-write B+-tree insert, snapshot publish). Safe under
-  /// concurrent queries; a second in-flight writer gets Status::Busy.
+  /// RAF, copy-on-write B+-tree insert, snapshot publish): a one-element
+  /// BatchInsert. Re-inserting an id already stored under the same key
+  /// replaces that record (upsert). Safe under concurrent queries; without
+  /// the commit queue a second in-flight writer gets Status::Busy. The
+  /// object is mapped before the writer try-lock, so an insert that gets
+  /// Busy has already spent its |P| distance computations.
   Status Insert(const Blob& obj, ObjectId id) override;
 
-  /// Batch insert with one snapshot publication at the end instead of one
-  /// per object — pages created and superseded *within* the batch are
-  /// still retired through the snapshot queue, so readers pinning the
-  /// pre-batch version stay consistent. Status::Busy on a writer race.
+  /// Batch insert: maps every object, then applies them through Write()
+  /// with one snapshot publication at the end instead of one per object —
+  /// pages created and superseded *within* the batch are still retired
+  /// through the snapshot queue, so readers pinning the pre-batch version
+  /// stay consistent. Status::Busy on a writer race (nothing applied).
   Status BatchInsert(const std::vector<Blob>& objs,
                      const std::vector<ObjectId>& ids) override;
 
@@ -238,26 +246,26 @@ class SpbTree : public MetricIndex {
   /// concurrent queries (COW + publish); Status::Busy on a writer race.
   Status Delete(const Blob& obj, ObjectId id, bool* found) override;
 
-  /// One pre-mapped write, for routers that computed phi/key once to pick a
-  /// shard: `obj`/`phi` must outlive the call, `phi` is space().dims()
-  /// doubles and `key` its SFC key.
-  struct MappedInsert {
-    const Blob* obj;
-    ObjectId id;
-    uint64_t key;
-    const double* phi;
-  };
+  /// Maps one write through `space`'s pivots into a request for Write():
+  /// phi(obj) and its SFC key, at space.dims() distance computations on
+  /// `metric`. A tree maps with its own space and counting metric; a
+  /// router maps with its own (the same pivots) to pick the shard, so the
+  /// shard does not pay the distances a second time.
+  static WriteQueue::Request MapWrite(const MappedSpace& space,
+                                      const DistanceFunction& metric,
+                                      WriteQueue::OpKind kind, const Blob& obj,
+                                      ObjectId id);
 
-  /// BatchInsert over pre-mapped records: identical publication semantics
-  /// (one snapshot publish for the whole batch, Status::Busy on a writer
-  /// race) without re-computing the |P| mapping distances per record —
-  /// those were already spent, and counted, at the caller's router.
-  Status BatchInsertMapped(const MappedInsert* items, size_t count);
-
-  /// Delete with the SFC key precomputed by a router (the mapping is only
-  /// used to locate the leaf). Same contract as Delete otherwise.
-  Status DeleteMapped(const Blob& obj, ObjectId id, uint64_t key,
-                      bool* found);
+  /// The one write entry point: applies `reqs` (each built by MapWrite, in
+  /// order) and fills each request's status and, for deletes, found. With
+  /// the commit queue the requests are enqueued and may commit across
+  /// several groups, interleaved with other writers. Without it the writer
+  /// lock is try-locked — Status::Busy, and nothing logged or applied, if
+  /// another writer holds it — and the whole vector commits as one group:
+  /// one WAL append with one fsync, every request applied with its own
+  /// status (a failed one does not stop the rest), and one snapshot
+  /// publish. Returns the first non-OK request status.
+  Status Write(std::vector<WriteQueue::Request>* reqs);
 
   /// RQ(q, O, r) — Algorithm 1 (RQA) with Lemmas 1-2 and the computeSFC leaf
   /// optimization. Result ids are in no particular order.
@@ -443,27 +451,20 @@ class SpbTree : public MetricIndex {
   // B+-tree version plus the RAF watermark and object count.
   IndexVersion CurrentVersion() const;
 
-  // One insert under the already-held writer lock, WITHOUT publishing:
-  // superseded page ids accumulate in `*superseded` for a later
-  // PublishCurrent. Insert() publishes per call; BatchInsert() once.
-  Status InsertOneLocked(const Blob& obj, ObjectId id,
-                         std::vector<PageId>* superseded);
+  // Applies one mapped request under the held writer lock, WITHOUT
+  // publishing: superseded page ids accumulate in `*superseded`. An insert
+  // is an upsert — an entry at its key with the same id is unlinked first —
+  // which is also what makes WAL replay of an already-applied insert
+  // idempotent; a missing delete is kOk with found == false, which makes
+  // replay of an already-applied delete idempotent.
+  Status ApplyLocked(WriteQueue::Request* r, std::vector<PageId>* superseded);
 
-  // Same, with phi/key already computed (by InsertOneLocked or a router).
-  // Upsert semantics: an existing entry with the same (key, id, payload)
-  // is first unlinked and its RAF record's bytes added to the dead-byte
-  // debt — re-inserting an id never double-counts an object, and WAL
-  // replay of an already-applied insert is a clean no-op-shaped rewrite.
-  Status InsertOneMappedLocked(const Blob& obj, ObjectId id,
-                               const double* phi, uint64_t key,
-                               std::vector<PageId>* superseded);
-
-  // One delete under the already-held writer lock, WITHOUT publishing.
-  // Sets `*found` (may be null); missing records are kOk/not-found, which
-  // makes WAL replay of an already-applied delete idempotent.
-  Status DeleteOneMappedLocked(const Blob& obj, ObjectId id, uint64_t key,
-                               bool* found,
-                               std::vector<PageId>* superseded);
+  // Unlinks the first entry of `key`'s duplicate run (scanned in key order
+  // by a chain-free cursor) whose RAF record has id `id` and, when `obj` is
+  // given, that payload. The record's bytes (8-byte header + payload) join
+  // the RAF's dead-byte debt. `*removed` reports whether an entry went.
+  Status UnlinkLocked(uint64_t key, ObjectId id, const Blob* obj,
+                      std::vector<PageId>* superseded, bool* removed);
 
   // The traversal bodies of RangeQuery/KnnQuery, shared with the *Mapped
   // variants: the caller has pinned `snap`, cleared `result` and filled
@@ -495,12 +496,6 @@ class SpbTree : public MetricIndex {
   void MaybeRefreshLocatorLocked();
   // Marks the writer's model stale (called on every COW mutation).
   void InvalidateLocator();
-  // True when the writer may use the model's leaf directory for its own
-  // descent (model built for exactly the current adopted version).
-  bool WriterLocatorUsable() const {
-    return options_.enable_learned_locator && locator_current_ &&
-           locator_ != nullptr;
-  }
 
   // ---- Planner.
   // One kNN routing decision, from the cost model's O(log) components (the
@@ -551,15 +546,17 @@ class SpbTree : public MetricIndex {
   // options_. Called once, after InitSnapshots(), from BuildInternal/Open.
   Status InitEngine();
 
-  // The group-commit leader body: takes the writer lock (blocking — commit
-  // groups queue behind checkpoints/compactions, never fail), appends the
-  // whole group as one WAL write + one fsync, applies every request through
-  // the COW write path and publishes ONE snapshot epoch. Per-request
-  // statuses land in the requests.
-  void CommitGroup(std::vector<WriteQueue::Request*>& group);
+  // The one commit body, under the held writer lock, for the try-lock
+  // route, the group-commit leader and WAL replay (`log` false): appends
+  // the group as one WAL write + one fsync, applies every request with its
+  // own status, publishes ONE snapshot epoch and refreshes the locator.
+  // Returns the first non-OK request status (the WAL error, on a failed
+  // append, lands in every request and nothing is applied).
+  Status CommitLocked(const std::vector<WriteQueue::Request*>& group,
+                      bool log);
 
-  // Replays WAL records past the last checkpoint through the locked write
-  // path (one publish at the end). Called from Open before counters reset.
+  // Replays WAL records past the last checkpoint as one CommitLocked group
+  // (one publish at the end). Called from Open before counters reset.
   Status ReplayWal();
 
   // Rebuilds btree.spb from a full raw RAF scan (re-mapping every record).
@@ -601,12 +598,12 @@ class SpbTree : public MetricIndex {
   uint64_t extra_distance_computations_ = 0;
   Rng sample_rng_{12345};
 
-  // Single-writer gate: Insert/Delete/BatchInsert/ApplyTuning try-lock it
-  // and return Status::Busy when it is held. Readers never take it. The
-  // group-commit leader, Save and Compact take it BLOCKING — they queue
-  // behind each other instead of failing, which is what keeps a checkpoint
-  // from truncating WAL records a concurrent group appended but has not
-  // yet applied.
+  // Single-writer gate: Write (without the commit queue) and ApplyTuning
+  // try-lock it and return Status::Busy when it is held. Readers never take
+  // it. The group-commit leader, WAL replay, Save and Compact take it
+  // BLOCKING — they queue behind each other instead of failing, which is
+  // what keeps a checkpoint from truncating WAL records a concurrent group
+  // appended but has not yet applied.
   std::mutex writer_mu_;
   // Guards the cost model, which the writer mutates (AddSample /
   // set_total_objects) while readers run Estimate*Cost.

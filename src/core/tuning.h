@@ -89,9 +89,10 @@ struct TuningOptions {
   /// Learned leaf locator (docs/ARCHITECTURE.md §"Learned locator +
   /// planner"): a per-TreeVersion leaf directory + internal-node image,
   /// built in one uncounted pass at Build/Open/compaction and refreshed per
-  /// snapshot epoch. Point lookups, RQA/NNA traversals, SJA leaf scans and
-  /// the write path's descent then skip inner B+-tree pages entirely; any
-  /// stale (COW-invalidated) model falls back to classic descent. Results
+  /// snapshot epoch. Point lookups, RQA/NNA traversals and SJA leaf scans
+  /// then skip inner B+-tree pages entirely (writes always take the classic
+  /// descent); any stale (COW-invalidated) model falls back to classic
+  /// descent. Results
   /// and compdists are byte-identical either way; B+-tree inner-node page
   /// accesses are NOT — eliding them is the optimization — which is why the
   /// default is off: the paper-protocol figures keep their classic PA

@@ -47,7 +47,6 @@ Status QueryExecutor::FanOut(size_t n,
   }
   if (n == 0) return Status::OK();
 
-  busy_retries_.store(0, std::memory_order_relaxed);
   const QueryStats before = index_->cumulative_stats();
   const IoStats io_before = index_->io_stats();
   const auto start = std::chrono::steady_clock::now();
@@ -87,7 +86,6 @@ Status QueryExecutor::FanOut(size_t n,
     std::sort(sorted.begin(), sorted.end());
     stats->p50_seconds = PercentileSorted(sorted, 0.50);
     stats->p99_seconds = PercentileSorted(sorted, 0.99);
-    stats->busy_retries = busy_retries_.load(std::memory_order_relaxed);
   }
   return first_error;
 }
@@ -118,7 +116,8 @@ Status QueryExecutor::RunKnnBatch(const std::vector<Blob>& queries, size_t k,
   return FanOut(queries.size(), task, stats);
 }
 
-Status QueryExecutor::ExecuteWrite(const std::function<Status()>& op) {
+Status QueryExecutor::ExecuteWrite(const std::function<Status()>& op,
+                                   std::atomic<uint64_t>* busy_retries) {
   if (index_->writer_concurrency() <= 1) {
     // Single-writer index: serialize batch siblings up front so its writer
     // try-lock never fails against one of our own ops.
@@ -142,7 +141,7 @@ Status QueryExecutor::ExecuteWrite(const std::function<Status()>& op) {
   Status s = op();
   for (int attempt = 0; s.code() == Status::Code::kBusy; ++attempt) {
     if (attempt >= kMaxRetries) return s;
-    busy_retries_.fetch_add(1, std::memory_order_relaxed);
+    busy_retries->fetch_add(1, std::memory_order_relaxed);
     if (attempt < kSpinRetries) {
       std::this_thread::yield();
     } else {
@@ -157,6 +156,7 @@ Status QueryExecutor::ExecuteWrite(const std::function<Status()>& op) {
 BatchResult QueryExecutor::Submit(std::span<const Request> requests) {
   BatchResult batch;
   batch.results.assign(requests.size(), OpResult{});
+  std::atomic<uint64_t> busy_retries{0};
   auto task = [&](size_t i) -> Status {
     const Request& op = requests[i];
     OpResult& out = batch.results[i];
@@ -171,11 +171,12 @@ BatchResult QueryExecutor::Submit(std::span<const Request> requests) {
         break;
       case Request::Kind::kInsert:
         out.status = ExecuteWrite(
-            [&] { return index_->Insert(op.obj, op.id); });
+            [&] { return index_->Insert(op.obj, op.id); }, &busy_retries);
         break;
       case Request::Kind::kDelete:
         out.status = ExecuteWrite(
-            [&] { return index_->Delete(op.obj, op.id, &out.found); });
+            [&] { return index_->Delete(op.obj, op.id, &out.found); },
+            &busy_retries);
         break;
       default:
         // A kind outside the enum can only come from a hand-built Request
@@ -186,6 +187,7 @@ BatchResult QueryExecutor::Submit(std::span<const Request> requests) {
     return out.status;
   };
   batch.first_error = FanOut(requests.size(), task, &batch.stats);
+  batch.stats.busy_retries = busy_retries.load(std::memory_order_relaxed);
   return batch;
 }
 

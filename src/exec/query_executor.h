@@ -146,20 +146,19 @@ class QueryExecutor {
   /// One write op under the policy Submit documents: mutex when the index
   /// is single-writer; lock-free dispatch with BOUNDED retry-on-Busy
   /// (capped exponential backoff, kBusy surfaced if the budget drains) when
-  /// it supports concurrent writers. Retries are tallied in busy_retries_.
-  Status ExecuteWrite(const std::function<Status()>& op);
+  /// it supports concurrent writers. Retries are added to `*busy_retries`,
+  /// the calling batch's own counter, so overlapping Submit calls never
+  /// mix their counts.
+  Status ExecuteWrite(const std::function<Status()>& op,
+                      std::atomic<uint64_t>* busy_retries);
 
   MetricIndex* index_;
   TaskArena arena_;
 
-  /// kBusy retries across the current batch (reset per RunBatch, reported
-  /// as BatchStats::busy_retries).
-  std::atomic<uint64_t> busy_retries_{0};
-
   /// Serializes write ops within mixed batches against single-writer
   /// indexes (writer_concurrency() == 1) so the index's try-lock never
   /// fails against a sibling op from the same batch. Unused for
-  /// multi-writer indexes — see RunWrite().
+  /// multi-writer indexes — see ExecuteWrite().
   InstrumentedMutex write_mu_{"exec.write_mu"};
 };
 

@@ -25,14 +25,6 @@ void WriteQueue::Stop() {
   if (compactor_.joinable()) compactor_.join();
 }
 
-Status WriteQueue::Submit(Request req, bool* found) {
-  std::unique_lock<InstrumentedMutex> lock(mu_);
-  pending_.push_back(&req);
-  DriveUntilDone(lock, &req);
-  if (found != nullptr) *found = req.found;
-  return req.status;
-}
-
 Status WriteQueue::SubmitBatch(std::vector<Request>* reqs) {
   if (reqs->empty()) return Status::OK();
   std::unique_lock<InstrumentedMutex> lock(mu_);

@@ -82,13 +82,10 @@ class WriteQueue {
   /// by the destructor.
   void Stop();
 
-  /// Enqueues one request and blocks until its group commits. Returns the
-  /// request's commit status; `*found` (optional) reports delete match.
-  Status Submit(Request req, bool* found = nullptr);
-
   /// Enqueues `reqs` as individual requests (they may commit across several
   /// groups, interleaved with other writers) and blocks until all have
-  /// committed. Returns the first non-OK status, if any.
+  /// committed. Each request's status and found are filled; returns the
+  /// first non-OK status, if any.
   Status SubmitBatch(std::vector<Request>* reqs);
 
   /// Wakes the compaction worker to re-check NeedsCompactFn.
@@ -106,8 +103,8 @@ class WriteQueue {
   Stats stats() const;
 
  private:
-  /// Caller-side wait/lead loop shared by Submit and SubmitBatch: blocks
-  /// until `req` is done, becoming leader whenever the slot is free.
+  /// Caller-side wait/lead loop of SubmitBatch: blocks until `req` is
+  /// done, becoming leader whenever the slot is free.
   void DriveUntilDone(std::unique_lock<InstrumentedMutex>& lock,
                       Request* req);
   /// Leader body: drains groups until `own` is done (then steps down).

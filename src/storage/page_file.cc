@@ -8,10 +8,6 @@
 #include <cstring>
 #include <mutex>
 
-#ifdef SPB_HAVE_IOURING
-#include <liburing.h>
-#endif
-
 namespace spb {
 
 namespace {
@@ -108,9 +104,6 @@ class DiskPageFile final : public PageFile {
   DiskPageFile(int fd, PageId num_pages) : fd_(fd), num_pages_(num_pages) {}
 
   ~DiskPageFile() override {
-#ifdef SPB_HAVE_IOURING
-    if (ring_state_ == RingState::kReady) io_uring_queue_exit(&ring_);
-#endif
     if (fd_ >= 0) ::close(fd_);
   }
 
@@ -174,9 +167,6 @@ class DiskPageFile final : public PageFile {
     if (first >= num_pages() || count > num_pages() - first) {
       return Status::InvalidArgument("page span out of range");
     }
-#ifdef SPB_HAVE_IOURING
-    if (EnsureRing()) return ReadSpanUring(first, count, out);
-#endif
     uint8_t* dst = reinterpret_cast<uint8_t*>(out);
     const size_t total = count * kPageSize;
     size_t done = 0;
@@ -223,54 +213,6 @@ class DiskPageFile final : public PageFile {
     return true;
   }
 
-#ifdef SPB_HAVE_IOURING
-  // Lazily set up a small ring; on any setup failure (old kernel, seccomp,
-  // RLIMIT_MEMLOCK) fall back to pread permanently for this file.
-  bool EnsureRing() {
-    std::lock_guard<std::mutex> lock(ring_mu_);
-    if (ring_state_ == RingState::kUnavailable) return false;
-    if (ring_state_ == RingState::kReady) return true;
-    if (io_uring_queue_init(8, &ring_, 0) != 0) {
-      ring_state_ = RingState::kUnavailable;
-      return false;
-    }
-    ring_state_ = RingState::kReady;
-    return true;
-  }
-
-  Status ReadSpanUring(PageId first, size_t count, Page* out) {
-    std::lock_guard<std::mutex> lock(ring_mu_);
-    uint8_t* dst = reinterpret_cast<uint8_t*>(out);
-    size_t total = count * kPageSize;
-    off_t off =
-        static_cast<off_t>(first) * static_cast<off_t>(kPageSize);
-    // A single queued read may complete short; loop like pread would.
-    while (total > 0) {
-      struct io_uring_sqe* sqe = io_uring_get_sqe(&ring_);
-      if (sqe == nullptr) return Status::IOError("io_uring sqe exhausted");
-      io_uring_prep_read(sqe, fd_, dst, static_cast<unsigned>(total), off);
-      if (io_uring_submit_and_wait(&ring_, 1) < 0) {
-        return Status::IOError("io_uring submit failed");
-      }
-      struct io_uring_cqe* cqe = nullptr;
-      if (io_uring_wait_cqe(&ring_, &cqe) != 0) {
-        return Status::IOError("io_uring wait failed");
-      }
-      const int res = cqe->res;
-      io_uring_cqe_seen(&ring_, cqe);
-      if (res <= 0) return Status::IOError("short read in ReadSpan");
-      dst += res;
-      off += res;
-      total -= static_cast<size_t>(res);
-    }
-    return Status::OK();
-  }
-
-  enum class RingState { kUninit, kReady, kUnavailable };
-  std::mutex ring_mu_;
-  RingState ring_state_ = RingState::kUninit;
-  struct io_uring ring_ {};
-#endif
 
   int fd_;
   std::atomic<PageId> num_pages_;

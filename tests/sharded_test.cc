@@ -4,7 +4,7 @@
 // per-shard writer isolation (kBusy never crosses a shard boundary),
 // aggregate-stat wiring, the RAF dead-bytes counter and sharded
 // save/open round-trips. tools/check.sh also runs this binary under
-// ThreadSanitizer and AddressSanitizer (--sharded stage).
+// ThreadSanitizer and AddressSanitizer (--writes stage).
 #include <gtest/gtest.h>
 
 #include <algorithm>

@@ -9,12 +9,15 @@
 // results must be byte-identical to the quiesced baseline; with in-ball
 // inserts, every observed result set must be sandwiched between the initial
 // and final quiesced sets. tools/check.sh also runs this binary under
-// ThreadSanitizer and AddressSanitizer (--updates stage).
+// ThreadSanitizer and AddressSanitizer (--writes stage).
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
+#include <condition_variable>
 #include <filesystem>
+#include <map>
+#include <mutex>
 #include <set>
 #include <thread>
 #include <vector>
@@ -479,6 +482,82 @@ TEST_F(SpbInterleavedTest, SubmitInterleavesReadsAndWrites) {
   EXPECT_TRUE(results.back().found) << "delete of an inserted op must find it";
   EXPECT_EQ(tree_->size(), 1200u + queries_.size() - 1);
   EXPECT_TRUE(tree_->CheckIntegrity().ok());
+}
+
+// A multi-writer index whose inserts report Status::Busy three times per id
+// before they succeed. The second attempt on `park_id` blocks until
+// Release(), so a test can hold one batch mid-retry while another runs.
+class BusyThriceIndex : public MetricIndex {
+ public:
+  explicit BusyThriceIndex(ObjectId park_id) : park_id_(park_id) {}
+
+  Status Insert(const Blob&, ObjectId id) override {
+    std::unique_lock<std::mutex> lock(mu_);
+    const int attempt = ++attempts_[id];
+    if (id == park_id_ && attempt == 2) {
+      parked_ = true;
+      cv_.notify_all();
+      cv_.wait(lock, [&] { return released_; });
+    }
+    return attempt <= 3 ? Status::Busy("busy thrice") : Status::OK();
+  }
+  void WaitParked() {
+    std::unique_lock<std::mutex> lock(mu_);
+    cv_.wait(lock, [&] { return parked_; });
+  }
+  void Release() {
+    std::lock_guard<std::mutex> lock(mu_);
+    released_ = true;
+    cv_.notify_all();
+  }
+
+  Status RangeQuery(const Blob&, double, std::vector<ObjectId>* result,
+                    QueryStats*) override {
+    result->clear();
+    return Status::OK();
+  }
+  Status KnnQuery(const Blob&, size_t, std::vector<Neighbor>* result,
+                  QueryStats*) override {
+    result->clear();
+    return Status::OK();
+  }
+  uint64_t storage_bytes() const override { return 0; }
+  QueryStats cumulative_stats() const override { return QueryStats{}; }
+  void ResetCounters() override {}
+  void FlushCaches() override {}
+  size_t writer_concurrency() const override { return 2; }
+  std::string name() const override { return "busy-thrice"; }
+
+ private:
+  const ObjectId park_id_;
+  std::mutex mu_;
+  std::condition_variable cv_;
+  std::map<ObjectId, int> attempts_;
+  bool parked_ = false;
+  bool released_ = false;
+};
+
+// Overlapping Submit calls (the server's dispatchers, any multi-threaded
+// caller) each report their own batch's kBusy retries: batch A parks after
+// its first retry while batch B runs start to finish, and neither count may
+// absorb or wipe the other's.
+TEST(ExecutorBusyRetryTest, OverlappingBatchesCountTheirOwnRetries) {
+  BusyThriceIndex index(/*park_id=*/1);
+  QueryExecutor exec(&index, 2);
+  BatchResult a;
+  std::thread batch_a([&] {
+    const std::vector<Request> ops{Request::Insert(BlobFromString("a"), 1)};
+    a = exec.Submit(ops);
+  });
+  index.WaitParked();
+  const std::vector<Request> ops{Request::Insert(BlobFromString("b"), 2)};
+  const BatchResult b = exec.Submit(ops);
+  index.Release();
+  batch_a.join();
+  EXPECT_TRUE(a.first_error.ok()) << a.first_error.ToString();
+  EXPECT_TRUE(b.first_error.ok()) << b.first_error.ToString();
+  EXPECT_EQ(a.stats.busy_retries, 3u);
+  EXPECT_EQ(b.stats.busy_retries, 3u);
 }
 
 // Baselines without an update path report Unimplemented through the shared

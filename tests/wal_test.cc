@@ -11,7 +11,7 @@
 // and compare against a twin built in-process. The helper runs before
 // InitGoogleTest (this file provides its own main), so the child never
 // starts the test runner. tools/check.sh also runs this binary under
-// ThreadSanitizer and AddressSanitizer (--wal stage).
+// ThreadSanitizer and AddressSanitizer (--writes stage).
 #include <gtest/gtest.h>
 #include <sys/wait.h>
 
@@ -92,7 +92,9 @@ Status ApplyOps(SpbTree* tree, const std::vector<WalOp>& ops, size_t count) {
 
 // The helper-side form: the 8 inserts as one BatchInsert (one commit group),
 // then the deletes individually. Logical record sequence == MakeWalOps order.
-Status ApplyOpsBatched(SpbTree* tree, const std::vector<WalOp>& ops) {
+// `found` (optional) collects each delete's found flag.
+Status ApplyOpsBatched(SpbTree* tree, const std::vector<WalOp>& ops,
+                       std::vector<bool>* found = nullptr) {
   std::vector<Blob> objs;
   std::vector<ObjectId> ids;
   for (size_t i = 0; i < 8; ++i) {
@@ -101,8 +103,9 @@ Status ApplyOpsBatched(SpbTree* tree, const std::vector<WalOp>& ops) {
   }
   SPB_RETURN_IF_ERROR(tree->BatchInsert(objs, ids));
   for (size_t i = 8; i < ops.size(); ++i) {
-    bool found = false;
-    SPB_RETURN_IF_ERROR(tree->Delete(ops[i].obj, ops[i].id, &found));
+    bool f = false;
+    SPB_RETURN_IF_ERROR(tree->Delete(ops[i].obj, ops[i].id, &f));
+    if (found != nullptr) found->push_back(f);
   }
   return Status::OK();
 }
@@ -375,33 +378,112 @@ TEST_F(WalReplayTest, ShardedTreeReplaysEveryShard) {
   EXPECT_TRUE(reopened->CheckIntegrity().ok());
 }
 
+// ------------------------------------------------- write front-end twins
+
+// ApplyOpsBatched, then an upsert of an inserted id and a delete of a record
+// that was never inserted. Appends every delete's found flag to `*found`.
+Status ApplyTwinScript(SpbTree* tree, const std::vector<WalOp>& ops,
+                       std::vector<bool>* found) {
+  SPB_RETURN_IF_ERROR(ApplyOpsBatched(tree, ops, found));
+  SPB_RETURN_IF_ERROR(tree->Insert(ops[2].obj, ops[2].id));
+  bool f = true;
+  SPB_RETURN_IF_ERROR(
+      tree->Delete(BlobFromString("neverinserted"), ObjectId(10999), &f));
+  found->push_back(f);
+  return Status::OK();
+}
+
+uint64_t DeadBytes(const SpbTree& tree) {
+  return tree.io_stats().dead_bytes.load(std::memory_order_relaxed);
+}
+
+// The plain tree's try-lock writes, the commit queue's writes, and the same
+// writes replayed from the WAL after an unclean close must leave equal
+// trees: found flags, size, dead bytes, query results and compdists. PA is
+// not compared: grouped publishes retire and recycle superseded page ids at
+// other moments, which moves nodes between pages but never a result.
+TEST(WriteFrontEndTest, TryLockQueueAndReplayTwinsAgree) {
+  Dataset ds = MakeWalDataset();
+  const std::vector<WalOp> ops = MakeWalOps(ds);
+
+  std::unique_ptr<SpbTree> plain;
+  ASSERT_TRUE(
+      SpbTree::Build(ds.objects, ds.metric.get(), SpbTreeOptions{}, &plain)
+          .ok());
+  std::vector<bool> plain_found;
+  ASSERT_TRUE(ApplyTwinScript(plain.get(), ops, &plain_found).ok());
+
+  SpbTreeOptions gc_opts;
+  gc_opts.enable_group_commit = true;
+  gc_opts.wal_group_max = 8;
+  std::unique_ptr<SpbTree> queued;
+  ASSERT_TRUE(
+      SpbTree::Build(ds.objects, ds.metric.get(), gc_opts, &queued).ok());
+  std::vector<bool> queued_found;
+  ASSERT_TRUE(ApplyTwinScript(queued.get(), ops, &queued_found).ok());
+
+  const std::string dir = TempDir("spb_wal_twins");
+  fs::remove_all(dir);
+  std::vector<bool> logged_found;
+  {
+    std::unique_ptr<SpbTree> tree;
+    ASSERT_TRUE(
+        SpbTree::Build(ds.objects, ds.metric.get(), WalOptions(dir), &tree)
+            .ok());
+    ASSERT_TRUE(tree->Save().ok());
+    ASSERT_TRUE(ApplyTwinScript(tree.get(), ops, &logged_found).ok());
+    // No Save: destruction is an unclean close, so the reopened tree gets
+    // every write from replay.
+  }
+  std::unique_ptr<SpbTree> replayed;
+  ASSERT_TRUE(
+      SpbTree::Open(dir, ds.metric.get(), WalOptions(dir), &replayed).ok());
+  EXPECT_EQ(replayed->CollectStats().wal_replayed_records, ops.size() + 2);
+
+  EXPECT_EQ(plain_found, (std::vector<bool>{true, true, true, true, false}));
+  EXPECT_EQ(queued_found, plain_found);
+  EXPECT_EQ(logged_found, plain_found);
+  for (SpbTree* twin : {queued.get(), replayed.get()}) {
+    EXPECT_EQ(twin->size(), plain->size());
+    EXPECT_EQ(DeadBytes(*twin), DeadBytes(*plain));
+    ExpectSameQueries(plain.get(), twin, ds, /*compare_pa=*/false);
+    EXPECT_TRUE(twin->CheckIntegrity().ok());
+  }
+  replayed.reset();
+  fs::remove_all(dir);
+}
+
 // ------------------------------------------------- upsert dead-byte debt
 
 TEST(DeadBytesTest, ReinsertOfExistingIdOrphansOldRecord) {
   Dataset ds = MakeWalDataset();
-  SpbTreeOptions opts;
-  std::unique_ptr<SpbTree> tree;
-  ASSERT_TRUE(SpbTree::Build(ds.objects, ds.metric.get(), opts, &tree).ok());
+  // Both write front ends: the writer try-lock and the commit queue.
+  for (const bool group_commit : {false, true}) {
+    SCOPED_TRACE(group_commit ? "group commit" : "try-lock");
+    SpbTreeOptions opts;
+    opts.enable_group_commit = group_commit;
+    std::unique_ptr<SpbTree> tree;
+    ASSERT_TRUE(
+        SpbTree::Build(ds.objects, ds.metric.get(), opts, &tree).ok());
+    EXPECT_EQ(tree->writer_concurrency() > 1, group_commit);
 
-  const Blob obj = BlobFromString("upserted");
-  ASSERT_TRUE(tree->Insert(obj, ObjectId(999)).ok());
-  const uint64_t size_before = tree->size();
-  const uint64_t dead_before =
-      tree->io_stats().dead_bytes.load(std::memory_order_relaxed);
+    const Blob obj = BlobFromString("upserted");
+    ASSERT_TRUE(tree->Insert(obj, ObjectId(999)).ok());
+    const uint64_t size_before = tree->size();
+    const uint64_t dead_before = DeadBytes(*tree);
 
-  // Re-inserting the same id must supersede the old record, not duplicate
-  // it: the orphaned record's bytes (8-byte RAF header + payload) join the
-  // dead-byte debt and the object count is unchanged.
-  ASSERT_TRUE(tree->Insert(obj, ObjectId(999)).ok());
-  EXPECT_EQ(tree->size(), size_before);
-  const uint64_t dead_after =
-      tree->io_stats().dead_bytes.load(std::memory_order_relaxed);
-  EXPECT_EQ(dead_after - dead_before, 8u + obj.size());
+    // Re-inserting the same id must supersede the old record, not
+    // duplicate it: the orphaned record's bytes (8-byte RAF header +
+    // payload) join the dead-byte debt and the object count is unchanged.
+    ASSERT_TRUE(tree->Insert(obj, ObjectId(999)).ok());
+    EXPECT_EQ(tree->size(), size_before);
+    EXPECT_EQ(DeadBytes(*tree) - dead_before, 8u + obj.size());
 
-  std::vector<ObjectId> got;
-  ASSERT_TRUE(tree->RangeQuery(obj, 0.0, &got).ok());
-  EXPECT_EQ(std::count(got.begin(), got.end(), ObjectId(999)), 1);
-  EXPECT_TRUE(tree->CheckIntegrity().ok());
+    std::vector<ObjectId> got;
+    ASSERT_TRUE(tree->RangeQuery(obj, 0.0, &got).ok());
+    EXPECT_EQ(std::count(got.begin(), got.end(), ObjectId(999)), 1);
+    EXPECT_TRUE(tree->CheckIntegrity().ok());
+  }
 }
 
 // ------------------------------------------------------------- compaction

@@ -10,20 +10,16 @@
 # dispatch table fail loudly on every path, plus the bulk load's span-write
 # and parallel-build tests, the SPB-tree query tests (the default range and
 # kNN paths over every dataset and curve) and the concurrency tests (pins on
-# memory-file frames must outlive the writer's frame swaps). Finally an
-# io_uring configure check: -DSPB_IOURING=ON must degrade gracefully
-# (warning + the portable pread backend) on machines without liburing.
+# memory-file frames must outlive the writer's frame swaps).
 #
 #   tools/check.sh            # everything
 #   tools/check.sh --tsan     # only the TSan stage (incl. parallel build)
 #   tools/check.sh --asan     # only the ASan/UBSan kernel, bulk-load,
 #                             # query-core and concurrency stage
-#   tools/check.sh --iouring  # only the io_uring configure/build check
 #   tools/check.sh --warmab   # only the prefetch + warm A/B identity sweeps
 #                             # (ASan+TSan)
-#   tools/check.sh --updates  # only the update-engine stage (TSan+ASan)
-#   tools/check.sh --sharded  # only the sharded-tree stage (TSan+ASan)
-#   tools/check.sh --wal      # only the write-path engine stage (TSan+ASan)
+#   tools/check.sh --writes   # only the write-path stage: update engine,
+#                             # sharded tree and WAL tests (TSan+ASan)
 #   tools/check.sh --fanout   # only the fan-out/contention stage (TSan+ASan)
 #   tools/check.sh --learned  # only the learned locator/planner stage (TSan+ASan)
 #   tools/check.sh --net      # only the network serving stage (TSan+ASan)
@@ -101,58 +97,33 @@ run_warmab() {
   (cd build-tsan && ./bench/bench_concurrency --warmab-only --scale=3000 --queries=48)
 }
 
-run_updates() {
-  # The update engine's correctness stage: epoch-based snapshot publication
-  # (interleaved insert/delete + query identity, COW page retirement, writer
-  # kBusy taxonomy, mixed executor batches) under TSan — the interleaved
-  # tests are exactly the read/write races the snapshot protocol must make
-  # benign — and under ASan (COW page recycling and retire callbacks must
-  # never free pages a pinned snapshot still reads).
-  echo "==> updates: snapshot/update-engine tests under TSan"
-  cmake -B build-tsan -S . -DSPB_SANITIZE=thread >/dev/null
-  cmake --build build-tsan -j "${JOBS}" --target updates_test
-  ./build-tsan/tests/updates_test
-  echo "==> updates: snapshot/update-engine tests under ASan"
-  cmake -B build-asan -S . -DSPB_SANITIZE=address >/dev/null
-  cmake --build build-asan -j "${JOBS}" --target updates_test
-  ./build-asan/tests/updates_test
-}
-
-run_sharded() {
-  # The sharded-tree stage: scatter-gather identity vs the single tree,
-  # cross-shard kNN under the shared NDk bound, per-shard writer isolation
-  # and concurrent mixed executor batches. TSan catches races in the
-  # shared-bound CAS loop, the per-shard box growth and the retry-on-Busy
-  # dispatch; ASan covers the pre-mapped insert paths' pointer lifetimes
-  # (MappedInsert borrows the caller's phi rows).
-  echo "==> sharded: sharded SPB-tree tests under TSan"
-  cmake -B build-tsan -S . -DSPB_SANITIZE=thread >/dev/null
-  cmake --build build-tsan -j "${JOBS}" --target sharded_test
-  ./build-tsan/tests/sharded_test
-  echo "==> sharded: sharded SPB-tree tests under ASan"
-  cmake -B build-asan -S . -DSPB_SANITIZE=address >/dev/null
-  cmake --build build-asan -j "${JOBS}" --target sharded_test
-  ./build-asan/tests/sharded_test
-}
-
-run_wal() {
-  # The write-path engine stage: group-commit WAL, writer queueing and
-  # epoch-safe compaction under both sanitizers. TSan covers the leader
-  # hand-off in the commit queue (concurrent Submit/SubmitBatch callers
-  # electing a drain leader), the background compactor thread racing
-  # pinned-snapshot readers, and the checkpoint-gated page recycling; ASan
-  # covers WAL replay buffers, the RAF rewrite's fresh-page staging and the
-  # retire-callback lifetimes across the compaction swap. The kill-point
-  # matrix re-execs the test binary with SPB_CRASH_POINT set, which works
+run_writes() {
+  # The write-path stage, one build per sanitizer for three binaries:
+  # - updates_test: epoch-based snapshot publication (interleaved
+  #   insert/delete + query identity, COW page retirement, writer kBusy
+  #   taxonomy, mixed executor batches and their per-batch retry counts);
+  # - sharded_test: scatter-gather identity vs the single tree, cross-shard
+  #   kNN under the shared NDk bound, per-shard writer isolation;
+  # - wal_test: group-commit WAL, writer queueing, the write front-end
+  #   twins, crash recovery and epoch-safe compaction.
+  # TSan: the interleaved tests are exactly the read/write races the
+  # snapshot protocol must make benign; it also covers the shared-bound CAS
+  # loop, per-shard box growth and retry-on-Busy dispatch, the commit
+  # queue's leader hand-off, and the background compactor racing pinned
+  # readers. ASan: COW page recycling and retire callbacks must never free
+  # pages a pinned snapshot still reads; it also covers the routed request
+  # vectors, WAL replay buffers and the compaction swap. The kill-point
+  # matrix re-execs wal_test with SPB_CRASH_POINT set, which works
   # unchanged under either sanitizer (children _exit at the kill point).
-  echo "==> wal: write-path engine tests under TSan"
+  local tests=(updates_test sharded_test wal_test)
+  echo "==> writes: update engine, sharded tree and WAL tests under TSan"
   cmake -B build-tsan -S . -DSPB_SANITIZE=thread >/dev/null
-  cmake --build build-tsan -j "${JOBS}" --target wal_test
-  ./build-tsan/tests/wal_test
-  echo "==> wal: write-path engine tests under ASan"
+  cmake --build build-tsan -j "${JOBS}" --target "${tests[@]}"
+  for t in "${tests[@]}"; do ./build-tsan/tests/"${t}"; done
+  echo "==> writes: update engine, sharded tree and WAL tests under ASan"
   cmake -B build-asan -S . -DSPB_SANITIZE=address >/dev/null
-  cmake --build build-asan -j "${JOBS}" --target wal_test
-  ./build-asan/tests/wal_test
+  cmake --build build-asan -j "${JOBS}" --target "${tests[@]}"
+  for t in "${tests[@]}"; do ./build-asan/tests/"${t}"; done
 }
 
 run_fanout() {
@@ -217,22 +188,11 @@ run_net() {
   (cd build-asan && ./bench/bench_serving --identity-only --scale=1500 --queries=16)
 }
 
-run_iouring() {
-  echo "==> iouring: -DSPB_IOURING=ON must build (falls back to pread"
-  echo "    with a warning when liburing is absent)"
-  cmake -B build-iouring -S . -DSPB_IOURING=ON >/dev/null
-  cmake --build build-iouring -j "${JOBS}" --target storage_test
-  ./build-iouring/tests/storage_test
-}
-
 case "${1:-}" in
   --tsan) run_tsan ;;
   --asan) run_asan ;;
-  --iouring) run_iouring ;;
   --warmab) run_warmab ;;
-  --updates) run_updates ;;
-  --sharded) run_sharded ;;
-  --wal) run_wal ;;
+  --writes) run_writes ;;
   --fanout) run_fanout ;;
   --learned) run_learned ;;
   --net) run_net ;;
@@ -241,13 +201,10 @@ case "${1:-}" in
     run_tsan
     run_asan
     run_warmab
-    run_updates
-    run_sharded
-    run_wal
+    run_writes
     run_fanout
     run_learned
     run_net
-    run_iouring
     ;;
 esac
 echo "==> all checks passed"
