@@ -96,11 +96,19 @@ void BM_BptreeInsert(benchmark::State& state) {
   }
   Rng rng(5);
   uint64_t ptr = 0;
+  TreeVersion version;
+  std::vector<PageId> superseded;
   for (auto _ : state) {
-    if (!tree->Insert(rng.Uniform(1ull << 32), ptr++).ok()) {
+    // No snapshots: adopt each version at once and recycle its pages.
+    superseded.clear();
+    if (!tree->InsertCow(rng.Uniform(1ull << 32), ptr++, &version,
+                         &superseded)
+             .ok()) {
       state.SkipWithError("insert failed");
       return;
     }
+    tree->AdoptVersion(version);
+    tree->AddFreePages(superseded);
   }
 }
 BENCHMARK(BM_BptreeInsert);
@@ -120,14 +128,13 @@ void BM_BptreeSeek(benchmark::State& state) {
     return;
   }
   Rng rng(6);
-  BptNode leaf;
-  size_t pos;
+  BPlusTree::LeafCursor cur(tree.get(), tree->version());
   for (auto _ : state) {
-    if (!tree->SeekLeaf(rng.Uniform(300000), &leaf, &pos).ok()) {
+    if (!cur.Seek(rng.Uniform(300000)).ok()) {
       state.SkipWithError("seek failed");
       return;
     }
-    benchmark::DoNotOptimize(pos);
+    benchmark::DoNotOptimize(cur.valid());
   }
 }
 BENCHMARK(BM_BptreeSeek);

@@ -27,7 +27,6 @@ Status BPlusTree::Create(std::unique_ptr<PageFile> file, size_t cache_pages,
   SPB_RETURN_IF_ERROR(tree->AllocateNode(/*is_leaf=*/true, &root));
   SPB_RETURN_IF_ERROR(tree->WriteNode(root));
   tree->root_ = root.id;
-  tree->first_leaf_ = root.id;
   tree->height_ = 1;
   tree->num_entries_ = 0;
   SPB_RETURN_IF_ERROR(tree->WriteMeta());
@@ -51,11 +50,6 @@ Status BPlusTree::WriteMeta() {
   EncodeFixed32(meta.bytes() + 8, root_);
   EncodeFixed32(meta.bytes() + 12, height_);
   EncodeFixed64(meta.bytes() + 16, num_entries_);
-  EncodeFixed32(meta.bytes() + 24, first_leaf_);
-  // The chain-validity flag must survive a save/reopen: COW writes and
-  // compaction leave first_leaf_ stale by design, and a reopened tree must
-  // not mistake the stale chain for a checkable one.
-  EncodeFixed32(meta.bytes() + 28, leaf_chain_valid_ ? 1 : 0);
   return owned_file_->Write(kMetaPage, meta);
 }
 
@@ -70,8 +64,8 @@ Status BPlusTree::ReadMeta() {
   root_ = DecodeFixed32(meta.bytes() + 8);
   height_ = DecodeFixed32(meta.bytes() + 12);
   num_entries_ = DecodeFixed64(meta.bytes() + 16);
-  first_leaf_ = DecodeFixed32(meta.bytes() + 24);
-  leaf_chain_valid_ = DecodeFixed32(meta.bytes() + 28) != 0;
+  // Bytes 24..31 held a leaf-chain head and flag in older builds; they are
+  // ignored.
   return Status::OK();
 }
 
@@ -120,7 +114,6 @@ Status BPlusTree::AllocateNode(bool is_leaf, BptNode* node) {
   SPB_RETURN_IF_ERROR(pool_.Allocate(&id));
   node->id = id;
   node->is_leaf = is_leaf;
-  node->next_leaf = kInvalidPageId;
   node->leaf_entries.clear();
   node->internal_entries.clear();
   return Status::OK();
@@ -229,8 +222,7 @@ Status BPlusTree::BulkLoadCow(const std::vector<LeafEntry>& entries,
     return Status::InvalidArgument("BulkLoadCow input must be sorted");
   }
 
-  // ---- Leaf level on fresh/recycled ids. No next_leaf chain: COW-produced
-  // versions are iterated with LeafCursor only.
+  // ---- Leaf level on fresh/recycled ids.
   const size_t num_leaves =
       entries.empty()
           ? 1
@@ -243,7 +235,6 @@ Status BPlusTree::BulkLoadCow(const std::vector<LeafEntry>& entries,
     BptNode leaf;
     SPB_RETURN_IF_ERROR(AllocateCowPage(&leaf.id));
     leaf.is_leaf = true;
-    leaf.next_leaf = kInvalidPageId;
     const size_t take = std::min(BptNode::kLeafCapacity, entries.size() - pos);
     leaf.leaf_entries.assign(entries.begin() + ptrdiff_t(pos),
                              entries.begin() + ptrdiff_t(pos + take));
@@ -268,7 +259,6 @@ Status BPlusTree::BulkLoadCow(const std::vector<LeafEntry>& entries,
       BptNode node;
       SPB_RETURN_IF_ERROR(AllocateCowPage(&node.id));
       node.is_leaf = false;
-      node.next_leaf = kInvalidPageId;
       const size_t take =
           std::min(BptNode::kInternalCapacity, level.size() - lpos);
       node.internal_entries.assign(level.begin() + ptrdiff_t(lpos),
@@ -283,7 +273,6 @@ Status BPlusTree::BulkLoadCow(const std::vector<LeafEntry>& entries,
     level = std::move(next_level);
     ++height;
   }
-  leaf_chain_valid_ = false;
   out->root = level[0].child;
   out->height = height;
   out->num_entries = entries.size();
@@ -398,7 +387,6 @@ Status BPlusTree::BulkLoad(const std::vector<LeafEntry>& entries) {
     BptNode leaf;
     leaf.id = leaf_id(i);
     leaf.is_leaf = true;
-    leaf.next_leaf = (i + 1 < num_leaves) ? leaf_id(i + 1) : kInvalidPageId;
     const size_t take =
         std::min(BptNode::kLeafCapacity, entries.size() - pos);
     leaf.leaf_entries.assign(entries.begin() + ptrdiff_t(pos),
@@ -418,7 +406,6 @@ Status BPlusTree::BulkLoad(const std::vector<LeafEntry>& entries) {
         InternalEntry{leaf.min_key(), leaf.id, mbb_min, mbb_max});
   }
   SPB_RETURN_IF_ERROR(write_run());
-  first_leaf_ = root_;
   height_ = 1;
 
   // ---- Internal levels, bottom-up.
@@ -450,106 +437,6 @@ Status BPlusTree::BulkLoad(const std::vector<LeafEntry>& entries) {
   return WriteMeta();
 }
 
-Status BPlusTree::InsertRec(PageId node_id, uint64_t key, uint64_t ptr,
-                            ChildUpdate* up) {
-  BptNode node;
-  SPB_RETURN_IF_ERROR(ReadNode(node_id, &node));
-
-  if (node.is_leaf) {
-    auto it = std::upper_bound(
-        node.leaf_entries.begin(), node.leaf_entries.end(), key,
-        [](uint64_t k, const LeafEntry& e) { return k < e.key; });
-    node.leaf_entries.insert(it, LeafEntry{key, ptr});
-
-    if (node.leaf_entries.size() <= BptNode::kLeafCapacity) {
-      SPB_RETURN_IF_ERROR(WriteNode(node));
-      up->split = false;
-      up->min_key = node.min_key();
-      ComputeLeafBox(node, &up->mbb_min, &up->mbb_max);
-      return Status::OK();
-    }
-    // Split: left keeps the first half, right gets the rest.
-    BptNode right;
-    SPB_RETURN_IF_ERROR(AllocateNode(/*is_leaf=*/true, &right));
-    const size_t mid = node.leaf_entries.size() / 2;
-    right.leaf_entries.assign(node.leaf_entries.begin() + ptrdiff_t(mid),
-                              node.leaf_entries.end());
-    node.leaf_entries.resize(mid);
-    right.next_leaf = node.next_leaf;
-    node.next_leaf = right.id;
-    SPB_RETURN_IF_ERROR(WriteNode(node));
-    SPB_RETURN_IF_ERROR(WriteNode(right));
-    up->split = true;
-    up->min_key = node.min_key();
-    ComputeLeafBox(node, &up->mbb_min, &up->mbb_max);
-    up->split_key = right.min_key();
-    up->split_child = right.id;
-    ComputeLeafBox(right, &up->split_mbb_min, &up->split_mbb_max);
-    return Status::OK();
-  }
-
-  // Internal: descend into the last child whose separator key <= key.
-  size_t i = 0;
-  for (size_t j = 1; j < node.internal_entries.size(); ++j) {
-    if (node.internal_entries[j].key <= key) i = j;
-  }
-  ChildUpdate child_up;
-  SPB_RETURN_IF_ERROR(
-      InsertRec(node.internal_entries[i].child, key, ptr, &child_up));
-  node.internal_entries[i].key = child_up.min_key;
-  node.internal_entries[i].mbb_min = child_up.mbb_min;
-  node.internal_entries[i].mbb_max = child_up.mbb_max;
-  if (child_up.split) {
-    node.internal_entries.insert(
-        node.internal_entries.begin() + ptrdiff_t(i + 1),
-        InternalEntry{child_up.split_key, child_up.split_child,
-                      child_up.split_mbb_min, child_up.split_mbb_max});
-  }
-
-  if (node.internal_entries.size() <= BptNode::kInternalCapacity) {
-    SPB_RETURN_IF_ERROR(WriteNode(node));
-    up->split = false;
-    up->min_key = node.min_key();
-    ComputeInternalBox(node, &up->mbb_min, &up->mbb_max);
-    return Status::OK();
-  }
-  BptNode right;
-  SPB_RETURN_IF_ERROR(AllocateNode(/*is_leaf=*/false, &right));
-  const size_t mid = node.internal_entries.size() / 2;
-  right.internal_entries.assign(
-      node.internal_entries.begin() + ptrdiff_t(mid),
-      node.internal_entries.end());
-  node.internal_entries.resize(mid);
-  SPB_RETURN_IF_ERROR(WriteNode(node));
-  SPB_RETURN_IF_ERROR(WriteNode(right));
-  up->split = true;
-  up->min_key = node.min_key();
-  ComputeInternalBox(node, &up->mbb_min, &up->mbb_max);
-  up->split_key = right.min_key();
-  up->split_child = right.id;
-  ComputeInternalBox(right, &up->split_mbb_min, &up->split_mbb_max);
-  return Status::OK();
-}
-
-Status BPlusTree::Insert(uint64_t key, uint64_t ptr) {
-  ChildUpdate up;
-  SPB_RETURN_IF_ERROR(InsertRec(root_, key, ptr, &up));
-  if (up.split) {
-    BptNode new_root;
-    SPB_RETURN_IF_ERROR(AllocateNode(/*is_leaf=*/false, &new_root));
-    new_root.internal_entries.push_back(
-        InternalEntry{up.min_key, root_, up.mbb_min, up.mbb_max});
-    new_root.internal_entries.push_back(
-        InternalEntry{up.split_key, up.split_child, up.split_mbb_min,
-                      up.split_mbb_max});
-    SPB_RETURN_IF_ERROR(WriteNode(new_root));
-    root_ = new_root.id;
-    ++height_;
-  }
-  ++num_entries_;
-  return Status::OK();
-}
-
 Status BPlusTree::InsertCowRec(PageId node_id, uint64_t key, uint64_t ptr,
                                CowUpdate* up, std::vector<PageId>* superseded) {
   BptNode node;
@@ -575,6 +462,7 @@ Status BPlusTree::InsertCowRec(PageId node_id, uint64_t key, uint64_t ptr,
       ComputeLeafBox(node, &up->mbb_min, &up->mbb_max);
       return Status::OK();
     }
+    // Split: left keeps the first half, right gets the rest.
     BptNode right;
     right.is_leaf = true;
     SPB_RETURN_IF_ERROR(AllocateCowPage(&right.id));
@@ -582,11 +470,6 @@ Status BPlusTree::InsertCowRec(PageId node_id, uint64_t key, uint64_t ptr,
     right.leaf_entries.assign(node.leaf_entries.begin() + ptrdiff_t(mid),
                               node.leaf_entries.end());
     node.leaf_entries.resize(mid);
-    // Best-effort local links only: the global chain is already declared
-    // invalid (leaf_chain_valid_), since the left sibling of `node` still
-    // points at the superseded page.
-    right.next_leaf = node.next_leaf;
-    node.next_leaf = right.id;
     SPB_RETURN_IF_ERROR(WriteNode(node));
     SPB_RETURN_IF_ERROR(WriteNode(right));
     up->split = true;
@@ -599,6 +482,7 @@ Status BPlusTree::InsertCowRec(PageId node_id, uint64_t key, uint64_t ptr,
     return Status::OK();
   }
 
+  // Internal: descend into the last child whose separator key <= key.
   size_t i = 0;
   for (size_t j = 1; j < node.internal_entries.size(); ++j) {
     if (node.internal_entries[j].key <= key) i = j;
@@ -647,7 +531,6 @@ Status BPlusTree::InsertCowRec(PageId node_id, uint64_t key, uint64_t ptr,
 
 Status BPlusTree::InsertCow(uint64_t key, uint64_t ptr, TreeVersion* out,
                             std::vector<PageId>* superseded) {
-  leaf_chain_valid_ = false;
   CowUpdate up;
   SPB_RETURN_IF_ERROR(InsertCowRec(root_, key, ptr, &up, superseded));
   PageId new_root = up.new_child;
@@ -655,7 +538,6 @@ Status BPlusTree::InsertCow(uint64_t key, uint64_t ptr, TreeVersion* out,
   if (up.split) {
     BptNode root;
     root.is_leaf = false;
-    root.next_leaf = kInvalidPageId;
     SPB_RETURN_IF_ERROR(AllocateCowPage(&root.id));
     root.internal_entries.push_back(
         InternalEntry{up.min_key, up.new_child, up.mbb_min, up.mbb_max});
@@ -688,11 +570,10 @@ Status BPlusTree::DeleteCow(uint64_t key, uint64_t ptr, bool* found,
   }
   if (!*found) return Status::OK();
 
-  leaf_chain_valid_ = false;
   // Rewrite the cursor's root-to-leaf path bottom-up under fresh ids. Only
   // child links (and the direct parent's MBB, which can only shrink) are
-  // refreshed — separators and ancestor MBBs stay conservative, mirroring
-  // the lazy in-place Delete.
+  // refreshed — separators and ancestor MBBs stay conservative (lazy
+  // deletion).
   BptNode leaf_copy = cur.leaf();
   leaf_copy.leaf_entries.erase(leaf_copy.leaf_entries.begin() +
                                ptrdiff_t(cur.pos()));
@@ -794,8 +675,8 @@ Status BPlusTree::LeafCursor::Seek(uint64_t key) {
   size_t level = 0;
   while (!frames_[level].handle->node.is_leaf) {
     const auto& entries = frames_[level].handle->node.internal_entries;
-    // Same descent rule as SeekLeaf: the first entry >= key can only live in
-    // (or after) the last child whose separator is strictly below key.
+    // The first entry >= key can only live in (or after) the last child
+    // whose separator is strictly below key.
     size_t i = 0;
     for (size_t j = 1; j < entries.size(); ++j) {
       if (entries[j].key < key) i = j;
@@ -825,62 +706,6 @@ Status BPlusTree::LeafCursor::Next() {
   ++f.idx;
   if (f.idx < f.handle->node.leaf_entries.size()) return Status::OK();
   return AdvanceLeaf();
-}
-
-Status BPlusTree::SeekLeaf(uint64_t key, BptNode* leaf, size_t* pos) {
-  PageId id = root_;
-  BptNode node;
-  for (uint32_t level = height_; level > 1; --level) {
-    SPB_RETURN_IF_ERROR(ReadNode(id, &node));
-    if (node.is_leaf) break;
-    // First entry >= key can only live in (or after) the last child whose
-    // separator is strictly below key.
-    size_t i = 0;
-    for (size_t j = 1; j < node.internal_entries.size(); ++j) {
-      if (node.internal_entries[j].key < key) i = j;
-    }
-    id = node.internal_entries[i].child;
-  }
-  SPB_RETURN_IF_ERROR(ReadNode(id, leaf));
-  while (true) {
-    auto it = std::lower_bound(
-        leaf->leaf_entries.begin(), leaf->leaf_entries.end(), key,
-        [](const LeafEntry& e, uint64_t k) { return e.key < k; });
-    if (it != leaf->leaf_entries.end()) {
-      *pos = size_t(it - leaf->leaf_entries.begin());
-      return Status::OK();
-    }
-    if (leaf->next_leaf == kInvalidPageId) {
-      *pos = leaf->leaf_entries.size();
-      leaf->id = kInvalidPageId;
-      return Status::OK();
-    }
-    SPB_RETURN_IF_ERROR(ReadNode(leaf->next_leaf, leaf));
-  }
-}
-
-Status BPlusTree::Delete(uint64_t key, uint64_t ptr, bool* found) {
-  *found = false;
-  BptNode leaf;
-  size_t pos;
-  SPB_RETURN_IF_ERROR(SeekLeaf(key, &leaf, &pos));
-  while (leaf.id != kInvalidPageId) {
-    for (; pos < leaf.leaf_entries.size(); ++pos) {
-      const LeafEntry& e = leaf.leaf_entries[pos];
-      if (e.key != key) return Status::OK();  // past all duplicates
-      if (e.ptr == ptr) {
-        leaf.leaf_entries.erase(leaf.leaf_entries.begin() + ptrdiff_t(pos));
-        SPB_RETURN_IF_ERROR(WriteNode(leaf));
-        --num_entries_;
-        *found = true;
-        return Status::OK();
-      }
-    }
-    if (leaf.next_leaf == kInvalidPageId) return Status::OK();
-    SPB_RETURN_IF_ERROR(ReadNode(leaf.next_leaf, &leaf));
-    pos = 0;
-  }
-  return Status::OK();
 }
 
 Status BPlusTree::Sync() {
@@ -980,49 +805,20 @@ Status BPlusTree::CheckInvariants() {
       CheckInvariantsRec(root_, true, &min_key, &lo, &hi, &depth));
   if (depth != height_) return Status::Corruption("height mismatch");
 
-  // Leaf chain: globally sorted, covers exactly num_entries_ entries, and
-  // starts at first_leaf_. Only checkable on trees never touched by a COW
-  // write — COW leaves the chain stale by design.
-  if (leaf_chain_valid_) {
-    BptNode leaf;
-    SPB_RETURN_IF_ERROR(ReadNode(first_leaf_, &leaf));
-    uint64_t count = 0;
-    uint64_t prev = 0;
-    bool first = true;
-    while (true) {
-      for (const LeafEntry& e : leaf.leaf_entries) {
-        if (!first && e.key < prev) {
-          return Status::Corruption("leaf chain out of order");
-        }
-        prev = e.key;
-        first = false;
-        ++count;
-      }
-      if (leaf.next_leaf == kInvalidPageId) break;
-      SPB_RETURN_IF_ERROR(ReadNode(leaf.next_leaf, &leaf));
-    }
-    if (count != num_entries_) {
-      return Status::Corruption("leaf chain entry count mismatch");
-    }
-  }
-
-  // Chain-free global order + count via the parent-stack cursor: the same
-  // guarantee the chain walk gave, valid on COW'd trees too.
+  // Global order and entry count, via the cursor.
   LeafCursor cur(this, version());
   SPB_RETURN_IF_ERROR(cur.SeekFirst());
-  uint64_t cur_count = 0;
-  uint64_t cur_prev = 0;
-  bool cur_first = true;
+  uint64_t count = 0;
+  uint64_t prev = 0;
   while (cur.valid()) {
-    if (!cur_first && cur.entry().key < cur_prev) {
+    if (count > 0 && cur.entry().key < prev) {
       return Status::Corruption("cursor scan out of order");
     }
-    cur_prev = cur.entry().key;
-    cur_first = false;
-    ++cur_count;
+    prev = cur.entry().key;
+    ++count;
     SPB_RETURN_IF_ERROR(cur.Next());
   }
-  if (cur_count != num_entries_) {
+  if (count != num_entries_) {
     return Status::Corruption("cursor scan entry count mismatch");
   }
   return Status::OK();

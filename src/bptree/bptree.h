@@ -35,19 +35,24 @@ struct TreeVersion {
 ///    passed at construction decodes them back into cell-space boxes.
 ///  - Separator keys are exact subtree minima after bulk-load and insertion.
 ///    Deletion leaves separators and MBBs conservative (possibly stale-low /
-///    oversized): searches then land at most one leaf early and walk forward
-///    via the leaf chain, and pruning stays safe. Empty leaves remain
-///    chained. This lazy-deletion scheme trades space for the simple,
-///    low-cost updates the paper credits the B+-tree with.
-///  - Query algorithms (RQA/NNA/SJA) walk nodes themselves via ReadNode so
+///    oversized): a seek then lands at most one leaf early and the
+///    LeafCursor advances past it, and pruning stays safe. Emptied leaves
+///    stay in the tree. This lazy-deletion scheme trades space for the
+///    simple, low-cost updates the paper credits the B+-tree with.
+///  - Query algorithms (RQA/NNA/SJA) walk nodes themselves via GetNode so
 ///    they can manage their own heaps and pruning; page accesses are counted
-///    by the shared BufferPool.
-///  - Thread safety: ReadNode() and SeekLeaf() are safe for any number of
-///    concurrent readers against an immutable tree (no Insert/Delete/
-///    BulkLoad in flight) — traversal state lives entirely in caller-owned
-///    BptNode buffers and the buffer pool is internally striped. Mutating
-///    operations are single-writer and must be externally excluded from
-///    reads (docs/ARCHITECTURE.md §"Threading model").
+///    by the shared BufferPool. Leaves are scanned in key order with a
+///    LeafCursor; there is no leaf sibling chain.
+///  - After BulkLoad, every write is copy-on-write (InsertCow/DeleteCow/
+///    BulkLoadCow): it builds a new TreeVersion on fresh or recycled page
+///    ids and never modifies a page reachable from a published version.
+///    Readers traverse one version (the SPB-tree pins it with a Snapshot),
+///    so any number of them run alongside the writer; traversal state
+///    lives in caller-owned buffers and the buffer pool is internally
+///    striped. Writers are single-writer and must
+///    be externally excluded from each other; a superseded page returns to
+///    the allocator (AddFreePages) only once no reader can reach it
+///    (docs/ARCHITECTURE.md §"Threading model").
 class BPlusTree {
  public:
   /// Creates an empty tree (a single empty root leaf) in a fresh page file.
@@ -67,18 +72,6 @@ class BPlusTree {
   /// created.
   Status BulkLoad(const std::vector<LeafEntry>& entries);
 
-  /// Inserts one entry (duplicates allowed). In-place write path: mutates
-  /// the existing pages, maintaining the leaf sibling chain. Requires all
-  /// readers quiescent (no snapshot isolation) — the SPB-tree's online
-  /// update engine uses InsertCow instead; this path remains for owners
-  /// whose trees are updated only between query batches (e.g. the M-Index
-  /// baseline) and for direct tests.
-  Status Insert(uint64_t key, uint64_t ptr);
-
-  /// Removes the entry matching both key and ptr. `*found` reports whether
-  /// it existed. In-place write path; same quiescence contract as Insert.
-  Status Delete(uint64_t key, uint64_t ptr, bool* found);
-
   /// Copy-on-write insert: builds a new tree version that shares every
   /// untouched page with the current one, writing modified nodes under
   /// *fresh* page ids (recycled from the free list when available). The
@@ -91,21 +84,16 @@ class BPlusTree {
   /// `*superseded` collects the page ids the COW walk replaced; they stay
   /// valid for readers of older versions and must be retired (and their ids
   /// recycled via AddFreePages) only after the last snapshot pinning them
-  /// drains. Exact separator keys and MBBs are maintained along the path,
-  /// same as the in-place path.
-  ///
-  /// The leaf sibling chain is NOT maintained across COW writes (a COW'd
-  /// leaf's left sibling would also need rewriting, cascading to the whole
-  /// leaf level) — next_leaf pointers are only meaningful on trees mutated
-  /// exclusively in place. Chain-free iteration uses LeafCursor.
+  /// drains; an owner without snapshots may recycle them as soon as it has
+  /// adopted the result. Exact separator keys and MBBs are maintained along
+  /// the path.
   Status InsertCow(uint64_t key, uint64_t ptr, TreeVersion* out,
                    std::vector<PageId>* superseded);
 
-  /// Copy-on-write delete of the entry matching (key, ptr); lazy like the
-  /// in-place Delete (no merging; ancestors keep conservative separators
-  /// and MBBs, only child ids are rewritten). `*found` reports whether the
-  /// entry existed; when false, no version is produced and `*out` is the
-  /// current version.
+  /// Copy-on-write delete of the entry matching (key, ptr). Lazy: no
+  /// merging; ancestors keep conservative separators and MBBs, only child
+  /// ids are rewritten. `*found` reports whether the entry existed; when
+  /// false, no version is produced and `*out` is the current version.
   Status DeleteCow(uint64_t key, uint64_t ptr, bool* found, TreeVersion* out,
                    std::vector<PageId>* superseded);
 
@@ -132,9 +120,7 @@ class BPlusTree {
   /// through raw, uncounted node writes, leaving the published state
   /// untouched. The caller adopts and publishes `*out` like any COW result,
   /// retiring the old version's pages (CollectVersionPages) once readers
-  /// drain. Empty input yields a version with one empty leaf. The rebuilt
-  /// version does not use the leaf sibling chain (LeafCursor semantics,
-  /// same as every COW-produced version).
+  /// drain. Empty input yields a version with one empty leaf.
   Status BulkLoadCow(const std::vector<LeafEntry>& entries, TreeVersion* out);
 
   /// The current version (writer-side view; readers get theirs from a
@@ -153,11 +139,10 @@ class BPlusTree {
 
   /// Forward iterator over the leaf entries of one TreeVersion in ascending
   /// (key, ptr) order, maintained as a root-to-leaf stack of parent
-  /// positions instead of next_leaf links — the chain-free replacement that
-  /// works on COW-written trees (and, unlike the chain, never leaks
-  /// post-snapshot data into an old version). Node reads go through
-  /// GetNode, so accounting matches a chain walk's warm path one-for-one on
-  /// leaves; ancestor nodes are read once each as the cursor crosses them.
+  /// positions. It is the tree's one leaf scan: it sees exactly the pages of
+  /// its version, never data written after it. Node reads go through
+  /// GetNode, so every leaf costs one page access and each ancestor is read
+  /// once as the cursor crosses into it.
   ///
   /// Invalidation: the cursor borrows `tree` and must not outlive it; the
   /// version's pages must stay un-retired while the cursor lives (hold the
@@ -202,11 +187,6 @@ class BPlusTree {
     bool valid_ = false;
   };
 
-  /// Positions `*leaf`/`*pos` at the first entry with entry.key >= key,
-  /// walking the leaf chain past empty/early leaves. Sets `*pos` ==
-  /// leaf->size() with an invalid leaf id when no such entry exists.
-  Status SeekLeaf(uint64_t key, BptNode* leaf, size_t* pos);
-
   /// Reads any node by page id (through the buffer pool, so PA-counted).
   Status ReadNode(PageId id, BptNode* node);
 
@@ -243,17 +223,12 @@ class BPlusTree {
   }
   NodeCache& node_cache() { return node_cache_; }
 
-  /// True until the first COW write: the leaf sibling chain is globally
-  /// consistent only on trees never touched by InsertCow/DeleteCow.
-  bool leaf_chain_valid() const { return leaf_chain_valid_; }
-
   /// Persists meta (root, height, count) and flushes the file.
   Status Sync();
 
   PageId root() const { return root_; }
   uint32_t height() const { return height_; }
   uint64_t num_entries() const { return num_entries_; }
-  PageId first_leaf() const { return first_leaf_; }
   const SpaceFillingCurve* curve() const { return curve_; }
 
   /// Decodes an internal entry's MBB into inclusive per-dimension cell
@@ -271,7 +246,8 @@ class BPlusTree {
   }
 
   /// Verifies structural invariants (sorted keys, exact-or-conservative
-  /// separators, MBB containment, leaf chain consistency). Test hook.
+  /// separators, MBB containment, and a cursor scan in key order that
+  /// counts num_entries()). Test hook.
   Status CheckInvariants();
 
  private:
@@ -280,17 +256,6 @@ class BPlusTree {
       : owned_file_(std::move(file)),
         pool_(owned_file_.get(), cache_pages),
         curve_(curve) {}
-
-  struct ChildUpdate {
-    uint64_t min_key;
-    uint64_t mbb_min;
-    uint64_t mbb_max;
-    bool split = false;
-    uint64_t split_key = 0;
-    PageId split_child = kInvalidPageId;
-    uint64_t split_mbb_min = 0;
-    uint64_t split_mbb_max = 0;
-  };
 
   Status WriteNode(const BptNode& node);
   /// Raw sibling of ReadNode/WriteNode: direct file I/O, no pool, no stats.
@@ -312,11 +277,8 @@ class BPlusTree {
   void ComputeInternalBox(const BptNode& node, uint64_t* mbb_min,
                           uint64_t* mbb_max) const;
 
-  Status InsertRec(PageId node_id, uint64_t key, uint64_t ptr,
-                   ChildUpdate* up);
-
-  /// ChildUpdate for the COW path: the child's id changes on every write,
-  /// so the parent must relink as well as refresh key/MBB.
+  /// What InsertCowRec reports to the parent: the child's id changes on
+  /// every write, so the parent must relink as well as refresh key/MBB.
   struct CowUpdate {
     PageId new_child = kInvalidPageId;
     uint64_t min_key = 0;
@@ -344,10 +306,8 @@ class BPlusTree {
   NodeCache node_cache_{0};
 
   PageId root_ = kInvalidPageId;
-  PageId first_leaf_ = kInvalidPageId;
   uint32_t height_ = 0;
   uint64_t num_entries_ = 0;
-  bool leaf_chain_valid_ = true;
 
   /// Retired page ids available for COW reuse. Pushed by the snapshot
   /// manager's retire callback (any thread), popped by the single writer.

@@ -10,7 +10,6 @@ void BptNode::SerializeTo(Page* page) const {
   dst[0] = is_leaf ? 1 : 0;
   dst[1] = 0;
   EncodeFixed16(dst + 2, static_cast<uint16_t>(size()));
-  EncodeFixed32(dst + 4, next_leaf);
   dst += kHeaderSize;
   if (is_leaf) {
     for (const LeafEntry& e : leaf_entries) {
@@ -34,7 +33,6 @@ Status BptNode::DeserializeFrom(const Page& page, PageId page_id) {
   id = page_id;
   is_leaf = src[0] != 0;
   const uint16_t count = DecodeFixed16(src + 2);
-  next_leaf = DecodeFixed32(src + 4);
   src += kHeaderSize;
   leaf_entries.clear();
   internal_entries.clear();

@@ -34,7 +34,8 @@ struct InternalEntry {
 ///   [0]     u8   is_leaf
 ///   [1]     u8   reserved
 ///   [2..3]  u16  entry count
-///   [4..7]  u32  next_leaf page id (leaves only; kInvalidPageId otherwise)
+///   [4..7]  reserved, written as zero (files from older builds hold a
+///           leaf sibling link here, which is ignored)
 ///   [8..]   entries (16 B leaf entries / 28 B internal entries)
 struct BptNode {
   static constexpr size_t kHeaderSize = 8;
@@ -48,7 +49,6 @@ struct BptNode {
 
   PageId id = kInvalidPageId;
   bool is_leaf = true;
-  PageId next_leaf = kInvalidPageId;
   std::vector<LeafEntry> leaf_entries;
   std::vector<InternalEntry> internal_entries;
 

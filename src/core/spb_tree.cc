@@ -834,7 +834,6 @@ Status SpbTree::ApplyLocked(WriteQueue::Request* r,
 Status SpbTree::UnlinkLocked(uint64_t key, ObjectId id, const Blob* obj,
                              std::vector<PageId>* superseded, bool* removed) {
   *removed = false;
-  // A chain-free cursor: the leaf chain is stale once COW writes happen.
   BPlusTree::LeafCursor cur(btree_.get(), btree_->version());
   SPB_RETURN_IF_ERROR(cur.Seek(key));
   ObjectId rid;
@@ -1937,8 +1936,6 @@ size_t SpbTree::writer_concurrency() const {
 Status SpbTree::CheckIntegrity() {
   SPB_RETURN_IF_ERROR(btree_->CheckInvariants());
   // Every leaf entry's key must equal the recomputed key of its RAF object.
-  // Chain-free cursor scan: valid on COW'd trees, identical coverage on
-  // never-updated ones.
   BPlusTree::LeafCursor cur(btree_.get(), btree_->version());
   SPB_RETURN_IF_ERROR(cur.SeekFirst());
   uint64_t count = 0;

@@ -460,9 +460,9 @@ class SpbTree : public MetricIndex {
   Status ApplyLocked(WriteQueue::Request* r, std::vector<PageId>* superseded);
 
   // Unlinks the first entry of `key`'s duplicate run (scanned in key order
-  // by a chain-free cursor) whose RAF record has id `id` and, when `obj` is
-  // given, that payload. The record's bytes (8-byte header + payload) join
-  // the RAF's dead-byte debt. `*removed` reports whether an entry went.
+  // by a LeafCursor) whose RAF record has id `id` and, when `obj` is given,
+  // that payload. The record's bytes (8-byte header + payload) join the
+  // RAF's dead-byte debt. `*removed` reports whether an entry went.
   Status UnlinkLocked(uint64_t key, ObjectId id, const Blob* obj,
                       std::vector<PageId>* superseded, bool* removed);
 

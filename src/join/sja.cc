@@ -14,8 +14,7 @@ namespace {
 //    zero inner-node reads (the cursor's parent-stack descent is elided
 //    entirely; the directory skips empty leaves exactly like the cursor
 //    does).
-//  - Otherwise the B+-tree's parent-stack LeafCursor drives it (the leaf
-//    sibling chain is not maintained under copy-on-write updates).
+//  - Otherwise the B+-tree's parent-stack LeafCursor drives it.
 //
 // Each time the scan enters a new leaf, the RAF pages of all its entries are
 // handed to the tree's readahead session: leaf entries are SFC-sorted and

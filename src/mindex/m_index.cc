@@ -1,7 +1,6 @@
 #include "mindex/m_index.h"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <limits>
 
@@ -130,8 +129,14 @@ Status MIndex::Insert(const Blob& obj, ObjectId id) {
   cluster_rmax_[nearest] = std::max(cluster_rmax_[nearest], dists[nearest]);
   uint64_t offset;
   SPB_RETURN_IF_ERROR(raf_->Append(id, EncodeRecord(obj, dists), &offset));
-  SPB_RETURN_IF_ERROR(btree_->Insert(MakeKey(nearest, dists[nearest]),
-                                     offset));
+  // No snapshots pin old versions, so superseded pages are recycled at once:
+  // the next write rewrites each of them before any reader can reach it.
+  TreeVersion version;
+  std::vector<PageId> superseded;
+  SPB_RETURN_IF_ERROR(btree_->InsertCow(MakeKey(nearest, dists[nearest]),
+                                        offset, &version, &superseded));
+  btree_->AdoptVersion(version);
+  btree_->AddFreePages(superseded);
   ++num_objects_;
   return Status::OK();
 }
@@ -152,32 +157,22 @@ Status MIndex::RangeWithDistances(const Blob& q, double r,
     const uint64_t key_lo = MakeKey(c, lb);
     const uint64_t key_hi = MakeKey(c, std::min(ub, d_plus_));
 
-    BptNode leaf;
-    size_t pos;
-    SPB_RETURN_IF_ERROR(btree_->SeekLeaf(key_lo, &leaf, &pos));
-    bool done = false;
-    while (!done && leaf.id != kInvalidPageId) {
-      for (; pos < leaf.leaf_entries.size(); ++pos) {
-        const LeafEntry& e = leaf.leaf_entries[pos];
-        if (e.key > key_hi) {
-          done = true;
-          break;
-        }
-        ObjectId id;
-        SPB_RETURN_IF_ERROR(raf_->Get(e.ptr, &id, &record));
-        SPB_RETURN_IF_ERROR(DecodeRecord(record, &obj, &dists));
-        // Pivot filtering with the stored distance vector.
-        bool pruned = false;
-        for (size_t p = 0; p < dists.size() && !pruned; ++p) {
-          pruned = std::fabs(phi_q[p] - dists[p]) > r;
-        }
-        if (pruned) continue;
+    BPlusTree::LeafCursor cur(btree_.get(), btree_->version());
+    SPB_RETURN_IF_ERROR(cur.Seek(key_lo));
+    while (cur.valid() && cur.entry().key <= key_hi) {
+      ObjectId id;
+      SPB_RETURN_IF_ERROR(raf_->Get(cur.entry().ptr, &id, &record));
+      SPB_RETURN_IF_ERROR(DecodeRecord(record, &obj, &dists));
+      // Pivot filtering with the stored distance vector.
+      bool pruned = false;
+      for (size_t p = 0; p < dists.size() && !pruned; ++p) {
+        pruned = std::fabs(phi_q[p] - dists[p]) > r;
+      }
+      if (!pruned) {
         const double d = counting_.Distance(q, obj);
         if (d <= r) result->push_back(Neighbor{id, d});
       }
-      if (done || leaf.next_leaf == kInvalidPageId) break;
-      SPB_RETURN_IF_ERROR(btree_->ReadNode(leaf.next_leaf, &leaf));
-      pos = 0;
+      SPB_RETURN_IF_ERROR(cur.Next());
     }
   }
   return Status::OK();
@@ -185,30 +180,18 @@ Status MIndex::RangeWithDistances(const Blob& q, double r,
 
 Status MIndex::RangeQuery(const Blob& q, double r,
                           std::vector<ObjectId>* result, QueryStats* stats) {
-  const auto start = std::chrono::steady_clock::now();
-  const QueryStats before = cumulative_stats();
+  StatScope scope(*this, stats);
   std::vector<Neighbor> with_dist;
   SPB_RETURN_IF_ERROR(RangeWithDistances(q, r, &with_dist));
   result->clear();
   result->reserve(with_dist.size());
   for (const Neighbor& n : with_dist) result->push_back(n.id);
-  if (stats != nullptr) {
-    const QueryStats after = cumulative_stats();
-    stats->page_accesses = after.page_accesses - before.page_accesses;
-    stats->distance_computations =
-        after.distance_computations - before.distance_computations;
-    stats->elapsed_seconds =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                      start)
-            .count();
-  }
   return Status::OK();
 }
 
 Status MIndex::KnnQuery(const Blob& q, size_t k, std::vector<Neighbor>* result,
                         QueryStats* stats) {
-  const auto start = std::chrono::steady_clock::now();
-  const QueryStats before = cumulative_stats();
+  StatScope scope(*this, stats);
   result->clear();
   if (num_objects_ > 0 && k > 0) {
     double r = std::max(1e-9, options_.knn_initial_radius_frac * d_plus_);
@@ -237,16 +220,6 @@ Status MIndex::KnnQuery(const Blob& q, size_t k, std::vector<Neighbor>* result,
       }
       r = std::min(d_plus_, r * 2.0);
     }
-  }
-  if (stats != nullptr) {
-    const QueryStats after = cumulative_stats();
-    stats->page_accesses = after.page_accesses - before.page_accesses;
-    stats->distance_computations =
-        after.distance_computations - before.distance_computations;
-    stats->elapsed_seconds =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                      start)
-            .count();
   }
   return Status::OK();
 }

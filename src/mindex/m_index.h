@@ -41,6 +41,10 @@ class MIndex final : public MetricIndex {
                       const MIndexOptions& options,
                       std::unique_ptr<MIndex>* out);
 
+  /// A copy-on-write B+-tree insert whose version is adopted at once, with
+  /// the superseded pages recycled by the next write. There are no
+  /// snapshots, so Insert stays quiesced-only: no query may run alongside
+  /// it.
   Status Insert(const Blob& obj, ObjectId id) override;
   Status RangeQuery(const Blob& q, double r, std::vector<ObjectId>* result,
                     QueryStats* stats) override;

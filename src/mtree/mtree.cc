@@ -1,7 +1,6 @@
 #include "mtree/mtree.h"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <limits>
 #include <queue>
@@ -405,9 +404,9 @@ Status MTree::SplitInternal(Node* node, const Blob* routing,
   return Status::OK();
 }
 
-Status MTree::InsertRec(PageId node_id, const Blob& obj, ObjectId id,
-                        double dist_to_routing, const Blob* routing,
-                        SplitResult* result) {
+Status MTree::InsertInto(PageId node_id, const Blob& obj, ObjectId id,
+                         double dist_to_routing, const Blob* routing,
+                         SplitResult* result) {
   result->split = false;
   Node node;
   SPB_RETURN_IF_ERROR(ReadNode(node_id, &node));
@@ -449,7 +448,7 @@ Status MTree::InsertRec(PageId node_id, const Blob& obj, ObjectId id,
 
   SplitResult child_split;
   SPB_RETURN_IF_ERROR(
-      InsertRec(chosen.child, obj, id, best_d, &chosen.obj, &child_split));
+      InsertInto(chosen.child, obj, id, best_d, &chosen.obj, &child_split));
   if (child_split.split) {
     node.routes[best] = std::move(child_split.left);
     node.routes.push_back(std::move(child_split.right));
@@ -462,7 +461,7 @@ Status MTree::InsertRec(PageId node_id, const Blob& obj, ObjectId id,
 
 Status MTree::Insert(const Blob& obj, ObjectId id) {
   SplitResult split;
-  SPB_RETURN_IF_ERROR(InsertRec(root_, obj, id, 0.0, nullptr, &split));
+  SPB_RETURN_IF_ERROR(InsertInto(root_, obj, id, 0.0, nullptr, &split));
   if (split.split) {
     Node new_root;
     SPB_RETURN_IF_ERROR(AllocateNode(/*is_leaf=*/false, &new_root));
@@ -506,27 +505,15 @@ Status MTree::RangeRec(PageId node_id, const Blob& q, double r,
 
 Status MTree::RangeQuery(const Blob& q, double r,
                          std::vector<ObjectId>* result, QueryStats* stats) {
-  const auto start = std::chrono::steady_clock::now();
-  const QueryStats before = cumulative_stats();
+  StatScope scope(*this, stats);
   result->clear();
   SPB_RETURN_IF_ERROR(RangeRec(root_, q, r, -1.0, result));
-  if (stats != nullptr) {
-    const QueryStats after = cumulative_stats();
-    stats->page_accesses = after.page_accesses - before.page_accesses;
-    stats->distance_computations =
-        after.distance_computations - before.distance_computations;
-    stats->elapsed_seconds =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                      start)
-            .count();
-  }
   return Status::OK();
 }
 
 Status MTree::KnnQuery(const Blob& q, size_t k, std::vector<Neighbor>* result,
                        QueryStats* stats) {
-  const auto start = std::chrono::steady_clock::now();
-  const QueryStats before = cumulative_stats();
+  StatScope scope(*this, stats);
   result->clear();
   if (num_objects_ == 0 || k == 0) return Status::OK();
 
@@ -591,16 +578,6 @@ Status MTree::KnnQuery(const Blob& q, size_t k, std::vector<Neighbor>* result,
   for (size_t i = best.size(); i-- > 0;) {
     (*result)[i] = best.top();
     best.pop();
-  }
-  if (stats != nullptr) {
-    const QueryStats after = cumulative_stats();
-    stats->page_accesses = after.page_accesses - before.page_accesses;
-    stats->distance_computations =
-        after.distance_computations - before.distance_computations;
-    stats->elapsed_seconds =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                      start)
-            .count();
   }
   return Status::OK();
 }

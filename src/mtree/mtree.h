@@ -111,9 +111,9 @@ class MTree final : public MetricIndex {
   Status WriteNode(const Node& node);
   Status AllocateNode(bool is_leaf, Node* node);
 
-  Status InsertRec(PageId node_id, const Blob& obj, ObjectId id,
-                   double dist_to_routing, const Blob* routing,
-                   SplitResult* result);
+  Status InsertInto(PageId node_id, const Blob& obj, ObjectId id,
+                    double dist_to_routing, const Blob* routing,
+                    SplitResult* result);
   Status SplitLeaf(Node* node, const Blob* routing, SplitResult* result);
   Status SplitInternal(Node* node, const Blob* routing, SplitResult* result);
 

@@ -1,7 +1,6 @@
 #include "omni/omni_rtree.h"
 
 #include <algorithm>
-#include <chrono>
 #include <functional>
 #include <cmath>
 #include <limits>
@@ -263,8 +262,8 @@ Status OmniRTree::Build(const std::vector<Blob>& objects,
   return Status::OK();
 }
 
-Status OmniRTree::InsertRec(PageId node_id, const LeafEntry& entry,
-                            SplitResult* result) {
+Status OmniRTree::InsertInto(PageId node_id, const LeafEntry& entry,
+                             SplitResult* result) {
   result->split = false;
   Node node;
   SPB_RETURN_IF_ERROR(ReadNode(node_id, &node));
@@ -356,7 +355,7 @@ Status OmniRTree::InsertRec(PageId node_id, const LeafEntry& entry,
   }
   SplitResult child_split;
   SPB_RETURN_IF_ERROR(
-      InsertRec(node.children[best].child, entry, &child_split));
+      InsertInto(node.children[best].child, entry, &child_split));
   if (child_split.split) {
     node.children[best] = std::move(child_split.left);
     node.children.push_back(std::move(child_split.right));
@@ -369,7 +368,7 @@ Status OmniRTree::Insert(const Blob& obj, ObjectId id) {
   entry.point = MapObject(obj);
   SPB_RETURN_IF_ERROR(raf_->Append(id, obj, &entry.raf_ptr));
   SplitResult split;
-  SPB_RETURN_IF_ERROR(InsertRec(root_, entry, &split));
+  SPB_RETURN_IF_ERROR(InsertInto(root_, entry, &split));
   if (split.split) {
     Node new_root;
     SPB_RETURN_IF_ERROR(AllocateNode(false, &new_root));
@@ -385,8 +384,7 @@ Status OmniRTree::Insert(const Blob& obj, ObjectId id) {
 Status OmniRTree::RangeQuery(const Blob& q, double r,
                              std::vector<ObjectId>* result,
                              QueryStats* stats) {
-  const auto start = std::chrono::steady_clock::now();
-  const QueryStats before = cumulative_stats();
+  StatScope scope(*this, stats);
   result->clear();
   if (num_objects_ > 0) {
     const std::vector<double> phi_q = MapObject(q);
@@ -419,23 +417,12 @@ Status OmniRTree::RangeQuery(const Blob& q, double r,
       }
     }
   }
-  if (stats != nullptr) {
-    const QueryStats after = cumulative_stats();
-    stats->page_accesses = after.page_accesses - before.page_accesses;
-    stats->distance_computations =
-        after.distance_computations - before.distance_computations;
-    stats->elapsed_seconds =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                      start)
-            .count();
-  }
   return Status::OK();
 }
 
 Status OmniRTree::KnnQuery(const Blob& q, size_t k,
                            std::vector<Neighbor>* result, QueryStats* stats) {
-  const auto start = std::chrono::steady_clock::now();
-  const QueryStats before = cumulative_stats();
+  StatScope scope(*this, stats);
   result->clear();
   if (num_objects_ > 0 && k > 0) {
     const std::vector<double> phi_q = MapObject(q);
@@ -500,16 +487,6 @@ Status OmniRTree::KnnQuery(const Blob& q, size_t k,
       (*result)[i] = best.top();
       best.pop();
     }
-  }
-  if (stats != nullptr) {
-    const QueryStats after = cumulative_stats();
-    stats->page_accesses = after.page_accesses - before.page_accesses;
-    stats->distance_computations =
-        after.distance_computations - before.distance_computations;
-    stats->elapsed_seconds =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                      start)
-            .count();
   }
   return Status::OK();
 }

@@ -99,8 +99,8 @@ class OmniRTree final : public MetricIndex {
   Status WriteNode(const Node& node);
   Status AllocateNode(bool is_leaf, Node* node);
 
-  Status InsertRec(PageId node_id, const LeafEntry& entry,
-                   SplitResult* result);
+  Status InsertInto(PageId node_id, const LeafEntry& entry,
+                    SplitResult* result);
   static void ComputeMbr(const Node& node, std::vector<double>* lo,
                          std::vector<double>* hi);
 

@@ -1,7 +1,6 @@
 #include "vptree/vp_tree.h"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <limits>
 #include <queue>
@@ -175,7 +174,7 @@ Status VpTree::SplitLeaf(Node* leaf) {
   return WriteNode(new_root);
 }
 
-Status VpTree::InsertRec(PageId node_id, const Blob& obj, ObjectId id) {
+Status VpTree::InsertInto(PageId node_id, const Blob& obj, ObjectId id) {
   Node node;
   SPB_RETURN_IF_ERROR(ReadNode(node_id, &node));
   if (node.is_leaf) {
@@ -185,9 +184,9 @@ Status VpTree::InsertRec(PageId node_id, const Blob& obj, ObjectId id) {
   }
   const double d = Distance(obj, node.vantage);
   if (d <= node.mu && node.inner != kInvalidPageId) {
-    return InsertRec(node.inner, obj, id);
+    return InsertInto(node.inner, obj, id);
   }
-  if (node.outer != kInvalidPageId) return InsertRec(node.outer, obj, id);
+  if (node.outer != kInvalidPageId) return InsertInto(node.outer, obj, id);
   // Missing side (built from a degenerate split): start a new leaf there.
   Node leaf;
   SPB_RETURN_IF_ERROR(AllocateNode(/*is_leaf=*/true, &leaf));
@@ -202,7 +201,7 @@ Status VpTree::InsertRec(PageId node_id, const Blob& obj, ObjectId id) {
 }
 
 Status VpTree::Insert(const Blob& obj, ObjectId id) {
-  SPB_RETURN_IF_ERROR(InsertRec(root_, obj, id));
+  SPB_RETURN_IF_ERROR(InsertInto(root_, obj, id));
   ++num_objects_;
   return Status::OK();
 }
@@ -231,29 +230,17 @@ Status VpTree::RangeRec(PageId node_id, const Blob& q, double r,
 
 Status VpTree::RangeQuery(const Blob& q, double r,
                           std::vector<ObjectId>* result, QueryStats* stats) {
-  const auto start = std::chrono::steady_clock::now();
-  const QueryStats before = cumulative_stats();
+  StatScope scope(*this, stats);
   result->clear();
   if (num_objects_ > 0) {
     SPB_RETURN_IF_ERROR(RangeRec(root_, q, r, result));
-  }
-  if (stats != nullptr) {
-    const QueryStats after = cumulative_stats();
-    stats->page_accesses = after.page_accesses - before.page_accesses;
-    stats->distance_computations =
-        after.distance_computations - before.distance_computations;
-    stats->elapsed_seconds =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                      start)
-            .count();
   }
   return Status::OK();
 }
 
 Status VpTree::KnnQuery(const Blob& q, size_t k, std::vector<Neighbor>* result,
                         QueryStats* stats) {
-  const auto start = std::chrono::steady_clock::now();
-  const QueryStats before = cumulative_stats();
+  StatScope scope(*this, stats);
   result->clear();
   if (num_objects_ > 0 && k > 0) {
     std::priority_queue<Neighbor, std::vector<Neighbor>,
@@ -315,16 +302,6 @@ Status VpTree::KnnQuery(const Blob& q, size_t k, std::vector<Neighbor>* result,
       (*result)[i] = best.top();
       best.pop();
     }
-  }
-  if (stats != nullptr) {
-    const QueryStats after = cumulative_stats();
-    stats->page_accesses = after.page_accesses - before.page_accesses;
-    stats->distance_computations =
-        after.distance_computations - before.distance_computations;
-    stats->elapsed_seconds =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                      start)
-            .count();
   }
   return Status::OK();
 }

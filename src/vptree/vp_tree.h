@@ -97,7 +97,7 @@ class VpTree final : public MetricIndex {
   Status AllocateNode(bool is_leaf, Node* node);
 
   Status BuildRec(std::vector<Item> items, PageId* root);
-  Status InsertRec(PageId node_id, const Blob& obj, ObjectId id);
+  Status InsertInto(PageId node_id, const Blob& obj, ObjectId id);
   Status SplitLeaf(Node* leaf);
   Status RangeRec(PageId node_id, const Blob& q, double r,
                   std::vector<ObjectId>* result);

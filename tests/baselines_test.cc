@@ -10,6 +10,7 @@
 #include "mindex/m_index.h"
 #include "mtree/mtree.h"
 #include "omni/omni_rtree.h"
+#include "vptree/vp_tree.h"
 
 namespace spb {
 namespace {
@@ -221,15 +222,27 @@ TEST(MamComparisonTest, EmptyIndexesAnswerQueries) {
   MIndexOptions iopts;
   std::unique_ptr<MIndex> mindex;
   ASSERT_TRUE(MIndex::Build(empty, ds.metric.get(), iopts, &mindex).ok());
+  VpTreeOptions vopts;
+  std::unique_ptr<VpTree> vptree;
+  ASSERT_TRUE(VpTree::Build(empty, ds.metric.get(), vopts, &vptree).ok());
   for (MetricIndex* idx :
        std::initializer_list<MetricIndex*>{mtree.get(), omni.get(),
-                                           mindex.get()}) {
+                                           mindex.get(), vptree.get()}) {
+    // Each query overwrites the caller's stats, early returns included.
+    const QueryStats stale{7, 7, 7.0};
+    QueryStats stats = stale;
     std::vector<ObjectId> range;
-    EXPECT_TRUE(idx->RangeQuery(ds.objects[0], 5.0, &range, nullptr).ok());
+    EXPECT_TRUE(idx->RangeQuery(ds.objects[0], 5.0, &range, &stats).ok());
     EXPECT_TRUE(range.empty());
+    EXPECT_EQ(stats.distance_computations, 0u) << idx->name() << " range";
     std::vector<Neighbor> knn;
-    EXPECT_TRUE(idx->KnnQuery(ds.objects[0], 3, &knn, nullptr).ok());
-    EXPECT_TRUE(knn.empty());
+    for (size_t k : {3, 0}) {
+      stats = stale;
+      EXPECT_TRUE(idx->KnnQuery(ds.objects[0], k, &knn, &stats).ok());
+      EXPECT_TRUE(knn.empty());
+      EXPECT_EQ(stats.distance_computations, 0u)
+          << idx->name() << " kNN k=" << k;
+    }
   }
 }
 

@@ -168,6 +168,23 @@ class NodeCacheBptTest : public ::testing::Test {
     ASSERT_TRUE(bt_->BulkLoad(entries).ok());
   }
 
+  // A copy-on-write insert adopted at once; with no snapshots, the pages it
+  // superseded are recycled by the next write.
+  void CowInsert(uint64_t key, uint64_t ptr) {
+    TreeVersion v;
+    std::vector<PageId> superseded;
+    ASSERT_TRUE(bt_->InsertCow(key, ptr, &v, &superseded).ok());
+    bt_->AdoptVersion(v);
+    bt_->AddFreePages(superseded);
+  }
+
+  // Reads every node of the current version through GetNode, via a cursor.
+  void ScanAll() {
+    BPlusTree::LeafCursor cur(bt_.get(), bt_->version());
+    ASSERT_TRUE(cur.SeekFirst().ok());
+    while (cur.valid()) ASSERT_TRUE(cur.Next().ok());
+  }
+
   std::unique_ptr<SpaceFillingCurve> curve_;
   std::unique_ptr<BPlusTree> bt_;
 };
@@ -194,33 +211,44 @@ TEST_F(NodeCacheBptTest, GetNodeMatchesReadNode) {
 
 TEST_F(NodeCacheBptTest, InsertInvalidatesCachedNodes) {
   // Warm the cache over the whole tree.
-  DecodedNode scratch;
-  NodeHandle h;
-  ASSERT_TRUE(bt_->GetNode(bt_->root(), &scratch, &h).ok());
-  PageId leaf_id = bt_->first_leaf();
-  while (leaf_id != kInvalidPageId) {
-    ASSERT_TRUE(bt_->GetNode(leaf_id, &scratch, &h).ok());
-    leaf_id = h->node.next_leaf;
-  }
+  ScanAll();
 
-  // Insert a key that lands in the first leaf; a stale cached decode would
-  // not contain it.
-  ASSERT_TRUE(bt_->Insert(1, 9999).ok());
-  ASSERT_TRUE(bt_->GetNode(bt_->first_leaf(), &scratch, &h).ok());
-  bool found = false;
-  for (const LeafEntry& e : h->node.leaf_entries) {
-    if (e.key == 1 && e.ptr == 9999) found = true;
-  }
-  EXPECT_TRUE(found) << "cached leaf served stale after Insert";
+  // COW rewrites a live page id only by recycling one. The first insert
+  // supersedes the root and the first leaf, whose cached decodes stay (old
+  // versions may still read them); the second insert writes its new path
+  // onto exactly those recycled ids. A stale cached decode of either would
+  // hide the second entry.
+  CowInsert(1, 9999);
+  EXPECT_EQ(bt_->free_pages(), 2u);
+  CowInsert(2, 4242);
+  EXPECT_EQ(bt_->free_pages(), 2u);
+  BPlusTree::LeafCursor cur(bt_.get(), bt_->version());
+  ASSERT_TRUE(cur.Seek(2).ok());
+  ASSERT_TRUE(cur.valid());
+  EXPECT_EQ(cur.entry(), (LeafEntry{2, 4242}))
+      << "cached node served stale after a recycled page was rewritten";
+  ASSERT_TRUE(cur.Seek(1).ok());
+  ASSERT_TRUE(cur.valid());
+  EXPECT_EQ(cur.entry(), (LeafEntry{1, 9999}));
 }
 
 TEST_F(NodeCacheBptTest, HandleKeepsNodeAliveAcrossInvalidation) {
+  PageId leaf_id;
+  {
+    BPlusTree::LeafCursor cur(bt_.get(), bt_->version());
+    ASSERT_TRUE(cur.SeekFirst().ok());
+    leaf_id = cur.leaf().id;
+  }
   DecodedNode scratch;
   NodeHandle h;
-  ASSERT_TRUE(bt_->GetNode(bt_->first_leaf(), &scratch, &h).ok());
+  ASSERT_TRUE(bt_->GetNode(leaf_id, &scratch, &h).ok());
   const size_t before = h->node.leaf_entries.size();
-  ASSERT_TRUE(bt_->Insert(2, 4242).ok());  // invalidates the cached leaf
+  // The second insert rewrites the first leaf's recycled id, which
+  // invalidates its cached decode.
+  CowInsert(1, 9999);
+  CowInsert(2, 4242);
   bt_->node_cache().Clear();
+  EXPECT_TRUE(h->node.is_leaf);
   EXPECT_EQ(h->node.leaf_entries.size(), before);  // old decode still valid
 }
 
@@ -230,15 +258,7 @@ TEST_F(NodeCacheBptTest, AccountingParityCacheOnVsOff) {
   auto run = [&](uint64_t* reads, uint64_t* hits) {
     bt_->pool().Flush();
     bt_->pool().stats().Reset();
-    DecodedNode scratch;
-    NodeHandle h;
-    for (int pass = 0; pass < 3; ++pass) {
-      PageId leaf_id = bt_->first_leaf();
-      while (leaf_id != kInvalidPageId) {
-        ASSERT_TRUE(bt_->GetNode(leaf_id, &scratch, &h).ok());
-        leaf_id = h->node.next_leaf;
-      }
-    }
+    for (int pass = 0; pass < 3; ++pass) ScanAll();
     *reads = bt_->stats().page_reads.load();
     *hits = bt_->stats().cache_hits.load();
   };

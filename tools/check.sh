@@ -9,13 +9,15 @@
 # once with SPB_DISABLE_SIMD=1 — so out-of-bounds lane loads or UB in any
 # dispatch table fail loudly on every path, plus the bulk load's span-write
 # and parallel-build tests, the SPB-tree query tests (the default range and
-# kNN paths over every dataset and curve) and the concurrency tests (pins on
-# memory-file frames must outlive the writer's frame swaps).
+# kNN paths over every dataset and curve), the concurrency tests (pins on
+# memory-file frames must outlive the writer's frame swaps) and the B+-tree,
+# node-cache and baseline tests (cursor frames and node-cache handles held
+# across copy-on-write writes and page recycling).
 #
 #   tools/check.sh            # everything
 #   tools/check.sh --tsan     # only the TSan stage (incl. parallel build)
 #   tools/check.sh --asan     # only the ASan/UBSan kernel, bulk-load,
-#                             # query-core and concurrency stage
+#                             # query-core, concurrency and B+-tree stage
 #   tools/check.sh --warmab   # only the prefetch + warm A/B identity sweeps
 #                             # (ASan+TSan)
 #   tools/check.sh --writes   # only the write-path stage: update engine,
@@ -54,7 +56,7 @@ run_asan() {
   cmake -B build-asan -S . -DSPB_SANITIZE=address >/dev/null
   cmake --build build-asan -j "${JOBS}" --target kernels_test metrics_test \
     sfc_test storage_test common_test persistence_test spb_tree_test \
-    concurrency_test
+    concurrency_test bptree_test node_cache_test baselines_test
   ./build-asan/tests/kernels_test
   ./build-asan/tests/metrics_test
   ./build-asan/tests/sfc_test
@@ -76,6 +78,12 @@ run_asan() {
   # single-flight hand-off and readahead staging lifetimes.
   echo "==> asan: concurrency tests under ASan/UBSan"
   ./build-asan/tests/concurrency_test
+  # Cursor frames and decoded-node handles held across copy-on-write writes
+  # that recycle pages at once, and the baselines that share the B+-tree.
+  echo "==> asan: B+-tree, node-cache and baseline tests under ASan/UBSan"
+  ./build-asan/tests/bptree_test
+  ./build-asan/tests/node_cache_test
+  ./build-asan/tests/baselines_test
 }
 
 run_warmab() {
