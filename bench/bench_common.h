@@ -30,8 +30,7 @@ namespace bench {
 /// buffer-pool misses only (page_reads + page_writes; cache_hits excluded,
 /// including RAF dirty-tail reads), compdists counts calls through each
 /// index's CountingDistance wrapper. Per-query numbers come from QueryStats
-/// deltas, which are valid here because bench queries run serially;
-/// bench_concurrency instead reads aggregate cumulative-counter deltas.
+/// deltas, which are valid here because bench queries run serially.
 struct BenchConfig {
   size_t scale;
   size_t queries;

@@ -116,14 +116,16 @@ class MetricIndex {
 /// Captures an index's cost counters around one query and writes the delta
 /// (plus wall time) into `out` when it goes out of scope. The delta is over
 /// the aggregate counters, so it is attributable only when queries do not
-/// overlap (concurrent callers pass out == nullptr).
+/// overlap (concurrent callers pass out == nullptr). With out == nullptr it
+/// reads neither the counters nor the clock.
 class StatScope {
  public:
   StatScope(const MetricIndex& index, QueryStats* out)
-      : index_(index),
-        out_(out),
-        before_(index.cumulative_stats()),
-        start_(std::chrono::steady_clock::now()) {}
+      : index_(index), out_(out) {
+    if (out_ == nullptr) return;
+    before_ = index.cumulative_stats();
+    start_ = std::chrono::steady_clock::now();
+  }
 
   ~StatScope() {
     if (out_ == nullptr) return;

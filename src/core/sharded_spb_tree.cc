@@ -21,22 +21,21 @@ constexpr uint64_t kManifestMagic = 0x5350425348415244ULL;  // "SPBSHARD"
 std::string ManifestPath(const std::string& dir) { return dir + kManifestName; }
 
 // Runs sub(i, &slot_i) for i in [0, n) — one shard subquery each — and
-// appends the slots to *out in index order. With `parallel` on and the
-// caller an arena worker, the subqueries run as one nested task group on
-// the executor's own pool (help=true: this thread claims its own
-// subqueries, deadlock-free at any pool size); otherwise inline in index
-// order. Subqueries share nothing, so results, logical PA and compdists are
-// byte-identical either way. Returns the first failed slot's status.
+// appends the slots to *out in index order. When the caller is an arena
+// worker, the subqueries run as one nested task group on the executor's
+// own pool (help=true: this thread claims its own subqueries, deadlock-free
+// at any pool size); otherwise inline in index order. Subqueries share
+// nothing, so results, logical PA and compdists are byte-identical either
+// way. Returns the first failed slot's status.
 template <typename T, typename Sub>
-Status ScatterGather(size_t n, bool parallel, const Sub& sub,
-                     std::vector<T>* out) {
+Status ScatterGather(size_t n, const Sub& sub, std::vector<T>* out) {
   std::vector<std::vector<T>> slots(n);
   std::vector<Status> statuses(n);
   const std::function<void(size_t)> run = [&](size_t i) {
     statuses[i] = sub(i, &slots[i]);
   };
   TaskArena* arena = TaskArena::Current();
-  if (n > 1 && parallel && arena != nullptr) {
+  if (n > 1 && arena != nullptr) {
     arena->RunGroup(n, run, /*help=*/true);
   } else {
     for (size_t i = 0; i < n; ++i) run(i);
@@ -482,7 +481,7 @@ Status ShardedSpbTree::RangeQuery(const Blob& q, double r,
   }
 
   return ScatterGather(
-      survivors.size(), parallel_scatter(),
+      survivors.size(),
       [&](size_t i, std::vector<ObjectId>* slot) {
         return shards_[survivors[i]]->RangeQueryMapped(q, phi_q, r, slot,
                                                        nullptr);
@@ -521,27 +520,26 @@ Status ShardedSpbTree::KnnQuery(const Blob& q, size_t k,
     return a.lb < b.lb || (a.lb == b.lb && a.s < b.s);
   });
 
-  // Phase 1 — sequential seeding: visit ranks in order, each with its own
-  // bound, until one publishes a finite exact k-th distance (rank 0 alone
-  // whenever it holds >= k objects). Always sequential, in both modes: the
+  // Phase 1 — sequential seeding: visit ranks in order, each unbounded,
+  // until one returns k neighbours; its exact k-th distance is the seed
+  // (rank 0 alone whenever it holds >= k objects). Always sequential: the
   // seed must be a deterministic function of the snapshot and the query.
   const double kInf = std::numeric_limits<double>::infinity();
   double seed = kInf;
   std::vector<Neighbor> candidates, shard_result;
   size_t next_rank = 0;
   for (; next_rank < order.size() && seed == kInf; ++next_rank) {
-    SharedKnnBound bound;
     SPB_RETURN_IF_ERROR(shards_[order[next_rank].s]->KnnQueryMapped(
-        q, phi_q, k, &shard_result, nullptr, traversal, &bound));
+        q, phi_q, k, &shard_result, nullptr, traversal, kInf));
     candidates.insert(candidates.end(), shard_result.begin(),
                       shard_result.end());
-    seed = bound.load();
+    if (shard_result.size() == k) seed = shard_result.back().distance;
   }
 
   // Phase 2 — fixed-seed wave over the remaining ranks. A shard whose
   // whole extent lies at or beyond the seed cannot improve the result set
-  // (Lemma 3 at shard granularity); every other shard runs with a fresh
-  // bound seeded to exactly `seed`, so its traversal — results, logical
+  // (Lemma 3 at shard granularity); every other shard runs with its pruning
+  // bound starting at exactly `seed`, so its traversal — results, logical
   // PA, compdists — depends only on (snapshot, q, k, seed), never on a
   // sibling's progress. That is what makes parallel and serial execution
   // of the wave byte-identical.
@@ -550,12 +548,10 @@ Status ShardedSpbTree::KnnQuery(const Blob& q, size_t k,
     if (order[next_rank].lb < seed) wave.push_back(order[next_rank].s);
   }
   SPB_RETURN_IF_ERROR(ScatterGather(
-      wave.size(), parallel_scatter(),
+      wave.size(),
       [&](size_t i, std::vector<Neighbor>* slot) {
-        SharedKnnBound bound;
-        bound.Offer(seed);
         return shards_[wave[i]]->KnnQueryMapped(q, phi_q, k, slot, nullptr,
-                                                traversal, &bound);
+                                                traversal, seed);
       },
       &candidates));
   std::sort(candidates.begin(), candidates.end(),

@@ -48,23 +48,23 @@ namespace spb {
 /// RR(q, r); a kNN query visits shards in ascending MIND(q, box) order
 /// under the deterministic seeding cascade described at KnnQuery.
 ///
-/// Surviving subqueries dispatch in parallel (PR 8) when the caller is a
-/// TaskArena worker — i.e. the query runs inside a QueryExecutor batch —
-/// and parallel_scatter() is on: per-shard subqueries become one nested
-/// task group on the same pool (help-first, so a pool of any size stays
-/// deadlock-free), with per-shard result slots concatenated in shard-rank
-/// order. By construction the parallel path is *byte-identical* to the
-/// serial one — same results, same logical PA, same compdists — because no
-/// cross-shard state flows between subqueries at run time: range scatter
-/// shares nothing, and kNN fan-out seeds every wave shard with the same
-/// fixed bound (see KnnQuery). The ctest identity sweep and the bench A/B
-/// gate both assert this equivalence per query.
+/// Surviving subqueries dispatch in parallel when the caller is a
+/// TaskArena worker — i.e. the query runs inside a QueryExecutor batch:
+/// per-shard subqueries become one nested task group on the same pool
+/// (help-first, so a pool of any size stays deadlock-free), with per-shard
+/// result slots concatenated in shard-rank order. A top-level caller runs
+/// the same subqueries serially. By construction the parallel path is
+/// *byte-identical* to the serial one — same results, same logical PA, same
+/// compdists — because no cross-shard state flows between subqueries at run
+/// time: range scatter shares nothing, and kNN fan-out starts every wave
+/// shard at the same fixed bound (see KnnQuery).
+/// FanoutIdentityTest (tests/fanout_test.cc) asserts this per query.
 ///
 /// S == 1 is pure delegation: every operation forwards to the single
 /// backing SpbTree's public entry points, so results, logical PA, compdists
 /// and cache behaviour are byte-identical to an unsharded tree built with
-/// the same options (asserted by tests/sharded_test.cc and the bench's
-/// identity gate).
+/// the same options (asserted by ShardedIdentityTest in
+/// tests/sharded_test.cc).
 ///
 /// Thread safety matches SpbTree, per shard: any number of concurrent
 /// queries, at most one writer *per shard* (a second writer on the same
@@ -147,17 +147,16 @@ class ShardedSpbTree : public MetricIndex {
 
   /// Scatter-gather kNN(q, k) under the deterministic MIND-order seeding
   /// cascade (docs/ARCHITECTURE.md §"Sharding"): shards are ranked by
-  /// (MIND(q, shard box), shard index) and visited sequentially — each with
-  /// its own k-th-NN bound — until one publishes a finite exact k-th
-  /// distance (rank 0 alone, whenever it holds >= k objects). That value
-  /// becomes the *fixed seed* for every remaining shard: shards whose box
-  /// lower bound reaches the seed are skipped outright, the rest each run
-  /// with a fresh bound seeded to exactly that value — concurrently when
-  /// parallel scatter is active, in rank order otherwise. Because every
-  /// post-seed subquery depends only on (snapshot, q, k, seed) — never on a
-  /// sibling's progress — results, logical PA and compdists are identical
-  /// whichever way the wave executes. Results merged by (distance, id),
-  /// truncated to k.
+  /// (MIND(q, shard box), shard index) and visited sequentially, each
+  /// unbounded, until one returns k neighbours (rank 0 alone, whenever it
+  /// holds >= k objects). Its exact k-th distance becomes the *fixed seed*
+  /// for every remaining shard: shards whose box lower bound reaches the
+  /// seed are skipped outright, the rest each start their pruning bound at
+  /// exactly that value — concurrently when the caller is an arena worker,
+  /// in rank order otherwise. Because every post-seed subquery depends only
+  /// on (snapshot, q, k, seed) — never on a sibling's progress — results,
+  /// logical PA and compdists are identical whichever way the wave
+  /// executes. Results merged by (distance, id), truncated to k.
   Status KnnQuery(const Blob& q, size_t k, std::vector<Neighbor>* result,
                   QueryStats* stats, KnnTraversal traversal);
   /// Default traversal is kAuto: each dispatched shard resolves it to the
@@ -176,18 +175,6 @@ class ShardedSpbTree : public MetricIndex {
 
   size_t num_shards() const { return shards_.size(); }
 
-  /// Toggles parallel cross-shard fan-out (default on). Even when on,
-  /// queries fan out only when issued from inside a TaskArena worker (a
-  /// QueryExecutor batch); top-level callers always run the serial scatter.
-  /// The off position is the A/B lever the identity gates and the
-  /// contention bench use. May be flipped at any time (queries in flight
-  /// finish under the policy they started with).
-  void set_parallel_scatter(bool on) {
-    parallel_scatter_.store(on, std::memory_order_relaxed);
-  }
-  bool parallel_scatter() const {
-    return parallel_scatter_.load(std::memory_order_relaxed);
-  }
   /// Direct access to one shard (tests, stats drill-down). The shard is
   /// still owned by the router; treat it as read-only unless you know no
   /// router-level invariant (boxes) depends on your write.
@@ -300,8 +287,6 @@ class ShardedSpbTree : public MetricIndex {
   // owned by shard s+1 (shard 0 starts at key 0). Fixed at build time,
   // persisted in the manifest.
   std::vector<uint64_t> boundaries_;
-  // See set_parallel_scatter().
-  std::atomic<bool> parallel_scatter_{true};
 };
 
 }  // namespace spb

@@ -1150,13 +1150,14 @@ Status SpbTree::KnnQuery(const Blob& q, size_t k, std::vector<Neighbor>* result,
   A.phi_q.resize(space_->dims());
   // Same distance-call count and values as Phi(), without the allocation.
   space_->pivots().MapBatch(&q, 1, counting_, A.phi_q.data());
-  return KnnSearch(q, k, snap, A, result, traversal, nullptr);
+  return KnnSearch(q, k, snap, A, result, traversal,
+                   std::numeric_limits<double>::infinity());
 }
 
 Status SpbTree::KnnQueryMapped(const Blob& q, const std::vector<double>& phi_q,
                                size_t k, std::vector<Neighbor>* result,
                                QueryStats* stats, KnnTraversal traversal,
-                               SharedKnnBound* shared) {
+                               double bound) {
   StatScope scope(*this, stats);
   result->clear();
   if (phi_q.size() != space_->dims()) {
@@ -1166,12 +1167,12 @@ Status SpbTree::KnnQueryMapped(const Blob& q, const std::vector<double>& phi_q,
   if (snap.version().num_objects == 0 || k == 0) return Status::OK();
   QueryArena& A = ThreadArena();
   A.phi_q.assign(phi_q.begin(), phi_q.end());
-  return KnnSearch(q, k, snap, A, result, traversal, shared);
+  return KnnSearch(q, k, snap, A, result, traversal, bound);
 }
 
 Status SpbTree::KnnSearch(const Blob& q, size_t k, const Snapshot& snap,
                           QueryArena& A, std::vector<Neighbor>* result,
-                          KnnTraversal traversal, SharedKnnBound* shared) {
+                          KnnTraversal traversal, double bound) {
   const std::shared_ptr<const LeafModel> model = LocatorForSnapshot(snap);
 
   // kAuto resolves here: the planner picks greedy vs best-first, per-query
@@ -1204,15 +1205,11 @@ Status SpbTree::KnnSearch(const Blob& q, size_t k, const Snapshot& snap,
     return A.best.size() < k ? std::numeric_limits<double>::infinity()
                              : A.best.front().distance;
   };
-  // The pruning bound: the local NDk, tightened by the cross-shard bound
-  // when this traversal is one shard of a scatter-gather kNN. Used for
-  // every Lemma 3 decision (frontier cutoff, node pushes, leaf filters) but
-  // NOT as the DistanceWithCutoff threshold — see SharedKnnBound.
-  auto prune_ndk = [&]() {
-    const double local = cur_ndk();
-    if (shared == nullptr) return local;
-    return std::min(local, shared->load());
-  };
+  // The pruning bound: the local NDk, tightened by the caller's bound when
+  // this traversal is one shard of a scatter-gather kNN. Used for every
+  // Lemma 3 decision (frontier cutoff, node pushes, leaf filters) but NOT as
+  // the DistanceWithCutoff threshold — see KnnQueryMapped.
+  auto prune_ndk = [&]() { return std::min(cur_ndk(), bound); };
   auto offer = [&](ObjectId id, double d) {
     if (A.best.size() < k) {
       A.best.push_back(Neighbor{id, d});
@@ -1221,12 +1218,6 @@ Status SpbTree::KnnSearch(const Blob& q, size_t k, const Snapshot& snap,
       std::pop_heap(A.best.begin(), A.best.end(), best_cmp);
       A.best.back() = Neighbor{id, d};
       std::push_heap(A.best.begin(), A.best.end(), best_cmp);
-    }
-    // Publish only exact, heap-full k-th distances: every stored distance
-    // is exact (the cutoff threshold is the local NDk), and a partial heap
-    // bounds nothing.
-    if (shared != nullptr && A.best.size() == k) {
-      shared->Offer(A.best.front().distance);
     }
   };
   // With the cutoff enabled, the current k-th NN distance is the pruning

@@ -2,7 +2,6 @@
 #define SPB_CORE_SPB_TREE_H_
 
 #include <atomic>
-#include <limits>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -68,35 +67,6 @@ struct SpbTreeOptions : TuningOptions {
   /// last checkpoint (a Save() checkpoints and truncates the log).
   bool enable_group_commit = false;
   bool enable_wal = false;
-};
-
-/// The global NDk bound one kNN query shares across shards: a monotonically
-/// tightening upper bound on the k-th nearest-neighbor distance, published
-/// by whichever shard currently holds the best k candidates and consumed by
-/// every shard's traversal for Lemma 3 pruning (frontier cutoff, node
-/// pushes, leaf filters). Only *exact* k-th distances from a full local
-/// candidate heap are ever offered, never early-abandoned lower bounds —
-/// an under-estimate here would prune true neighbors in sibling shards.
-/// Shards keep their *local* NDk as the DistanceWithCutoff threshold for
-/// the same reason: an abandoned value only lower-bounds the true distance,
-/// so admitting one past a foreign (tighter) threshold into the local heap
-/// could later be published as a too-small global bound.
-class SharedKnnBound {
- public:
-  /// Current bound (+inf until the first shard fills its heap).
-  double load() const { return bound_.load(std::memory_order_relaxed); }
-
-  /// CAS-min: tightens the bound to `d` if d is smaller. Lock-free; safe
-  /// from concurrent shard traversals.
-  void Offer(double d) {
-    double cur = bound_.load(std::memory_order_relaxed);
-    while (d < cur &&
-           !bound_.compare_exchange_weak(cur, d, std::memory_order_relaxed)) {
-    }
-  }
-
- private:
-  std::atomic<double> bound_{std::numeric_limits<double>::infinity()};
 };
 
 /// kNN traversal strategies of Section 4.3 / Table 5. Both return the same
@@ -288,18 +258,19 @@ class SpbTree : public MetricIndex {
                           double r, std::vector<ObjectId>* result,
                           QueryStats* stats = nullptr);
 
-  /// KnnQuery with phi(q) precomputed and an optional cross-shard NDk bound
-  /// (see SharedKnnBound). With `shared` non-null the traversal prunes on
-  /// min(local NDk, shared bound) — frontier cutoff, node pushes and leaf
-  /// filters all tighten — and publishes its own exact k-th distance
-  /// whenever the local heap is full. The local heap still collects up to k
-  /// candidates (the router merges across shards), and DistanceWithCutoff
-  /// keeps the *local* NDk threshold so early-abandoned (inexact) values
-  /// can never be admitted and later published as a global bound.
+  /// KnnQuery with phi(q) precomputed and an initial pruning bound on the
+  /// k-th NN distance (+inf for none). The traversal prunes on
+  /// min(local NDk, bound) — frontier cutoff, node pushes and leaf filters
+  /// all tighten — while the local heap still collects up to k candidates
+  /// (the router merges across shards). `bound` must be an exact k-th
+  /// distance over a subset of the objects (a sibling shard's result):
+  /// anything smaller could prune a true neighbour. DistanceWithCutoff
+  /// keeps the local NDk as its threshold, so every distance the heap holds
+  /// is exact.
   Status KnnQueryMapped(const Blob& q, const std::vector<double>& phi_q,
                         size_t k, std::vector<Neighbor>* result,
                         QueryStats* stats, KnnTraversal traversal,
-                        SharedKnnBound* shared);
+                        double bound);
 
   /// Cost models (Section 4.4). Each estimate costs |P| distance
   /// computations (mapping q).
@@ -473,7 +444,7 @@ class SpbTree : public MetricIndex {
                      QueryArena& A, std::vector<ObjectId>* result);
   Status KnnSearch(const Blob& q, size_t k, const Snapshot& snap,
                    QueryArena& A, std::vector<Neighbor>* result,
-                   KnnTraversal traversal, SharedKnnBound* shared);
+                   KnnTraversal traversal, double bound);
 
   // The r == 0 locator fast path of RangeSearch: SeekRank straight to the
   // owning leaf, scan the duplicate run, batch-verify the exact-key matches.

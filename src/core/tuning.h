@@ -49,8 +49,8 @@ struct TuningOptions {
   /// engine"): serve RAF records from pinned buffer-pool frames instead of
   /// copying into a fresh Blob. Results, logical PA, cache_hits and
   /// compdists are byte-identical on or off (the accounting-parity rule,
-  /// asserted by the warm A/B bench); the toggle exists for ablation and the
-  /// identity harness.
+  /// asserted by WarmPathSpbTest in tests/node_cache_test.cc); the toggle
+  /// exists for ablation and that test.
   bool enable_zero_copy = true;
   /// Decoded-node cache entries (B+-tree nodes kept parsed, with internal
   /// MBB corners pre-decoded; 0 disables). Same parity rule as

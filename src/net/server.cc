@@ -33,7 +33,6 @@ Status SetNonBlocking(int fd) {
 /// holds a Work referencing it, even after the socket closed.
 struct Server::Conn {
   int fd = -1;
-  uint64_t id = 0;
   FrameAssembler assembler;
 
   std::mutex mu;                 // guards outbox
@@ -49,12 +48,6 @@ struct Server::Conn {
   // it is released at dispatch time — before the reply is flushed — so a
   // peer that never reads replies would otherwise grow the outbox forever.
   std::atomic<size_t> outbox_unflushed{0};
-
-  // Per-client stats.
-  std::atomic<uint64_t> frames_received{0};
-  std::atomic<uint64_t> frames_sent{0};
-  std::atomic<uint64_t> ops_executed{0};
-  std::atomic<uint64_t> busy_rejected{0};
 
   explicit Conn(size_t max_frame_bytes) : assembler(max_frame_bytes) {}
 };
@@ -266,7 +259,6 @@ void Server::AcceptReady() {
     ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
     auto conn = std::make_shared<Conn>(options_.max_frame_bytes);
     conn->fd = fd;
-    conn->id = next_conn_id_.fetch_add(1, std::memory_order_relaxed);
     epoll_event ev{};
     ev.events = EPOLLIN;
     ev.data.fd = fd;
@@ -326,7 +318,6 @@ bool Server::DrainFrames(const std::shared_ptr<Conn>& conn) {
     }
     if (!have) return true;
     frames_received_.fetch_add(1, std::memory_order_relaxed);
-    conn->frames_received.fetch_add(1, std::memory_order_relaxed);
     if (!HandleFrame(conn, type, std::move(payload))) return false;
   }
 }
@@ -420,7 +411,6 @@ bool Server::HandleFrame(const std::shared_ptr<Conn>& conn, FrameType type,
       }
       if (!admitted) {
         ops_rejected_busy_.fetch_add(batch, std::memory_order_relaxed);
-        conn->busy_rejected.fetch_add(1, std::memory_order_relaxed);
         std::vector<uint8_t> body;
         EncodeErrorPayload(Status::Busy("server at capacity; back off"),
                            &body);
@@ -476,8 +466,6 @@ void Server::DispatchLoop() {
       work.conn->queued_frames.fetch_sub(1, std::memory_order_relaxed);
       ops_executed_.fetch_add(work.requests.size(),
                               std::memory_order_relaxed);
-      work.conn->ops_executed.fetch_add(work.requests.size(),
-                                        std::memory_order_relaxed);
       WireBatchStats wire;
       wire.page_accesses = batch.stats.totals.page_accesses;
       wire.distance_computations = batch.stats.totals.distance_computations;
@@ -501,7 +489,6 @@ void Server::SendFrame(const std::shared_ptr<Conn>& conn, FrameType type,
                                  std::memory_order_relaxed);
   }
   frames_sent_.fetch_add(1, std::memory_order_relaxed);
-  conn->frames_sent.fetch_add(1, std::memory_order_relaxed);
   WakeIo();
 }
 
@@ -570,22 +557,6 @@ ServerStats Server::stats() const {
   s.ops_rejected_busy = ops_rejected_busy_.load(std::memory_order_relaxed);
   s.protocol_errors = protocol_errors_.load(std::memory_order_relaxed);
   return s;
-}
-
-std::vector<ClientStats> Server::ClientStatsSnapshot() const {
-  std::vector<ClientStats> out;
-  std::lock_guard<std::mutex> lock(conns_mu_);
-  out.reserve(conns_.size());
-  for (const auto& [fd, conn] : conns_) {
-    ClientStats cs;
-    cs.connection_id = conn->id;
-    cs.frames_received = conn->frames_received.load(std::memory_order_relaxed);
-    cs.frames_sent = conn->frames_sent.load(std::memory_order_relaxed);
-    cs.ops_executed = conn->ops_executed.load(std::memory_order_relaxed);
-    cs.busy_rejected = conn->busy_rejected.load(std::memory_order_relaxed);
-    out.push_back(cs);
-  }
-  return out;
 }
 
 }  // namespace net

@@ -59,15 +59,6 @@ struct ServerStats {
   uint64_t protocol_errors = 0;
 };
 
-/// Per-client counters, keyed by connection id in ClientStatsSnapshot().
-struct ClientStats {
-  uint64_t connection_id = 0;
-  uint64_t frames_received = 0;
-  uint64_t frames_sent = 0;
-  uint64_t ops_executed = 0;
-  uint64_t busy_rejected = 0;
-};
-
 /// Async TCP server speaking the SPB1 frame protocol (docs/PROTOCOL.md).
 ///
 /// Threading model: ONE epoll I/O thread owns every socket — it accepts,
@@ -107,8 +98,6 @@ class Server {
   uint16_t port() const { return port_; }
 
   ServerStats stats() const;
-  /// Per-client drill-down for every currently-open connection.
-  std::vector<ClientStats> ClientStatsSnapshot() const;
 
  private:
   struct Conn;
@@ -161,7 +150,6 @@ class Server {
   // the mutex for a consistent snapshot.
   mutable std::mutex conns_mu_;
   std::unordered_map<int, std::shared_ptr<Conn>> conns_;
-  std::atomic<uint64_t> next_conn_id_{1};
 
   // Admission control: ops queued or running across all connections.
   std::atomic<size_t> inflight_ops_{0};

@@ -150,8 +150,8 @@ class Raf {
   /// the same two pool touches Get's header + payload reads pay (pin +
   /// Touch; empty records only the header touch); the fallback runs Get's
   /// own byte loop. So PA, cache_hits and LRU state are byte-identical
-  /// whether callers use Get or GetView — the invariant the warm A/B bench
-  /// asserts.
+  /// whether callers use Get or GetView — the invariant WarmPathSpbTest
+  /// (tests/node_cache_test.cc) asserts.
   Status GetView(uint64_t offset, ObjectId* id, BlobView* view,
                  Readahead* ra = nullptr);
 

@@ -246,5 +246,54 @@ TEST(MamComparisonTest, EmptyIndexesAnswerQueries) {
   }
 }
 
+// ------------------------------------------------------------- StatScope
+
+// A MetricIndex whose only behaviour is counting cumulative_stats() calls.
+class CountingStatsIndex : public MetricIndex {
+ public:
+  Status Insert(const Blob&, ObjectId) override { return Status::OK(); }
+  Status RangeQuery(const Blob&, double, std::vector<ObjectId>*,
+                    QueryStats*) override {
+    return Status::OK();
+  }
+  Status KnnQuery(const Blob&, size_t, std::vector<Neighbor>*,
+                  QueryStats*) override {
+    return Status::OK();
+  }
+  uint64_t storage_bytes() const override { return 0; }
+  QueryStats cumulative_stats() const override {
+    ++stats_calls;
+    return totals;
+  }
+  void ResetCounters() override {}
+  void FlushCaches() override {}
+  std::string name() const override { return "counting"; }
+
+  QueryStats totals;
+  mutable int stats_calls = 0;
+};
+
+// A query whose caller passes no QueryStats reads no counters; one that
+// passes a QueryStats gets the counters' delta over the scope.
+TEST(StatScopeTest, ReadsCountersOnlyWhenAsked) {
+  CountingStatsIndex index;
+  {
+    StatScope scope(index, nullptr);
+    index.totals.page_accesses += 5;
+  }
+  EXPECT_EQ(index.stats_calls, 0);
+
+  QueryStats out;
+  {
+    StatScope scope(index, &out);
+    index.totals.page_accesses += 3;
+    index.totals.distance_computations += 4;
+  }
+  EXPECT_EQ(index.stats_calls, 2);
+  EXPECT_EQ(out.page_accesses, 3u);
+  EXPECT_EQ(out.distance_computations, 4u);
+  EXPECT_GE(out.elapsed_seconds, 0.0);
+}
+
 }  // namespace
 }  // namespace spb

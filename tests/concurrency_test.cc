@@ -332,10 +332,13 @@ class SpbConcurrencyTest : public ::testing::Test {
     std::filesystem::remove_all(dir_);
   }
 
-  QueryStats SerialRange(std::vector<std::vector<ObjectId>>* results) {
+  // `cold` flushes the caches before every query (the paper's protocol).
+  QueryStats SerialRange(std::vector<std::vector<ObjectId>>* results,
+                         bool cold = false) {
     tree_->ResetCounters();
     results->assign(queries_.size(), {});
     for (size_t i = 0; i < queries_.size(); ++i) {
+      if (cold) tree_->FlushCaches();
       EXPECT_TRUE(
           tree_->RangeQuery(queries_[i], radius_, &(*results)[i]).ok());
       std::sort((*results)[i].begin(), (*results)[i].end());
@@ -343,10 +346,12 @@ class SpbConcurrencyTest : public ::testing::Test {
     return tree_->cumulative_stats();
   }
 
-  QueryStats SerialKnn(size_t k, std::vector<std::vector<Neighbor>>* results) {
+  QueryStats SerialKnn(size_t k, std::vector<std::vector<Neighbor>>* results,
+                       bool cold = false) {
     tree_->ResetCounters();
     results->assign(queries_.size(), {});
     for (size_t i = 0; i < queries_.size(); ++i) {
+      if (cold) tree_->FlushCaches();
       EXPECT_TRUE(tree_->KnnQuery(queries_[i], k, &(*results)[i]).ok());
     }
     return tree_->cumulative_stats();
@@ -446,37 +451,45 @@ TEST_F(SpbConcurrencyTest, ConcurrentQueriesWithWarmSharedCache) {
 }
 
 // The I/O engine's core contract at the query level: prefetch on vs off
-// changes neither results nor logical PA/compdists — serially or with
+// changes neither results nor logical PA/compdists — serially, with
+// capacity-0 pools (every touch counted) and with 64-page pools that hold
+// part of the working set (caches flushed before every query), and with
 // concurrent queries each owning a private readahead session. Capacity-0
-// caches make the totals exactly deterministic.
+// caches make the concurrent totals exactly deterministic.
 TEST_F(SpbConcurrencyTest, PrefetchOnOffIdenticalResultsAndLogicalPa) {
   constexpr size_t kK = 10;
-  TuningOptions tn = tree_->tuning();
-  tn.enable_prefetch = false;
-  ASSERT_TRUE(tree_->ApplyTuning(tn).ok());
   std::vector<std::vector<ObjectId>> range_off;
-  const QueryStats range_off_totals = SerialRange(&range_off);
-  std::vector<std::vector<Neighbor>> knn_off;
-  const QueryStats knn_off_totals = SerialKnn(kK, &knn_off);
-  EXPECT_EQ(tree_->CollectStats().prefetch_issued, 0u);
+  QueryStats range_off_totals;
+  for (size_t pool_pages : {size_t{64}, size_t{0}}) {
+    SCOPED_TRACE("pool_pages=" + std::to_string(pool_pages));
+    TuningOptions tn = tree_->tuning();
+    tn.btree_cache_pages = pool_pages;
+    tn.raf_cache_pages = pool_pages;
+    tn.enable_prefetch = false;
+    ASSERT_TRUE(tree_->ApplyTuning(tn).ok());
+    range_off_totals = SerialRange(&range_off, /*cold=*/true);
+    std::vector<std::vector<Neighbor>> knn_off;
+    const QueryStats knn_off_totals = SerialKnn(kK, &knn_off, /*cold=*/true);
+    EXPECT_EQ(tree_->CollectStats().prefetch_issued, 0u);
 
-  tn.enable_prefetch = true;
-  ASSERT_TRUE(tree_->ApplyTuning(tn).ok());
-  std::vector<std::vector<ObjectId>> range_on;
-  const QueryStats range_on_totals = SerialRange(&range_on);
-  EXPECT_GT(tree_->CollectStats().prefetch_issued, 0u);
-  std::vector<std::vector<Neighbor>> knn_on;
-  const QueryStats knn_on_totals = SerialKnn(kK, &knn_on);
-  EXPECT_GT(tree_->CollectStats().prefetch_issued, 0u);
+    tn.enable_prefetch = true;
+    ASSERT_TRUE(tree_->ApplyTuning(tn).ok());
+    std::vector<std::vector<ObjectId>> range_on;
+    const QueryStats range_on_totals = SerialRange(&range_on, /*cold=*/true);
+    EXPECT_GT(tree_->CollectStats().prefetch_issued, 0u);
+    std::vector<std::vector<Neighbor>> knn_on;
+    const QueryStats knn_on_totals = SerialKnn(kK, &knn_on, /*cold=*/true);
+    EXPECT_GT(tree_->CollectStats().prefetch_issued, 0u);
 
-  EXPECT_EQ(range_on, range_off);
-  EXPECT_EQ(knn_on, knn_off);
-  EXPECT_EQ(range_on_totals.page_accesses, range_off_totals.page_accesses);
-  EXPECT_EQ(knn_on_totals.page_accesses, knn_off_totals.page_accesses);
-  EXPECT_EQ(range_on_totals.distance_computations,
-            range_off_totals.distance_computations);
-  EXPECT_EQ(knn_on_totals.distance_computations,
-            knn_off_totals.distance_computations);
+    EXPECT_EQ(range_on, range_off);
+    EXPECT_EQ(knn_on, knn_off);
+    EXPECT_EQ(range_on_totals.page_accesses, range_off_totals.page_accesses);
+    EXPECT_EQ(knn_on_totals.page_accesses, knn_off_totals.page_accesses);
+    EXPECT_EQ(range_on_totals.distance_computations,
+              range_off_totals.distance_computations);
+    EXPECT_EQ(knn_on_totals.distance_computations,
+              knn_off_totals.distance_computations);
+  }
 
   // Concurrent, prefetch on: same results, same deterministic totals.
   tree_->ResetCounters();

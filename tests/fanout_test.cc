@@ -176,107 +176,140 @@ TEST(SnapshotFastPathTest, ConcurrentAcquireVsPublishRetire) {
 
 // -------------------------------------------- parallel-scatter identity
 
-SpbTreeOptions FanoutOptions(size_t shards) {
+SpbTreeOptions FanoutOptions(size_t shards, size_t pool_pages) {
   SpbTreeOptions opts;
   opts.num_pivots = 4;
   opts.seed = 99;
   opts.num_shards = shards;
+  opts.btree_cache_pages = pool_pages;
+  opts.raf_cache_pages = pool_pages;
   return opts;
 }
 
-// The ctest identity gate of ISSUE PR 8: for S in {1,4} x T in {1,8},
-// parallel scatter must be byte-identical to the serial path per query —
-// same results, same logical PA, same compdists. The serial baseline runs
-// on this thread with the flag off; the parallel run goes through a
-// QueryExecutor's arena workers with the flag on, so ShardedSpbTree sees
-// TaskArena::Current() != nullptr and actually fans out.
+// Parallel scatter must be byte-identical to the serial path, for S in
+// {1,4} x T in {1,8} and at two pool sizes. Per query: same results, same
+// logical PA, same compdists, each query cold (FlushCaches before it) on
+// both sides. The serial baseline runs on this thread, where the router
+// scatters inline; the parallel run goes through a QueryExecutor's arena
+// workers, so ShardedSpbTree sees TaskArena::Current() != nullptr and fans
+// out. Per batch: whole queries overlapping in one group return the same
+// results, and the group's compdists delta is the sum of the serial
+// per-query costs. With 0-page pools every page touch is a miss, so the
+// group's PA delta must match that sum too.
 TEST(FanoutIdentityTest, ParallelScatterByteIdenticalAcrossSAndT) {
   Dataset ds = MakeSynthetic(900, 23);
   const size_t kQueries = 24;
+  auto query = [&](size_t i) -> const Blob& {
+    return ds.objects[i * 31 % ds.objects.size()];
+  };
 
-  for (size_t S : {size_t{1}, size_t{4}}) {
-    std::unique_ptr<ShardedSpbTree> tree;
-    ASSERT_TRUE(
-        ShardedSpbTree::Build(ds.objects, ds.metric.get(), FanoutOptions(S),
-                              &tree)
-            .ok());
+  for (size_t pool_pages : {size_t{32}, size_t{0}}) {
+    for (size_t S : {size_t{1}, size_t{4}}) {
+      std::unique_ptr<ShardedSpbTree> tree;
+      ASSERT_TRUE(ShardedSpbTree::Build(ds.objects, ds.metric.get(),
+                                        FanoutOptions(S, pool_pages), &tree)
+                      .ok());
 
-    // Serial baseline, per query.
-    tree->set_parallel_scatter(false);
-    std::vector<std::vector<ObjectId>> want_range(kQueries);
-    std::vector<QueryStats> want_range_stats(kQueries);
-    std::vector<std::vector<Neighbor>> want_knn(kQueries);
-    std::vector<QueryStats> want_knn_stats(kQueries);
-    for (size_t i = 0; i < kQueries; ++i) {
-      const Blob& q = ds.objects[i * 31 % ds.objects.size()];
-      ASSERT_TRUE(
-          tree->RangeQuery(q, 0.2, &want_range[i], &want_range_stats[i])
-              .ok());
-      ASSERT_TRUE(
-          tree->KnnQuery(q, 10, &want_knn[i], &want_knn_stats[i]).ok());
-    }
-
-    for (size_t T : {size_t{1}, size_t{8}}) {
-      tree->set_parallel_scatter(true);
-      QueryExecutor exec(tree.get(), T);
-      std::vector<std::vector<ObjectId>> got_range(kQueries);
-      std::vector<QueryStats> got_range_stats(kQueries);
-      std::vector<std::vector<Neighbor>> got_knn(kQueries);
-      std::vector<QueryStats> got_knn_stats(kQueries);
-      // Per-query PA/compdist attribution requires the query to be alone on
-      // the tree (stats are cumulative-counter deltas — concurrent whole
-      // queries pollute each other's deltas, see docs/ARCHITECTURE.md
-      // §"Cost accounting"), so drive one single-query group at a time: the
-      // query's *own* shard fan-out still runs parallel across the pool.
+      // Serial baseline, per query.
+      std::vector<std::vector<ObjectId>> want_range(kQueries);
+      std::vector<QueryStats> want_range_stats(kQueries);
+      std::vector<std::vector<Neighbor>> want_knn(kQueries);
+      std::vector<QueryStats> want_knn_stats(kQueries);
+      QueryStats want_sum;
       for (size_t i = 0; i < kQueries; ++i) {
-        const std::function<void(size_t)> run = [&](size_t) {
-          const Blob& q = ds.objects[i * 31 % ds.objects.size()];
-          ASSERT_TRUE(
-              tree->RangeQuery(q, 0.2, &got_range[i], &got_range_stats[i])
-                  .ok());
-          ASSERT_TRUE(
-              tree->KnnQuery(q, 10, &got_knn[i], &got_knn_stats[i]).ok());
-        };
-        exec.arena()->RunGroup(1, run, /*help=*/false);
+        tree->FlushCaches();
+        ASSERT_TRUE(tree->RangeQuery(query(i), 0.2, &want_range[i],
+                                     &want_range_stats[i])
+                        .ok());
+        tree->FlushCaches();
+        ASSERT_TRUE(
+            tree->KnnQuery(query(i), 10, &want_knn[i], &want_knn_stats[i])
+                .ok());
+        want_sum += want_range_stats[i];
+        want_sum += want_knn_stats[i];
       }
 
-      for (size_t i = 0; i < kQueries; ++i) {
-        SCOPED_TRACE("S=" + std::to_string(S) + " T=" + std::to_string(T) +
-                     " q=" + std::to_string(i));
-        EXPECT_EQ(got_range[i], want_range[i]);
-        EXPECT_EQ(got_range_stats[i].page_accesses,
-                  want_range_stats[i].page_accesses);
-        EXPECT_EQ(got_range_stats[i].distance_computations,
-                  want_range_stats[i].distance_computations);
-        ASSERT_EQ(got_knn[i].size(), want_knn[i].size());
-        for (size_t j = 0; j < want_knn[i].size(); ++j) {
-          EXPECT_EQ(got_knn[i][j].id, want_knn[i][j].id);
-          EXPECT_DOUBLE_EQ(got_knn[i][j].distance, want_knn[i][j].distance);
+      for (size_t T : {size_t{1}, size_t{8}}) {
+        QueryExecutor exec(tree.get(), T);
+        std::vector<std::vector<ObjectId>> got_range(kQueries);
+        std::vector<QueryStats> got_range_stats(kQueries);
+        std::vector<std::vector<Neighbor>> got_knn(kQueries);
+        std::vector<QueryStats> got_knn_stats(kQueries);
+        // Per-query PA/compdist attribution requires the query to be alone
+        // on the tree (stats are cumulative-counter deltas — concurrent
+        // whole queries pollute each other's deltas, see
+        // docs/ARCHITECTURE.md §"Cost accounting"), so drive one
+        // single-query group at a time: the query's *own* shard fan-out
+        // still runs parallel across the pool.
+        for (size_t i = 0; i < kQueries; ++i) {
+          const std::function<void(size_t)> range = [&](size_t) {
+            ASSERT_TRUE(tree->RangeQuery(query(i), 0.2, &got_range[i],
+                                         &got_range_stats[i])
+                            .ok());
+          };
+          const std::function<void(size_t)> knn = [&](size_t) {
+            ASSERT_TRUE(
+                tree->KnnQuery(query(i), 10, &got_knn[i], &got_knn_stats[i])
+                    .ok());
+          };
+          tree->FlushCaches();
+          exec.arena()->RunGroup(1, range, /*help=*/false);
+          tree->FlushCaches();
+          exec.arena()->RunGroup(1, knn, /*help=*/false);
         }
-        EXPECT_EQ(got_knn_stats[i].page_accesses,
-                  want_knn_stats[i].page_accesses);
-        EXPECT_EQ(got_knn_stats[i].distance_computations,
-                  want_knn_stats[i].distance_computations);
-      }
 
-      // Results (not stats) must also hold when whole queries overlap:
-      // one group of kQueries concurrent tasks, each fanning out.
-      std::vector<std::vector<ObjectId>> conc_range(kQueries);
-      std::vector<std::vector<Neighbor>> conc_knn(kQueries);
-      const std::function<void(size_t)> conc = [&](size_t i) {
-        const Blob& q = ds.objects[i * 31 % ds.objects.size()];
-        ASSERT_TRUE(tree->RangeQuery(q, 0.2, &conc_range[i], nullptr).ok());
-        ASSERT_TRUE(tree->KnnQuery(q, 10, &conc_knn[i], nullptr).ok());
-      };
-      exec.arena()->RunGroup(kQueries, conc, /*help=*/false);
-      for (size_t i = 0; i < kQueries; ++i) {
-        SCOPED_TRACE("concurrent S=" + std::to_string(S) +
-                     " T=" + std::to_string(T) + " q=" + std::to_string(i));
-        EXPECT_EQ(conc_range[i], want_range[i]);
-        ASSERT_EQ(conc_knn[i].size(), want_knn[i].size());
-        for (size_t j = 0; j < want_knn[i].size(); ++j) {
-          EXPECT_EQ(conc_knn[i][j].id, want_knn[i][j].id);
-          EXPECT_DOUBLE_EQ(conc_knn[i][j].distance, want_knn[i][j].distance);
+        const std::string cell = "pool=" + std::to_string(pool_pages) +
+                                 " S=" + std::to_string(S) +
+                                 " T=" + std::to_string(T);
+        for (size_t i = 0; i < kQueries; ++i) {
+          SCOPED_TRACE(cell + " q=" + std::to_string(i));
+          EXPECT_EQ(got_range[i], want_range[i]);
+          EXPECT_EQ(got_range_stats[i].page_accesses,
+                    want_range_stats[i].page_accesses);
+          EXPECT_EQ(got_range_stats[i].distance_computations,
+                    want_range_stats[i].distance_computations);
+          ASSERT_EQ(got_knn[i].size(), want_knn[i].size());
+          for (size_t j = 0; j < want_knn[i].size(); ++j) {
+            EXPECT_EQ(got_knn[i][j].id, want_knn[i][j].id);
+            EXPECT_DOUBLE_EQ(got_knn[i][j].distance,
+                             want_knn[i][j].distance);
+          }
+          EXPECT_EQ(got_knn_stats[i].page_accesses,
+                    want_knn_stats[i].page_accesses);
+          EXPECT_EQ(got_knn_stats[i].distance_computations,
+                    want_knn_stats[i].distance_computations);
+        }
+
+        // Whole queries overlapping: one group of kQueries concurrent
+        // tasks, each fanning out.
+        std::vector<std::vector<ObjectId>> conc_range(kQueries);
+        std::vector<std::vector<Neighbor>> conc_knn(kQueries);
+        const std::function<void(size_t)> conc = [&](size_t i) {
+          ASSERT_TRUE(
+              tree->RangeQuery(query(i), 0.2, &conc_range[i], nullptr).ok());
+          ASSERT_TRUE(
+              tree->KnnQuery(query(i), 10, &conc_knn[i], nullptr).ok());
+        };
+        tree->FlushCaches();
+        const QueryStats before = tree->cumulative_stats();
+        exec.arena()->RunGroup(kQueries, conc, /*help=*/false);
+        const QueryStats after = tree->cumulative_stats();
+        SCOPED_TRACE("concurrent " + cell);
+        EXPECT_EQ(after.distance_computations - before.distance_computations,
+                  want_sum.distance_computations);
+        if (pool_pages == 0) {
+          EXPECT_EQ(after.page_accesses - before.page_accesses,
+                    want_sum.page_accesses);
+        }
+        for (size_t i = 0; i < kQueries; ++i) {
+          SCOPED_TRACE("q=" + std::to_string(i));
+          EXPECT_EQ(conc_range[i], want_range[i]);
+          ASSERT_EQ(conc_knn[i].size(), want_knn[i].size());
+          for (size_t j = 0; j < want_knn[i].size(); ++j) {
+            EXPECT_EQ(conc_knn[i][j].id, want_knn[i][j].id);
+            EXPECT_DOUBLE_EQ(conc_knn[i][j].distance,
+                             want_knn[i][j].distance);
+          }
         }
       }
     }

@@ -101,7 +101,9 @@ TEST(LeafModelTest, SeekRankIsExactForAnyKey) {
 // Byte-identity: the locator changes *where decoded inner nodes come from*,
 // never which entries are visited. Results and compdists must match the
 // classic tree exactly, query by query, while the B+-tree's total node
-// touches (reads + cache hits) drop.
+// touches (reads + cache hits) drop. The same holds with the planner on as
+// well: explicit traversals bypass it, and its range plans shape only the
+// cutoff and readahead budget.
 class LocatorIdentityTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -109,50 +111,72 @@ class LocatorIdentityTest : public ::testing::Test {
     ASSERT_TRUE(
         SpbTree::Build(ds_.objects, ds_.metric.get(), BaseOptions(), &classic_)
             .ok());
-    ASSERT_TRUE(
-        SpbTree::Build(ds_.objects, ds_.metric.get(), LocatorOptions(),
-                       &learned_)
-            .ok());
+    SpbTreeOptions planned = LocatorOptions();
+    planned.enable_planner = true;
+    for (const SpbTreeOptions& opts : {LocatorOptions(), planned}) {
+      std::unique_ptr<SpbTree> tree;
+      ASSERT_TRUE(
+          SpbTree::Build(ds_.objects, ds_.metric.get(), opts, &tree).ok());
+      learned_.push_back(std::move(tree));
+    }
   }
 
   Dataset ds_;
-  std::unique_ptr<SpbTree> classic_, learned_;
+  std::unique_ptr<SpbTree> classic_;
+  // Locator on; locator and planner on.
+  std::vector<std::unique_ptr<SpbTree>> learned_;
 };
 
 TEST_F(LocatorIdentityTest, QueriesAreByteIdenticalWithFewerNodeTouches) {
-  classic_->ResetCounters();
-  learned_->ResetCounters();
-  for (size_t qi = 0; qi < 20; ++qi) {
-    const Blob& q = ds_.objects[qi * 37 % ds_.objects.size()];
-    QueryStats a, b;
-    // Point lookups (r=0, the locator's fast path) and real radii.
-    for (double r : {0.0, 0.1, 0.35}) {
-      std::vector<ObjectId> ra, rb;
-      ASSERT_TRUE(classic_->RangeQuery(q, r, &ra, &a).ok());
-      ASSERT_TRUE(learned_->RangeQuery(q, r, &rb, &b).ok());
-      EXPECT_EQ(SortedIds(ra), SortedIds(rb)) << "qi=" << qi << " r=" << r;
-      EXPECT_EQ(a.distance_computations, b.distance_computations)
-          << "qi=" << qi << " r=" << r;
+  for (const std::unique_ptr<SpbTree>& learned : learned_) {
+    SCOPED_TRACE(learned->tuning().enable_planner ? "locator+planner"
+                                                  : "locator");
+    classic_->ResetCounters();
+    learned->ResetCounters();
+    for (size_t qi = 0; qi < 20; ++qi) {
+      const Blob& q = ds_.objects[qi * 37 % ds_.objects.size()];
+      QueryStats a, b;
+      // Point lookups (r=0, the locator's fast path) and real radii.
+      for (double r : {0.0, 0.1, 0.35}) {
+        std::vector<ObjectId> ra, rb;
+        ASSERT_TRUE(classic_->RangeQuery(q, r, &ra, &a).ok());
+        ASSERT_TRUE(learned->RangeQuery(q, r, &rb, &b).ok());
+        EXPECT_EQ(SortedIds(ra), SortedIds(rb)) << "qi=" << qi << " r=" << r;
+        EXPECT_EQ(a.distance_computations, b.distance_computations)
+            << "qi=" << qi << " r=" << r;
+      }
+      for (KnnTraversal t :
+           {KnnTraversal::kIncremental, KnnTraversal::kGreedy}) {
+        std::vector<Neighbor> na, nb;
+        ASSERT_TRUE(classic_->KnnQuery(q, 7, &na, &a, t).ok());
+        ASSERT_TRUE(learned->KnnQuery(q, 7, &nb, &b, t).ok());
+        EXPECT_EQ(na, nb) << "qi=" << qi;
+        EXPECT_EQ(a.distance_computations, b.distance_computations)
+            << "qi=" << qi;
+      }
     }
-    for (KnnTraversal t : {KnnTraversal::kIncremental, KnnTraversal::kGreedy}) {
+    // The learned tree's queries ran entirely from the model (no classic
+    // fallbacks) and touched strictly fewer B+-tree nodes.
+    const StatsSnapshot ls = learned->CollectStats();
+    EXPECT_TRUE(ls.locator_model_present);
+    EXPECT_GT(ls.locator_hits, 0u);
+    EXPECT_EQ(ls.locator_fallbacks, 0u);
+    EXPECT_EQ(ls.locator_stale, 0u);
+    const IoStats ca = classic_->io_stats();
+    const IoStats cb = learned->io_stats();
+    EXPECT_LT(cb.page_reads.load() + cb.cache_hits.load(),
+              ca.page_reads.load() + ca.cache_hits.load());
+
+    // The default traversal (kAuto: planned when the planner is on) returns
+    // the classic tree's neighbours.
+    for (size_t qi = 0; qi < 20; ++qi) {
+      const Blob& q = ds_.objects[qi * 37 % ds_.objects.size()];
       std::vector<Neighbor> na, nb;
-      ASSERT_TRUE(classic_->KnnQuery(q, 7, &na, &a, t).ok());
-      ASSERT_TRUE(learned_->KnnQuery(q, 7, &nb, &b, t).ok());
+      ASSERT_TRUE(classic_->KnnQuery(q, 10, &na).ok());
+      ASSERT_TRUE(learned->KnnQuery(q, 10, &nb).ok());
       EXPECT_EQ(na, nb) << "qi=" << qi;
-      EXPECT_EQ(a.distance_computations, b.distance_computations) << "qi=" << qi;
     }
   }
-  // The learned tree's queries ran entirely from the model (no classic
-  // fallbacks) and touched strictly fewer B+-tree nodes.
-  const StatsSnapshot ls = learned_->CollectStats();
-  EXPECT_TRUE(ls.locator_model_present);
-  EXPECT_GT(ls.locator_hits, 0u);
-  EXPECT_EQ(ls.locator_fallbacks, 0u);
-  EXPECT_EQ(ls.locator_stale, 0u);
-  const IoStats ca = classic_->io_stats();
-  const IoStats cb = learned_->io_stats();
-  EXPECT_LT(cb.page_reads.load() + cb.cache_hits.load(),
-            ca.page_reads.load() + ca.cache_hits.load());
 }
 
 // ---------------------------------------------------------------------------
@@ -224,42 +248,58 @@ TEST(LocatorChurnTest, StaleModelIsNeverConsultedAndRebuilds) {
   EXPECT_TRUE(learned->CheckIntegrity().ok());
 }
 
-// Same churn discipline through the sharded router (S=4): per-shard models
+// Same churn discipline through the sharded router: per-shard models
 // invalidate independently; results stay identical to a classic flat tree.
+// Covers S=4 with the locator on, and S in {1,4} with the locator and the
+// planner both on.
 TEST(LocatorChurnTest, ShardedChurnStaysIdenticalToClassic) {
   Dataset ds = MakeSynthetic(1000, 47);
   Dataset extra = MakeSynthetic(40, 909);
-  std::unique_ptr<SpbTree> classic;
-  ASSERT_TRUE(
-      SpbTree::Build(ds.objects, ds.metric.get(), BaseOptions(), &classic)
-          .ok());
-  SpbTreeOptions opts = LocatorOptions();
-  opts.num_shards = 4;
-  std::unique_ptr<ShardedSpbTree> sharded;
-  ASSERT_TRUE(
-      ShardedSpbTree::Build(ds.objects, ds.metric.get(), opts, &sharded).ok());
-  const StatsSnapshot built = sharded->CollectStats();
-  EXPECT_TRUE(built.locator_model_present);
-  EXPECT_GE(built.locator_rebuilds, 4u);  // one per non-empty shard
+  struct Cell {
+    size_t shards;
+    bool planner;
+  };
+  for (const Cell& cell : {Cell{4, false}, Cell{1, true}, Cell{4, true}}) {
+    SCOPED_TRACE("S=" + std::to_string(cell.shards) +
+                 " planner=" + std::to_string(cell.planner));
+    std::unique_ptr<SpbTree> classic;
+    ASSERT_TRUE(
+        SpbTree::Build(ds.objects, ds.metric.get(), BaseOptions(), &classic)
+            .ok());
+    SpbTreeOptions opts = LocatorOptions();
+    opts.enable_planner = cell.planner;
+    opts.num_shards = cell.shards;
+    std::unique_ptr<ShardedSpbTree> sharded;
+    ASSERT_TRUE(
+        ShardedSpbTree::Build(ds.objects, ds.metric.get(), opts, &sharded)
+            .ok());
+    const StatsSnapshot built = sharded->CollectStats();
+    EXPECT_TRUE(built.locator_model_present);
+    EXPECT_GE(built.locator_rebuilds, cell.shards);  // one per shard
 
-  for (size_t i = 0; i < extra.objects.size(); ++i) {
-    ASSERT_TRUE(classic->Insert(extra.objects[i], ObjectId(30000 + i)).ok());
-    ASSERT_TRUE(sharded->Insert(extra.objects[i], ObjectId(30000 + i)).ok());
-    if (i % 5 != 0) continue;
-    const Blob& q = ds.objects[(i * 73) % ds.objects.size()];
-    std::vector<ObjectId> ra, rb;
-    ASSERT_TRUE(classic->RangeQuery(q, 0.3, &ra).ok());
-    ASSERT_TRUE(sharded->RangeQuery(q, 0.3, &rb).ok());
-    EXPECT_EQ(SortedIds(ra), SortedIds(rb)) << "i=" << i;
-    std::vector<Neighbor> na, nb;
-    ASSERT_TRUE(classic->KnnQuery(q, 6, &na).ok());
-    ASSERT_TRUE(sharded->KnnQuery(q, 6, &nb).ok());
-    ASSERT_EQ(na.size(), nb.size());
-    for (size_t j = 0; j < na.size(); ++j) {
-      EXPECT_DOUBLE_EQ(na[j].distance, nb[j].distance) << "i=" << i;
+    for (size_t i = 0; i < extra.objects.size(); ++i) {
+      ASSERT_TRUE(
+          classic->Insert(extra.objects[i], ObjectId(30000 + i)).ok());
+      ASSERT_TRUE(
+          sharded->Insert(extra.objects[i], ObjectId(30000 + i)).ok());
+      if (i % 5 != 0) continue;
+      const Blob& q = ds.objects[(i * 73) % ds.objects.size()];
+      for (double r : {0.0, 0.3}) {
+        std::vector<ObjectId> ra, rb;
+        ASSERT_TRUE(classic->RangeQuery(q, r, &ra).ok());
+        ASSERT_TRUE(sharded->RangeQuery(q, r, &rb).ok());
+        EXPECT_EQ(SortedIds(ra), SortedIds(rb)) << "i=" << i << " r=" << r;
+      }
+      std::vector<Neighbor> na, nb;
+      ASSERT_TRUE(classic->KnnQuery(q, 6, &na).ok());
+      ASSERT_TRUE(sharded->KnnQuery(q, 6, &nb).ok());
+      ASSERT_EQ(na.size(), nb.size());
+      for (size_t j = 0; j < na.size(); ++j) {
+        EXPECT_DOUBLE_EQ(na[j].distance, nb[j].distance) << "i=" << i;
+      }
     }
+    EXPECT_TRUE(sharded->CheckIntegrity().ok());
   }
-  EXPECT_TRUE(sharded->CheckIntegrity().ok());
 }
 
 // ---------------------------------------------------------------------------

@@ -339,7 +339,8 @@ TEST_F(NetServerTest, WireResultsAndCostsAreByteIdenticalToInProcess) {
   // each behind a SINGLE-threaded executor. Logical PA depends on what the
   // decoded-node cache absorbs, which depends on op interleaving, so the PA
   // leg of the gate needs deterministic serial execution — concurrency
-  // identity is the fanout_sweep gate's job; this test isolates the wire.
+  // identity is FanoutIdentityTest's job (tests/fanout_test.cc); this test
+  // isolates the wire.
   std::unique_ptr<SpbTree> served, twin;
   ASSERT_TRUE(
       SpbTree::Build(ds_.objects, ds_.metric.get(), BaseOptions(), &served)

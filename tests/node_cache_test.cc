@@ -321,6 +321,11 @@ TEST_F(WarmPathSpbTest, WarmCacheNeverServesStaleAfterInsert) {
   }
 }
 
+// The accounting-parity rule of the decode engine (node cache + zero-copy
+// reads): on or off, queries return the same results with the same logical
+// PA, buffer-pool cache hits and compdists — warm (one warm-up sweep, then
+// the measured pass) and cold (caches flushed before every query, the
+// paper's protocol).
 TEST_F(WarmPathSpbTest, QueriesIdenticalWithTogglesOnAndOff) {
   Rng rng(5);
   std::vector<Blob> queries;
@@ -330,44 +335,55 @@ TEST_F(WarmPathSpbTest, QueriesIdenticalWithTogglesOnAndOff) {
   struct Observed {
     std::vector<std::vector<ObjectId>> range;
     std::vector<std::vector<Neighbor>> knn;
-    uint64_t pa = 0, cd = 0;
+    uint64_t pa = 0, cd = 0, hits = 0;
   };
-  auto run = [&](bool engine_on, Observed* out) {
+  auto run = [&](bool engine_on, bool cold, Observed* out) {
     TuningOptions tn = tree_->tuning();
     tn.node_cache_entries = engine_on ? 1024 : 0;
     tn.enable_zero_copy = engine_on;
     ASSERT_TRUE(tree_->ApplyTuning(tn).ok());
-    // One warm-up sweep so both configs query an identically warmed pool.
-    for (const Blob& q : queries) {
-      std::vector<ObjectId> r;
-      ASSERT_TRUE(tree_->RangeQuery(q, 2.0, &r).ok());
+    // Warm: one warm-up sweep so both configs query an identically warmed
+    // pool.
+    if (!cold) {
+      for (const Blob& q : queries) {
+        std::vector<ObjectId> r;
+        ASSERT_TRUE(tree_->RangeQuery(q, 2.0, &r).ok());
+      }
     }
+    const uint64_t hits_before = tree_->io_stats().cache_hits.load();
     for (const Blob& q : queries) {
       QueryStats rs, ks;
       std::vector<ObjectId> r;
       std::vector<Neighbor> nn;
+      if (cold) tree_->FlushCaches();
       ASSERT_TRUE(tree_->RangeQuery(q, 2.0, &r, &rs).ok());
+      if (cold) tree_->FlushCaches();
       ASSERT_TRUE(tree_->KnnQuery(q, 10, &nn, &ks).ok());
       out->range.push_back(std::move(r));
       out->knn.push_back(std::move(nn));
       out->pa += rs.page_accesses + ks.page_accesses;
       out->cd += rs.distance_computations + ks.distance_computations;
     }
+    out->hits = tree_->io_stats().cache_hits.load() - hits_before;
   };
-  Observed on, off;
-  run(true, &on);
-  run(false, &off);
-  ASSERT_EQ(on.range.size(), off.range.size());
-  for (size_t i = 0; i < on.range.size(); ++i) {
-    EXPECT_EQ(on.range[i], off.range[i]) << "range query " << i;
-    ASSERT_EQ(on.knn[i].size(), off.knn[i].size()) << "knn query " << i;
-    for (size_t j = 0; j < on.knn[i].size(); ++j) {
-      EXPECT_EQ(on.knn[i][j].id, off.knn[i][j].id);
-      EXPECT_EQ(on.knn[i][j].distance, off.knn[i][j].distance);
+  for (const bool cold : {false, true}) {
+    SCOPED_TRACE(cold ? "cold" : "warm");
+    Observed on, off;
+    run(true, cold, &on);
+    run(false, cold, &off);
+    ASSERT_EQ(on.range.size(), off.range.size());
+    for (size_t i = 0; i < on.range.size(); ++i) {
+      EXPECT_EQ(on.range[i], off.range[i]) << "range query " << i;
+      ASSERT_EQ(on.knn[i].size(), off.knn[i].size()) << "knn query " << i;
+      for (size_t j = 0; j < on.knn[i].size(); ++j) {
+        EXPECT_EQ(on.knn[i][j].id, off.knn[i][j].id);
+        EXPECT_EQ(on.knn[i][j].distance, off.knn[i][j].distance);
+      }
     }
+    EXPECT_EQ(on.pa, off.pa);
+    EXPECT_EQ(on.hits, off.hits);
+    EXPECT_EQ(on.cd, off.cd);
   }
-  EXPECT_EQ(on.pa, off.pa);
-  EXPECT_EQ(on.cd, off.cd);
 }
 
 }  // namespace

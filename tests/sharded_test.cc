@@ -1,9 +1,9 @@
 // Sharded SPB-tree tests (core/sharded_spb_tree.h): query identity against
 // the unsharded tree across shard counts, byte-identity of the S=1
-// delegation path, cross-shard kNN correctness under the shared NDk bound,
-// per-shard writer isolation (kBusy never crosses a shard boundary),
-// aggregate-stat wiring, the RAF dead-bytes counter and sharded
-// save/open round-trips. tools/check.sh also runs this binary under
+// delegation path, cross-shard kNN correctness under the seeded NDk bound,
+// per-shard writer isolation (kBusy never crosses a shard boundary), mixed
+// executor batches at S in {2,4,8}, aggregate-stat wiring, the RAF
+// dead-bytes counter and sharded save/open round-trips. tools/check.sh also runs this binary under
 // ThreadSanitizer and AddressSanitizer (--writes stage).
 #include <gtest/gtest.h>
 
@@ -67,7 +67,7 @@ class ShardedIdentityTest : public ::testing::Test {
 };
 
 TEST_F(ShardedIdentityTest, RangeResultsMatchUnshardedAcrossShardCounts) {
-  for (size_t S : {size_t{1}, size_t{2}, size_t{4}}) {
+  for (size_t S : {size_t{1}, size_t{2}, size_t{4}, size_t{8}}) {
     SpbTreeOptions opts = BaseOptions();
     opts.num_shards = S;
     std::unique_ptr<ShardedSpbTree> sharded;
@@ -92,7 +92,7 @@ TEST_F(ShardedIdentityTest, RangeResultsMatchUnshardedAcrossShardCounts) {
 }
 
 TEST_F(ShardedIdentityTest, KnnResultsMatchBruteForceAcrossShardCounts) {
-  for (size_t S : {size_t{1}, size_t{2}, size_t{4}}) {
+  for (size_t S : {size_t{1}, size_t{2}, size_t{4}, size_t{8}}) {
     SpbTreeOptions opts = BaseOptions();
     opts.num_shards = S;
     std::unique_ptr<ShardedSpbTree> sharded;
@@ -323,45 +323,69 @@ TEST(ShardedUpdatesTest, DeadBytesOnPlainTree) {
             8 + uint64_t(ds.objects[5].size()));
 }
 
+// A mixed executor batch — inserts, deletes of present ids, range and kNN
+// queries — then a pure-insert batch, at every S > 1: every op lands, every
+// delete finds its target, and the routing invariant holds afterwards.
 TEST(ShardedExecutorTest, MixedBatchRunsConcurrentWriters) {
   Dataset ds = MakeSynthetic(600, 29);
-  SpbTreeOptions opts = BaseOptions();
-  opts.num_shards = 4;
-  std::unique_ptr<ShardedSpbTree> tree;
-  ASSERT_TRUE(
-      ShardedSpbTree::Build(ds.objects, ds.metric.get(), opts, &tree).ok());
-  EXPECT_EQ(tree->writer_concurrency(), 4u);
-
   Dataset extra = MakeSynthetic(60, 555);
-  QueryExecutor exec(tree.get(), 4);
-  std::vector<Request> ops;
-  for (size_t i = 0; i < 60; ++i) {
-    Request op;
-    if (i % 3 == 0) {
-      op.kind = Request::Kind::kInsert;
-      op.obj = extra.objects[i];
-      op.id = ObjectId(5000 + i);
-    } else if (i % 3 == 1) {
-      op.kind = Request::Kind::kRange;
-      op.obj = ds.objects[i];
-      op.radius = 0.2;
-    } else {
-      op.kind = Request::Kind::kKnn;
-      op.obj = ds.objects[i];
-      op.k = 5;
+  for (size_t S : {size_t{2}, size_t{4}, size_t{8}}) {
+    SCOPED_TRACE("S=" + std::to_string(S));
+    SpbTreeOptions opts = BaseOptions();
+    opts.num_shards = S;
+    std::unique_ptr<ShardedSpbTree> tree;
+    ASSERT_TRUE(
+        ShardedSpbTree::Build(ds.objects, ds.metric.get(), opts, &tree).ok());
+    EXPECT_EQ(tree->writer_concurrency(), S);
+
+    QueryExecutor exec(tree.get(), 4);
+    std::vector<Request> ops;
+    for (size_t i = 0; i < 60; ++i) {
+      Request op;
+      if (i % 4 == 0) {
+        op.kind = Request::Kind::kInsert;
+        op.obj = extra.objects[i];
+        op.id = ObjectId(5000 + i);
+      } else if (i % 4 == 1) {
+        op.kind = Request::Kind::kDelete;
+        op.obj = ds.objects[i];
+        op.id = ObjectId(i);
+      } else if (i % 4 == 2) {
+        op.kind = Request::Kind::kRange;
+        op.obj = ds.objects[i];
+        op.radius = 0.2;
+      } else {
+        op.kind = Request::Kind::kKnn;
+        op.obj = ds.objects[i];
+        op.k = 5;
+      }
+      ops.push_back(op);
     }
-    ops.push_back(op);
+    BatchResult batch = exec.Submit(ops);
+    ASSERT_TRUE(batch.first_error.ok()) << batch.first_error.message();
+    const std::vector<OpResult>& results = batch.results;
+    for (size_t i = 0; i < results.size(); ++i) {
+      // The executor's write path retries transient Busy, so every op
+      // lands.
+      EXPECT_TRUE(results[i].status.ok()) << i << ": "
+                                          << results[i].status.message();
+      if (ops[i].kind == Request::Kind::kDelete) {
+        EXPECT_TRUE(results[i].found) << "delete " << i;
+      }
+    }
+    EXPECT_EQ(tree->size(), ds.objects.size());
+
+    std::vector<Request> inserts(512);
+    for (size_t i = 0; i < inserts.size(); ++i) {
+      inserts[i].kind = Request::Kind::kInsert;
+      inserts[i].obj = ds.objects[(7 * i) % ds.objects.size()];
+      inserts[i].id = ObjectId(6000 + i);
+    }
+    BatchResult ins = exec.Submit(inserts);
+    ASSERT_TRUE(ins.first_error.ok()) << ins.first_error.message();
+    EXPECT_EQ(tree->size(), ds.objects.size() + inserts.size());
+    EXPECT_TRUE(tree->CheckIntegrity().ok());
   }
-  BatchResult batch = exec.Submit(ops);
-  ASSERT_TRUE(batch.first_error.ok()) << batch.first_error.message();
-  const std::vector<OpResult>& results = batch.results;
-  for (size_t i = 0; i < results.size(); ++i) {
-    // The executor's write path retries transient Busy, so every op lands.
-    EXPECT_TRUE(results[i].status.ok()) << i << ": "
-                                        << results[i].status.message();
-  }
-  EXPECT_EQ(tree->size(), ds.objects.size() + 20);
-  EXPECT_TRUE(tree->CheckIntegrity().ok());
 }
 
 TEST(ShardedPersistenceTest, SaveOpenRoundTrip) {

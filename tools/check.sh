@@ -1,25 +1,25 @@
 #!/usr/bin/env bash
 # CI entry point: tier-1 build + full test suite, then a ThreadSanitizer
-# build that runs the concurrency and storage tests (the concurrent read
-# path — single-flight fetches, the prefetch pipeline's background span
-# reads and staged-page claims — must be data-race-free, not just
-# correct-by-luck) and the parallel bulk-load tests, then an
-# Address/UB-sanitizer build that runs the kernel parity, metric and SFC
-# batch-decode/encode tests — once with the dispatched SIMD variants and
-# once with SPB_DISABLE_SIMD=1 — so out-of-bounds lane loads or UB in any
-# dispatch table fail loudly on every path, plus the bulk load's span-write
-# and parallel-build tests, the SPB-tree query tests (the default range and
-# kNN paths over every dataset and curve), the concurrency tests (pins on
-# memory-file frames must outlive the writer's frame swaps) and the B+-tree,
-# node-cache and baseline tests (cursor frames and node-cache handles held
-# across copy-on-write writes and page recycling).
+# build that runs the concurrency, storage and node-cache tests (the
+# concurrent read path — single-flight fetches, the prefetch pipeline's
+# background span reads and staged-page claims, node-cache sharding and pin
+# hand-off — must be data-race-free, not just correct-by-luck) and the
+# parallel bulk-load tests, then an Address/UB-sanitizer build that runs
+# the kernel parity, metric and SFC batch-decode/encode tests — once with
+# the dispatched SIMD variants and once with SPB_DISABLE_SIMD=1 — so
+# out-of-bounds lane loads or UB in any dispatch table fail loudly on every
+# path, plus the bulk load's span-write and parallel-build tests, the
+# SPB-tree query tests (the default range and kNN paths over every dataset
+# and curve), the concurrency tests (pins on memory-file frames must outlive
+# the writer's frame swaps) and the B+-tree, node-cache and baseline tests
+# (cursor frames and node-cache handles held across copy-on-write writes and
+# page recycling). The staged runs below repeat one layer's tests under both
+# sanitizers.
 #
 #   tools/check.sh            # everything
 #   tools/check.sh --tsan     # only the TSan stage (incl. parallel build)
 #   tools/check.sh --asan     # only the ASan/UBSan kernel, bulk-load,
 #                             # query-core, concurrency and B+-tree stage
-#   tools/check.sh --warmab   # only the prefetch + warm A/B identity sweeps
-#                             # (ASan+TSan)
 #   tools/check.sh --writes   # only the write-path stage: update engine,
 #                             # sharded tree and WAL tests (TSan+ASan)
 #   tools/check.sh --fanout   # only the fan-out/contention stage (TSan+ASan)
@@ -41,9 +41,13 @@ run_tsan() {
   echo "==> tsan: concurrency + storage (prefetch pipeline) tests under TSan"
   cmake -B build-tsan -S . -DSPB_SANITIZE=thread >/dev/null
   cmake --build build-tsan -j "${JOBS}" --target concurrency_test storage_test \
-    common_test persistence_test
+    node_cache_test common_test persistence_test
   ./build-tsan/tests/concurrency_test
   ./build-tsan/tests/storage_test
+  # The decode engine: node-cache shards and the decoded-node handles that
+  # concurrent readers pin, and its on/off accounting-parity A/B.
+  echo "==> tsan: node-cache tests under TSan"
+  ./build-tsan/tests/node_cache_test
   # The parallel bulk load: worker threads share the tree's striped
   # distance counter and each metric's thread-local scratch.
   echo "==> tsan: parallel bulk-load tests under TSan"
@@ -86,37 +90,18 @@ run_asan() {
   ./build-asan/tests/baselines_test
 }
 
-run_warmab() {
-  # The read path's A/B identity sweeps (bench_concurrency --warmab-only
-  # aborts if prefetch on a disk-backed tree, the node cache or zero-copy
-  # reads change results, logical PA, cache_hits or compdists), run at a
-  # small scale under both ASan (pin lifetimes: a BlobView must keep evicted
-  # frames alive; staged readahead runs) and TSan (node cache sharding, pin
-  # hand-off, background span reads racing staged-page claims).
-  echo "==> warmab: prefetch + decode-engine A/B identity sweeps under ASan"
-  cmake -B build-asan -S . -DSPB_SANITIZE=address >/dev/null
-  cmake --build build-asan -j "${JOBS}" --target bench_concurrency \
-    node_cache_test
-  ./build-asan/tests/node_cache_test
-  (cd build-asan && ./bench/bench_concurrency --warmab-only --scale=3000 --queries=48)
-  echo "==> warmab: prefetch + decode-engine A/B identity sweeps under TSan"
-  cmake -B build-tsan -S . -DSPB_SANITIZE=thread >/dev/null
-  cmake --build build-tsan -j "${JOBS}" --target bench_concurrency
-  (cd build-tsan && ./bench/bench_concurrency --warmab-only --scale=3000 --queries=48)
-}
-
 run_writes() {
   # The write-path stage, one build per sanitizer for three binaries:
   # - updates_test: epoch-based snapshot publication (interleaved
   #   insert/delete + query identity, COW page retirement, writer kBusy
   #   taxonomy, mixed executor batches and their per-batch retry counts);
   # - sharded_test: scatter-gather identity vs the single tree, cross-shard
-  #   kNN under the shared NDk bound, per-shard writer isolation;
+  #   kNN under the seeded NDk bound, per-shard writer isolation;
   # - wal_test: group-commit WAL, writer queueing, the write front-end
   #   twins, crash recovery and epoch-safe compaction.
   # TSan: the interleaved tests are exactly the read/write races the
-  # snapshot protocol must make benign; it also covers the shared-bound CAS
-  # loop, per-shard box growth and retry-on-Busy dispatch, the commit
+  # snapshot protocol must make benign; it also covers per-shard box growth
+  # and retry-on-Busy dispatch, the commit
   # queue's leader hand-off, and the background compactor racing pinned
   # readers. ASan: COW page recycling and retire callbacks must never free
   # pages a pinned snapshot still reads; it also covers the routed request
@@ -139,40 +124,35 @@ run_fanout() {
   # parking, nested fan-out from workers (pool-size-1 deadlock regression),
   # the mutex-free snapshot Acquire/Release fast path racing publish/retire
   # churn (the zero-mutex claim is only credible TSan-clean), striped
-  # counters, and parallel-scatter byte-identity. The small --fanout-only
-  # sweep re-runs the serial-vs-parallel identity gates at batch scale
-  # under both sanitizers.
+  # counters, and parallel-scatter byte-identity (per query and per
+  # batch).
   echo "==> fanout: task arena + snapshot fast path tests under TSan"
   cmake -B build-tsan -S . -DSPB_SANITIZE=thread >/dev/null
-  cmake --build build-tsan -j "${JOBS}" --target fanout_test bench_concurrency
+  cmake --build build-tsan -j "${JOBS}" --target fanout_test
   ./build-tsan/tests/fanout_test
-  (cd build-tsan && ./bench/bench_concurrency --fanout-only --scale=1200 --queries=12)
   echo "==> fanout: task arena + snapshot fast path tests under ASan"
   cmake -B build-asan -S . -DSPB_SANITIZE=address >/dev/null
-  cmake --build build-asan -j "${JOBS}" --target fanout_test bench_concurrency
+  cmake --build build-asan -j "${JOBS}" --target fanout_test
   ./build-asan/tests/fanout_test
-  (cd build-asan && ./bench/bench_concurrency --fanout-only --scale=1200 --queries=12)
 }
 
 run_learned() {
   # The learned-layer stage: leaf-locator property tests (SeekRank exactness
-  # for any key, COW-churn invalidation and threshold rebuild) and the
-  # planner identity tests, plus the bench's 2x2 locator x planner identity
-  # sweep. TSan covers the model swap under MaybeRefreshLocatorLocked racing
+  # for any key, COW-churn invalidation and threshold rebuild, flat and
+  # sharded) and the locator x planner identity tests. TSan covers the
+  # model swap under MaybeRefreshLocatorLocked racing
   # readers that hold the previous shared_ptr, and the planner's cost_mu_
   # arm-cost updates racing concurrent queries; ASan covers the borrowed
   # internal-node image lifetimes (NodeHandle::SetBorrowed must never
   # outlive the model that owns the DecodedNode).
   echo "==> learned: locator/planner tests under TSan"
   cmake -B build-tsan -S . -DSPB_SANITIZE=thread >/dev/null
-  cmake --build build-tsan -j "${JOBS}" --target learned_test bench_learned
+  cmake --build build-tsan -j "${JOBS}" --target learned_test
   ./build-tsan/tests/learned_test
-  (cd build-tsan && ./bench/bench_learned --identity-only --scale=2000 --queries=20)
   echo "==> learned: locator/planner tests under ASan"
   cmake -B build-asan -S . -DSPB_SANITIZE=address >/dev/null
-  cmake --build build-asan -j "${JOBS}" --target learned_test bench_learned
+  cmake --build build-asan -j "${JOBS}" --target learned_test
   ./build-asan/tests/learned_test
-  (cd build-asan && ./bench/bench_learned --identity-only --scale=2000 --queries=20)
 }
 
 run_net() {
@@ -182,24 +162,21 @@ run_net() {
   # admission-control CAS on the in-flight op counter, concurrent clients,
   # and mid-frame disconnects. ASan covers the shared_ptr<Conn> lifecycle
   # across I/O-thread close vs in-flight dispatcher replies, torn-frame
-  # reassembly buffers, and decode bounds on hostile payloads. The
-  # --identity-only sweep re-runs the wire identity gate under both.
+  # reassembly buffers, and decode bounds on hostile payloads; the wire
+  # identity test runs under both.
   echo "==> net: serving layer tests under TSan"
   cmake -B build-tsan -S . -DSPB_SANITIZE=thread >/dev/null
-  cmake --build build-tsan -j "${JOBS}" --target net_test bench_serving
+  cmake --build build-tsan -j "${JOBS}" --target net_test
   ./build-tsan/tests/net_test
-  (cd build-tsan && ./bench/bench_serving --identity-only --scale=1500 --queries=16)
   echo "==> net: serving layer tests under ASan"
   cmake -B build-asan -S . -DSPB_SANITIZE=address >/dev/null
-  cmake --build build-asan -j "${JOBS}" --target net_test bench_serving
+  cmake --build build-asan -j "${JOBS}" --target net_test
   ./build-asan/tests/net_test
-  (cd build-asan && ./bench/bench_serving --identity-only --scale=1500 --queries=16)
 }
 
 case "${1:-}" in
   --tsan) run_tsan ;;
   --asan) run_asan ;;
-  --warmab) run_warmab ;;
   --writes) run_writes ;;
   --fanout) run_fanout ;;
   --learned) run_learned ;;
@@ -208,7 +185,6 @@ case "${1:-}" in
     run_tier1
     run_tsan
     run_asan
-    run_warmab
     run_writes
     run_fanout
     run_learned
