@@ -28,20 +28,13 @@ struct IoStats {
   StripedU64 page_reads;
   StripedU64 page_writes;
   StripedU64 cache_hits;
-  /// Read operations actually issued to the PageFile. One coalesced span
-  /// read counts once no matter how many pages it covers, and single-flight
-  /// sharing collapses concurrent misses of one page to one physical read —
-  /// so physical_reads <= page_reads always, and the gap measures what the
-  /// I/O engine saved. Excluded from page_accesses(): the paper's PA metric
-  /// is the logical count.
+  /// Page reads actually issued to the PageFile: one per buffer-pool miss
+  /// whose request led the single-flight fetch. Concurrent misses of one
+  /// page collapse to one physical read, so physical_reads <= page_reads
+  /// always, with equality when no two requests miss one page at once (any
+  /// serial run). Excluded from page_accesses(): the paper's PA metric is
+  /// the logical count.
   StripedU64 physical_reads;
-  /// Pages handed to the background fetcher by readahead scheduling.
-  StripedU64 prefetch_issued;
-  /// Logical page requests served from a readahead staging buffer instead
-  /// of a blocking file read (each also counts one page_read).
-  StripedU64 prefetch_hits;
-  /// Pages fetched as part of multi-page span reads (runs of length >= 2).
-  StripedU64 coalesced_pages;
   /// Bytes of RAF records orphaned by Delete (or superseded by an in-place
   /// re-insert of an existing id). The lazy-deletion design never reclaims
   /// RAF space in place (records are unlinked from the B+-tree only), so
@@ -63,14 +56,6 @@ struct IoStats {
                      std::memory_order_relaxed);
     physical_reads.store(other.physical_reads.load(std::memory_order_relaxed),
                          std::memory_order_relaxed);
-    prefetch_issued.store(
-        other.prefetch_issued.load(std::memory_order_relaxed),
-        std::memory_order_relaxed);
-    prefetch_hits.store(other.prefetch_hits.load(std::memory_order_relaxed),
-                        std::memory_order_relaxed);
-    coalesced_pages.store(
-        other.coalesced_pages.load(std::memory_order_relaxed),
-        std::memory_order_relaxed);
     dead_bytes.store(other.dead_bytes.load(std::memory_order_relaxed),
                      std::memory_order_relaxed);
     return *this;
@@ -86,9 +71,6 @@ struct IoStats {
     page_writes.store(0, std::memory_order_relaxed);
     cache_hits.store(0, std::memory_order_relaxed);
     physical_reads.store(0, std::memory_order_relaxed);
-    prefetch_issued.store(0, std::memory_order_relaxed);
-    prefetch_hits.store(0, std::memory_order_relaxed);
-    coalesced_pages.store(0, std::memory_order_relaxed);
     // dead_bytes deliberately NOT reset: it is compaction debt, not a
     // per-measurement counter.
   }
@@ -102,15 +84,6 @@ struct IoStats {
                          std::memory_order_relaxed);
     physical_reads.fetch_add(
         other.physical_reads.load(std::memory_order_relaxed),
-        std::memory_order_relaxed);
-    prefetch_issued.fetch_add(
-        other.prefetch_issued.load(std::memory_order_relaxed),
-        std::memory_order_relaxed);
-    prefetch_hits.fetch_add(
-        other.prefetch_hits.load(std::memory_order_relaxed),
-        std::memory_order_relaxed);
-    coalesced_pages.fetch_add(
-        other.coalesced_pages.load(std::memory_order_relaxed),
         std::memory_order_relaxed);
     dead_bytes.fetch_add(other.dead_bytes.load(std::memory_order_relaxed),
                          std::memory_order_relaxed);

@@ -74,14 +74,14 @@ class MetricIndex {
   virtual QueryStats cumulative_stats() const = 0;
   virtual void ResetCounters() = 0;
 
-  /// Aggregate I/O counters (logical reads/writes/hits plus the I/O
-  /// engine's physical_reads / prefetch / coalescing stats) since the last
-  /// ResetCounters(). Indexes without instrumented storage return zeros.
+  /// Aggregate I/O counters (logical reads/writes/hits plus physical
+  /// reads) since the last ResetCounters(). Indexes without instrumented
+  /// storage return zeros.
   virtual IoStats io_stats() const { return IoStats{}; }
 
   /// The one stats surface (PR 10): everything the index can report in a
   /// single plain-value snapshot — the paper's cost counters, the I/O
-  /// engine's, and (where the index has them) WAL / commit-queue / learned
+  /// counters, and (where the index has them) WAL / commit-queue / learned
   /// locator / planner counters, with per-shard drill-down for sharded
   /// indexes. This is what `spb_cli stats` prints and what the wire
   /// protocol's STATS op serializes. The base implementation fills the

@@ -649,7 +649,6 @@ StatsSnapshot ShardedSpbTree::CollectStats() const {
     s.locator_fallbacks += c.locator_fallbacks;
     s.locator_stale += c.locator_stale;
     s.locator_rebuilds += c.locator_rebuilds;
-    s.planner_planned_range += c.planner_planned_range;
     s.planner_planned_knn += c.planner_planned_knn;
     s.planner_routed_greedy += c.planner_routed_greedy;
     s.planner_routed_incremental += c.planner_routed_incremental;

@@ -10,7 +10,7 @@
 #include <filesystem>
 #include <cstring>
 #include <queue>
-#include <thread>
+#include <string>
 #include <unordered_map>
 
 namespace spb {
@@ -36,6 +36,16 @@ void MergeSortedRuns(std::vector<T>* v, std::vector<size_t> runs, Less less) {
     if (next.back() != runs.back()) next.push_back(runs.back());
     runs = std::move(next);
   }
+}
+
+// A version is a tree, so no query visits more nodes than the B+-tree file
+// has pages; one that does has met a child pointer leading back up the
+// tree, and would otherwise loop for as long as its frontier grows.
+Status NodeCycleError(PageId id) {
+  return Status::Corruption(
+      "B+-tree node graph is not a tree: the traversal passed the file's "
+      "page count at page " +
+      std::to_string(id));
 }
 
 }  // namespace
@@ -335,7 +345,6 @@ Status SpbTree::BuildInternal(const std::vector<Blob>& objects,
     tree->cost_model_.set_distance_distribution(std::move(pair_distances),
                                                 rho);
   }
-  tree->InitFetcher();
   tree->InitSnapshots();
   SPB_RETURN_IF_ERROR(tree->InitEngine());
   // No writer lock needed: the tree is not shared until *out is assigned.
@@ -638,7 +647,6 @@ Status SpbTree::Open(const std::string& storage_dir,
                 std::move(boxes));
   tree->cost_model_.set_precision(precision);
   tree->cost_model_.set_distance_distribution(std::move(pair_distances), rho);
-  tree->InitFetcher();
   tree->InitSnapshots();
   // InitEngine replays WAL records past the checkpoint (idempotently, so a
   // checkpoint that raced the crash is harmless) before counters reset.
@@ -866,8 +874,7 @@ Status SpbTree::VerifyLeafBatch(Raf* raf, const LeafEntry* entries,
                                 const std::vector<uint32_t>& rr_lo,
                                 const std::vector<uint32_t>& rr_hi,
                                 LeafScratch* scratch,
-                                std::vector<ObjectId>* result,
-                                Readahead* ra) {
+                                std::vector<ObjectId>* result) {
   if (count == 0) return Status::OK();
   scratch->keys.resize(count);
   for (size_t i = 0; i < count; ++i) scratch->keys[i] = entries[i].key;
@@ -879,22 +886,6 @@ Status SpbTree::VerifyLeafBatch(Raf* raf, const LeafEntry* entries,
   if (options_.enable_lemma2) {  // batch Lemma 2
     space_->BatchGuaranteedWithin(scratch->block, phi_q, r,
                                   &scratch->guaranteed);
-  }
-  if (ra != nullptr) {
-    // The lemma sweeps just fixed the set of entries the fetch loop below
-    // will touch; their RAF pages are known now and (entries being in key
-    // order) land in ascending SFC page order — hand them all to the
-    // readahead session so dense survivor runs become span reads. A record
-    // may spill onto the next page, so schedule that too; oversubmitting is
-    // safe (unclaimed staged pages never count logical PA).
-    scratch->pages.clear();
-    for (size_t i = 0; i < count; ++i) {
-      if (check_region && !scratch->in_box[i]) continue;
-      const PageId first = Raf::PageOf(entries[i].ptr);
-      scratch->pages.push_back(first);
-      scratch->pages.push_back(first + 1);
-    }
-    ra->Schedule(scratch->pages);
   }
   // Survivors are fetched and verified in entry order, so the result order,
   // the RAF page-access order and the sequence of distance calls all match
@@ -908,11 +899,10 @@ Status SpbTree::VerifyLeafBatch(Raf* raf, const LeafEntry* entries,
     ObjectId id;
     BlobRef obj;
     if (options_.enable_zero_copy) {
-      SPB_RETURN_IF_ERROR(
-          raf->GetView(entries[i].ptr, &id, &scratch->view, ra));
+      SPB_RETURN_IF_ERROR(raf->GetView(entries[i].ptr, &id, &scratch->view));
       obj = scratch->view.ref();
     } else {
-      SPB_RETURN_IF_ERROR(raf->Get(entries[i].ptr, &id, &scratch->obj, ra));
+      SPB_RETURN_IF_ERROR(raf->Get(entries[i].ptr, &id, &scratch->obj));
       obj = scratch->obj;
     }
     if (options_.enable_lemma2 && scratch->guaranteed[i]) {
@@ -963,36 +953,16 @@ Status SpbTree::RangeSearch(const Blob& q, double r, const Snapshot& snap,
   const std::shared_ptr<const LeafModel> model = LocatorForSnapshot(snap);
   const bool use_cutoff = options_.enable_cutoff;
 
-  // Planner: the O(log) selectivity proxy predicts the verification count
-  // and sizes the readahead session. Zero distance computations —
-  // everything works off phi_q and the sampled distribution.
-  size_t ra_budget = options_.max_readahead_pages;
-  if (options_.enable_planner) {
-    plan_range_.fetch_add(1, std::memory_order_relaxed);
-    double frac, f;
-    uint64_t total;
-    {
-      std::lock_guard<std::mutex> lock(cost_mu_);
-      frac = cost_model_.DistanceFractionLE(r);
-      f = cost_model_.objects_per_page();
-      total = cost_model_.total_objects();
-    }
-    const double predicted = std::max(1.0, frac * double(total));
-    ra_budget = PlannedBudget(f > 0.0 ? predicted / f : predicted);
-  }
-
   // The snapshot's RAF, not the tree's current one: a concurrent compaction
   // may swap raf_ mid-traversal, but this version's offsets only resolve
   // against the file it was published with (which the snapshot co-owns).
   Raf* const sraf = snap.version().raf.get();
-  Readahead ra = NewReadaheadSession(*sraf, ra_budget);
 
   // Point lookup with a valid model: skip the descent entirely (SeekRank →
   // owning leaf → duplicate run). Byte-identical results/compdists to the
   // classic r == 0 traversal; only B+-tree inner-node accesses differ.
   if (r == 0.0 && model != nullptr && model->num_leaves() > 0) {
-    return PointSearchWithLocator(q, *model, snap, A, use_cutoff, result,
-                                  &ra);
+    return PointSearchWithLocator(q, *model, snap, A, use_cutoff, result);
   }
 
   space_->RangeRegion(A.phi_q, r, &A.rr_lo, &A.rr_hi);
@@ -1006,8 +976,10 @@ Status SpbTree::RangeSearch(const Blob& q, double r, const Snapshot& snap,
   A.todo.push_back(QueryArena::RangeTodo{snap.version().root, 0, false});
   NodeHandle h;
 
+  const uint64_t max_visits = btree_->file_bytes() / kPageSize;
   for (size_t cursor = 0; cursor < A.todo.size(); ++cursor) {
     const QueryArena::RangeTodo ref = A.todo[cursor];  // copy: todo may grow
+    if (cursor >= max_visits) return NodeCycleError(ref.id);
     // Inner nodes come from the model's image when one is valid for this
     // snapshot: the image covers ALL internal pages of the version, so an
     // image miss proves `ref.id` is a leaf and the counted demand path
@@ -1052,8 +1024,8 @@ Status SpbTree::RangeSearch(const Blob& q, double r, const Snapshot& snap,
         SPB_RETURN_IF_ERROR(VerifyLeafBatch(sraf, node.leaf_entries.data(),
                                             node.leaf_entries.size(), q,
                                             A.phi_q, r, false, use_cutoff,
-                                            A.rr_lo, A.rr_hi, &A.leaf, result,
-                                            &ra));
+                                            A.rr_lo, A.rr_hi, &A.leaf,
+                                            result));
         continue;
       }
       if (!MappedSpace::IntersectBoxes(blo, bhi, A.rr_lo.data(),
@@ -1082,8 +1054,8 @@ Status SpbTree::RangeSearch(const Blob& q, double r, const Snapshot& snap,
         SPB_RETURN_IF_ERROR(VerifyLeafBatch(sraf, A.leaf.matched.data(),
                                             A.leaf.matched.size(), q,
                                             A.phi_q, r, false, use_cutoff,
-                                            A.rr_lo, A.rr_hi, &A.leaf, result,
-                                            &ra));
+                                            A.rr_lo, A.rr_hi, &A.leaf,
+                                            result));
         enumerated = true;
       }
     }
@@ -1091,8 +1063,8 @@ Status SpbTree::RangeSearch(const Blob& q, double r, const Snapshot& snap,
       SPB_RETURN_IF_ERROR(VerifyLeafBatch(sraf, node.leaf_entries.data(),
                                           node.leaf_entries.size(), q,
                                           A.phi_q, r, true, use_cutoff,
-                                          A.rr_lo, A.rr_hi, &A.leaf, result,
-                                          &ra));
+                                          A.rr_lo, A.rr_hi, &A.leaf,
+                                          result));
     }
   }
   return Status::OK();
@@ -1101,8 +1073,7 @@ Status SpbTree::RangeSearch(const Blob& q, double r, const Snapshot& snap,
 Status SpbTree::PointSearchWithLocator(const Blob& q, const LeafModel& model,
                                        const Snapshot& snap, QueryArena& A,
                                        bool use_cutoff,
-                                       std::vector<ObjectId>* result,
-                                       Readahead* ra) {
+                                       std::vector<ObjectId>* result) {
   // Identity argument (docs/ARCHITECTURE.md §"Learned locator + planner"):
   // at r == 0 the classic traversal verifies exactly the entries whose SFC
   // key equals key(q) — every leaf regime reduces to that set, in entry
@@ -1134,7 +1105,7 @@ Status SpbTree::PointSearchWithLocator(const Blob& q, const LeafModel& model,
     SPB_RETURN_IF_ERROR(VerifyLeafBatch(
         sraf, A.leaf.matched.data(), A.leaf.matched.size(), q, A.phi_q,
         /*r=*/0.0, /*check_region=*/false, use_cutoff, A.rr_lo, A.rr_hi,
-        &A.leaf, result, ra));
+        &A.leaf, result));
   }
   return Status::OK();
 }
@@ -1175,9 +1146,9 @@ Status SpbTree::KnnSearch(const Blob& q, size_t k, const Snapshot& snap,
                           KnnTraversal traversal, double bound) {
   const std::shared_ptr<const LeafModel> model = LocatorForSnapshot(snap);
 
-  // kAuto resolves here: the planner picks greedy vs best-first, per-query
-  // cutoff and the readahead budget from the cost model (zero distance
-  // calls); with the planner off it degrades to the kGreedy default.
+  // kAuto resolves here: the planner picks greedy vs best-first and the
+  // per-query cutoff from the cost model (zero distance calls); with the
+  // planner off it degrades to the kGreedy default.
   // Explicit traversals bypass planning entirely. Every routing choice
   // returns the same neighbour distances (ids may differ among ties at the
   // k-th distance); compdists match whichever static configuration the plan
@@ -1190,8 +1161,6 @@ Status SpbTree::KnnSearch(const Blob& q, size_t k, const Snapshot& snap,
     traversal = plan.traversal;
   }
   const bool use_cutoff = options_.enable_cutoff && plan.use_cutoff;
-  const size_t ra_budget =
-      planned ? plan.readahead_budget : options_.max_readahead_pages;
   const auto time_before = std::chrono::steady_clock::now();
 
   // Max-heap of current k best over the arena vector (std::push_heap /
@@ -1228,15 +1197,14 @@ Status SpbTree::KnnSearch(const Blob& q, size_t k, const Snapshot& snap,
   // +inf and the computation runs to completion.
   // Snapshot-pinned RAF, same reasoning as RangeSearch.
   Raf* const sraf = snap.version().raf.get();
-  Readahead ra = NewReadaheadSession(*sraf, ra_budget);
   auto verify_entry = [&](const LeafEntry& e) -> Status {
     ObjectId id;
     BlobRef obj;
     if (options_.enable_zero_copy) {
-      SPB_RETURN_IF_ERROR(sraf->GetView(e.ptr, &id, &A.leaf.view, &ra));
+      SPB_RETURN_IF_ERROR(sraf->GetView(e.ptr, &id, &A.leaf.view));
       obj = A.leaf.view.ref();
     } else {
-      SPB_RETURN_IF_ERROR(sraf->Get(e.ptr, &id, &A.leaf.obj, &ra));
+      SPB_RETURN_IF_ERROR(sraf->Get(e.ptr, &id, &A.leaf.obj));
       obj = A.leaf.obj;
     }
     const double d = use_cutoff
@@ -1255,6 +1223,8 @@ Status SpbTree::KnnSearch(const Blob& q, size_t k, const Snapshot& snap,
       QueryArena::KnnHeapItem{0.0, false, snap.version().root, {}});
 
   NodeHandle h;
+  const uint64_t max_visits = btree_->file_bytes() / kPageSize;
+  uint64_t visits = 0;
   // Decodes one leaf's keys and computes all MIND(q, cell) bounds as one
   // SoA batch. The bounds don't depend on the evolving NDk, so hoisting
   // them out of the per-entry loop cannot change any pruning decision.
@@ -1273,17 +1243,10 @@ Status SpbTree::KnnSearch(const Blob& q, size_t k, const Snapshot& snap,
     if (item.mind >= prune_ndk()) break;  // Lemma 3 early termination
 
     if (item.is_entry) {
-      // Speculative prefetch of the next heap-front entry: it is the most
-      // likely next verification, and scheduling is free if Lemma 3
-      // terminates first (unclaimed pages never count logical PA).
-      if (!A.heap.empty() && A.heap.front().is_entry) {
-        const PageId next = Raf::PageOf(A.heap.front().entry.ptr);
-        A.leaf.pages.assign({next, next + 1});
-        ra.Schedule(A.leaf.pages);
-      }
       SPB_RETURN_IF_ERROR(verify_entry(item.entry));
       continue;
     }
+    if (++visits > max_visits) return NodeCycleError(item.node);
     // Same image-serving rule as RangeSearch: inner nodes of a snapshot
     // with a valid model never touch the buffer pool; a miss proves the
     // page is a leaf and the counted demand path runs.
@@ -1311,19 +1274,6 @@ Status SpbTree::KnnSearch(const Blob& q, size_t k, const Snapshot& snap,
       continue;
     }
     batch_bounds(node.leaf_entries);
-    // All entries the traversal may verify from this leaf are known now
-    // (mind below the current NDk); schedule their RAF pages as one sorted
-    // batch. NDk only tightens afterwards, so this over-approximates —
-    // harmless, unclaimed pages never count.
-    A.leaf.pages.clear();
-    for (size_t i = 0; i < node.leaf_entries.size(); ++i) {
-      if (A.leaf.mind[i] < prune_ndk()) {
-        const PageId first = Raf::PageOf(node.leaf_entries[i].ptr);
-        A.leaf.pages.push_back(first);
-        A.leaf.pages.push_back(first + 1);
-      }
-    }
-    ra.Schedule(A.leaf.pages);
     if (traversal == KnnTraversal::kGreedy) {
       // Greedy: evaluate the whole leaf now — no RAF page revisits later,
       // at the price of possibly unnecessary distance computations. The
@@ -1463,7 +1413,7 @@ SpbTree::KnnPlan SpbTree::PlanKnn(const std::vector<double>& phi_q,
                                   size_t k) const {
   KnnPlan plan;
   const uint64_t seq = plan_knn_.fetch_add(1, std::memory_order_relaxed);
-  double radius, frac, f;
+  double radius, frac;
   uint64_t total;
   double cost_inc, cost_grd;
   uint64_t obs_inc, obs_grd;
@@ -1472,7 +1422,6 @@ SpbTree::KnnPlan SpbTree::PlanKnn(const std::vector<double>& phi_q,
     radius = cost_model_.EstimateKnnRadius(phi_q, k);
     frac = cost_model_.DistanceFractionLE(radius);
     total = cost_model_.total_objects();
-    f = cost_model_.objects_per_page();
     cost_inc = arm_cost_[0];
     cost_grd = arm_cost_[1];
     obs_inc = arm_obs_[0];
@@ -1518,18 +1467,7 @@ SpbTree::KnnPlan SpbTree::PlanKnn(const std::vector<double>& phi_q,
   if (!plan.use_cutoff) {
     plan_cutoff_off_.fetch_add(1, std::memory_order_relaxed);
   }
-  plan.readahead_budget =
-      PlannedBudget(f > 0.0 ? candidates / f : candidates);
   return plan;
-}
-
-size_t SpbTree::PlannedBudget(double predicted_pages) const {
-  // Only ever shrinks the configured budget (physical I/O shaping; logical
-  // PA is untouched), with slack for record spill and estimate error.
-  const size_t cap = std::max<size_t>(1, options_.max_readahead_pages);
-  if (!(predicted_pages > 0.0)) return std::min<size_t>(8, cap);
-  const double want = std::min(predicted_pages + 8.0, double(cap));
-  return std::max<size_t>(std::min<size_t>(size_t(want), cap), 1);
 }
 
 void SpbTree::UpdateKnnPlannerFeedback(double predicted, KnnTraversal used,
@@ -1546,20 +1484,6 @@ void SpbTree::UpdateKnnPlannerFeedback(double predicted, KnnTraversal used,
 uint64_t SpbTree::storage_bytes() const {
   return btree_->file_bytes() + RafPtr()->file_bytes() +
          space_->pivots().Serialize().size();
-}
-
-void SpbTree::InitFetcher() {
-  // An in-memory tree's pool caches the file's own pages on a miss, so
-  // staging copies ahead of the query would only add a copy: its readahead
-  // sessions get no fetcher and schedule nothing.
-  if (options_.storage_dir.empty()) return;
-  size_t threads = options_.prefetch_threads;
-  if (threads == SIZE_MAX) {
-    // Background threads only pay off when there is a core to run them on.
-    const unsigned hw = std::thread::hardware_concurrency();
-    threads = hw > 1 ? 2 : 0;
-  }
-  fetcher_ = std::make_unique<PageFetcher>(threads);
 }
 
 IoStats SpbTree::io_stats() const {
@@ -1586,7 +1510,6 @@ void SpbTree::ResetCounters() {
   loc_fallbacks_.store(0, std::memory_order_relaxed);
   loc_stale_.store(0, std::memory_order_relaxed);
   loc_rebuilds_.store(0, std::memory_order_relaxed);
-  plan_range_.store(0, std::memory_order_relaxed);
   plan_knn_.store(0, std::memory_order_relaxed);
   plan_greedy_.store(0, std::memory_order_relaxed);
   plan_incremental_.store(0, std::memory_order_relaxed);
@@ -1908,7 +1831,6 @@ StatsSnapshot SpbTree::CollectStats() const {
   s.locator_fallbacks = loc_fallbacks_.load(std::memory_order_relaxed);
   s.locator_stale = loc_stale_.load(std::memory_order_relaxed);
   s.locator_rebuilds = loc_rebuilds_.load(std::memory_order_relaxed);
-  s.planner_planned_range = plan_range_.load(std::memory_order_relaxed);
   s.planner_planned_knn = plan_knn_.load(std::memory_order_relaxed);
   s.planner_routed_greedy = plan_greedy_.load(std::memory_order_relaxed);
   s.planner_routed_incremental =

@@ -22,7 +22,6 @@
 #include "metrics/distance.h"
 #include "common/rng.h"
 #include "pivots/selection.h"
-#include "storage/io_engine.h"
 #include "storage/raf.h"
 #include "storage/wal.h"
 
@@ -50,11 +49,11 @@ struct SpbTreeOptions : TuningOptions {
   uint64_t seed = 20150415;
   /// Directory for the index files (btree.spb, raf.spb). Empty = in-memory.
   std::string storage_dir;
-  /// Background fetch threads of the I/O engine (disk-backed trees only).
-  /// SIZE_MAX = auto (2 when the machine has more than one hardware thread,
-  /// else 0); 0 = no threads, span reads run inline at schedule time
-  /// (coalescing still applies, overlap does not).
-  size_t prefetch_threads = SIZE_MAX;
+  /// Always 0: a tree has no background fetch threads, since every page
+  /// read is the buffer pool's demand read. Only bench/trajectory reads
+  /// this name; it goes when that benchmark moves onto CollectStats()
+  /// (ROADMAP.md, item 1).
+  static constexpr size_t prefetch_threads = 0;
   /// Write-path engine (docs/OPERATIONS.md §"Durability"). With
   /// `enable_group_commit` on, Insert/Delete/BatchInsert enqueue into a
   /// per-tree commit queue instead of try-locking the writer mutex: a
@@ -183,8 +182,8 @@ class SpbTree : public MetricIndex {
   Status Compact();
 
   /// The one stats surface: every counter group this tree has — paper cost
-  /// metrics, I/O engine, WAL, commit queue, learned locator, planner — in
-  /// a single plain-value snapshot.
+  /// metrics, I/O, WAL, commit queue, learned locator, planner — in a
+  /// single plain-value snapshot.
   StatsSnapshot CollectStats() const override;
 
   /// With the commit queue on, concurrent writers enqueue and never see
@@ -314,23 +313,13 @@ class SpbTree : public MetricIndex {
   /// the writer lock: Status::Busy if an Insert/Delete/BatchInsert is in
   /// flight. Requires quiesced readers, same as FlushCaches, whichever field
   /// changes: the group is assigned as a plain struct, and queries read its
-  /// flags and max_readahead_pages without synchronisation. Changes to
-  /// node_cache_entries / btree_cache_pages / raf_cache_pages also rebuild
-  /// the sharded caches.
+  /// fields without synchronisation. Changes to node_cache_entries /
+  /// btree_cache_pages / raf_cache_pages also rebuild the sharded caches.
   Status ApplyTuning(const TuningOptions& t);
   /// The currently applied tuning group.
   TuningOptions tuning() const;
 
-  /// Opens a readahead session over the current RAF for one caller thread
-  /// (used by the joins, which drive their own leaf scans; they run with
-  /// writes quiesced, so the RAF cannot be swapped out from under the
-  /// session). Returns a session even when enable_prefetch is off or the
-  /// tree is in memory — Schedule() is then a no-op (null fetcher), so the
-  /// session degrades to the demand path. Query traversals use the private
-  /// overload bound to their snapshot's RAF instead.
-  Readahead NewReadaheadSession() { return NewReadaheadSession(*RafPtr()); }
-
-  /// Aggregate I/O counters of both files (logical + physical + prefetch).
+  /// Aggregate I/O counters of both files (logical + physical).
   IoStats io_stats() const override;
   BPlusTree& btree() { return *btree_; }
   const BPlusTree& btree() const { return *btree_; }
@@ -380,7 +369,6 @@ class SpbTree : public MetricIndex {
     std::vector<uint8_t> guaranteed;  // batch Lemma 2 flags
     std::vector<double> mind;         // batch MIND(q, cell) for NNA
     std::vector<LeafEntry> matched;   // computeSFC merge output
-    std::vector<PageId> pages;        // RAF pages to hand to readahead
     Blob obj;                         // reusable object buffer (copy path)
     BlobView view;                    // reusable zero-copy view
   };
@@ -406,12 +394,7 @@ class SpbTree : public MetricIndex {
                          double r, bool check_region, bool use_cutoff,
                          const std::vector<uint32_t>& rr_lo,
                          const std::vector<uint32_t>& rr_hi,
-                         LeafScratch* scratch, std::vector<ObjectId>* result,
-                         Readahead* ra);
-
-  // Builds the prefetch thread pool per options_ (called once per tree);
-  // none for an in-memory tree (empty storage_dir).
-  void InitFetcher();
+                         LeafScratch* scratch, std::vector<ObjectId>* result);
 
   // Creates the snapshot manager over the freshly built/opened structures,
   // wiring the retire callback (node-cache purge + pool retire + free-list
@@ -453,8 +436,8 @@ class SpbTree : public MetricIndex {
   // page accesses differ. Requires a model valid for `snap`.
   Status PointSearchWithLocator(const Blob& q, const LeafModel& model,
                                 const Snapshot& snap, QueryArena& A,
-                                bool use_cutoff, std::vector<ObjectId>* result,
-                                Readahead* ra);
+                                bool use_cutoff,
+                                std::vector<ObjectId>* result);
 
   // ---- Learned locator maintenance (writer lock held for all of these).
   // Rebuilds the model from the writer's current adopted+published version,
@@ -475,14 +458,9 @@ class SpbTree : public MetricIndex {
   struct KnnPlan {
     KnnTraversal traversal = KnnTraversal::kGreedy;
     bool use_cutoff = true;
-    size_t readahead_budget = 0;
     double predicted_verifications = 0.0;  // arm-cost normalizer
   };
   KnnPlan PlanKnn(const std::vector<double>& phi_q, size_t k) const;
-  // Readahead budget from a predicted page-access count: clamped to
-  // [8, options_.max_readahead_pages] — the planner only ever shrinks the
-  // configured budget (physical I/O shaping; logical PA is untouched).
-  size_t PlannedBudget(double predicted_pages) const;
   // Feeds the per-traversal runtime EMAs that drive the greedy/incremental
   // routing (elapsed normalized by the plan's predicted work, so
   // observations from different (k, query) mixes stay comparable). `used`
@@ -493,18 +471,6 @@ class SpbTree : public MetricIndex {
   // Publishes the current adopted version, handing `superseded` to the
   // epoch retire queue.
   void PublishCurrent(std::vector<PageId> superseded);
-
-  // Readahead session bound to one specific RAF (the snapshot's, for query
-  // traversals; the current one, for the public wrapper). The planner
-  // overload caps the session budget at its predicted need.
-  Readahead NewReadaheadSession(Raf& raf) {
-    return NewReadaheadSession(raf, options_.max_readahead_pages);
-  }
-  Readahead NewReadaheadSession(Raf& raf, size_t budget) {
-    return Readahead(&raf.pool(),
-                     options_.enable_prefetch ? fetcher_.get() : nullptr,
-                     ReadaheadOptions{budget});
-  }
 
   // The current RAF under the swap lock (shared_ptr copy: callers keep the
   // file alive across a concurrent compaction swap).
@@ -560,7 +526,6 @@ class SpbTree : public MetricIndex {
   // snapshot referencing it drains. raf_mu_ guards the pointer swap.
   std::shared_ptr<Raf> raf_;
   mutable std::mutex raf_mu_;
-  std::unique_ptr<PageFetcher> fetcher_;
   CostModel cost_model_;
   std::atomic<uint64_t> num_objects_{0};
   uint64_t inserts_seen_ = 0;  // reservoir counter for cost-model updates
@@ -599,7 +564,6 @@ class SpbTree : public MetricIndex {
   mutable std::atomic<uint64_t> loc_rebuilds_{0};
 
   // ---- Planner counters ----
-  mutable std::atomic<uint64_t> plan_range_{0};
   mutable std::atomic<uint64_t> plan_knn_{0};
   mutable std::atomic<uint64_t> plan_greedy_{0};
   mutable std::atomic<uint64_t> plan_incremental_{0};

@@ -35,16 +35,18 @@ struct StatsSnapshot {
   uint64_t page_accesses = 0;
   uint64_t distance_computations = 0;
 
-  // I/O engine counters (io_stats()). dead_bytes is state, not a
-  // measurement: it survives ResetCounters and only a compaction zeroes it.
+  // I/O counters (io_stats()). dead_bytes is state, not a measurement: it
+  // survives ResetCounters and only a compaction zeroes it.
   uint64_t page_reads = 0;
   uint64_t page_writes = 0;
   uint64_t cache_hits = 0;
   uint64_t physical_reads = 0;
-  uint64_t prefetch_issued = 0;
-  uint64_t prefetch_hits = 0;
-  uint64_t coalesced_pages = 0;
   uint64_t dead_bytes = 0;
+  // Always 0: there is no readahead. Only bench/trajectory reads these two
+  // names; they go when that benchmark moves onto CollectStats() (ROADMAP.md,
+  // item 1). Not on the wire.
+  static constexpr uint64_t prefetch_hits = 0;
+  static constexpr uint64_t coalesced_pages = 0;
 
   // Write-ahead-log counters (zeros when the WAL is off). Sharded:
   // summed — meaningful as totals, not as one log's position.
@@ -76,7 +78,6 @@ struct StatsSnapshot {
   uint64_t locator_rebuilds = 0;
 
   // Planner routing counters. Sharded: summed.
-  uint64_t planner_planned_range = 0;
   uint64_t planner_planned_knn = 0;
   uint64_t planner_routed_greedy = 0;
   uint64_t planner_routed_incremental = 0;
@@ -92,9 +93,6 @@ struct StatsSnapshot {
     page_writes = io.page_writes.load(std::memory_order_relaxed);
     cache_hits = io.cache_hits.load(std::memory_order_relaxed);
     physical_reads = io.physical_reads.load(std::memory_order_relaxed);
-    prefetch_issued = io.prefetch_issued.load(std::memory_order_relaxed);
-    prefetch_hits = io.prefetch_hits.load(std::memory_order_relaxed);
-    coalesced_pages = io.coalesced_pages.load(std::memory_order_relaxed);
     dead_bytes = io.dead_bytes.load(std::memory_order_relaxed);
   }
 };

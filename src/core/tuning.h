@@ -13,7 +13,7 @@ namespace spb {
 /// Write one by reading the current values first, then overriding fields:
 ///
 ///   TuningOptions t = tree->tuning();
-///   t.enable_prefetch = false;
+///   t.raf_cache_pages = 256;
 ///   SPB_RETURN_IF_ERROR(tree->ApplyTuning(t));
 ///
 /// ApplyTuning takes the writer lock (Status::Busy if a writer holds it) and
@@ -34,17 +34,11 @@ struct TuningOptions {
   /// docs/ARCHITECTURE.md §"Distance kernels"). Off = plain Distance(),
   /// for ablation and regression tests.
   bool enable_cutoff = true;
-  /// I/O engine (docs/ARCHITECTURE.md §"I/O engine"): when on, each query
-  /// opens a readahead session over the RAF and schedules the pages of
-  /// Lemma-surviving leaf entries (RQA/NNA) before fetching them, so runs of
-  /// SFC-adjacent pages coalesce into span reads. Results, logical PA and
-  /// compdists are identical either way — readahead stages bytes outside the
-  /// buffer pool and claims them with demand-path accounting on first touch.
-  /// This knob, max_readahead_pages and SpbTreeOptions::prefetch_threads act
-  /// only on disk-backed trees: an in-memory tree (empty storage_dir) has no
-  /// fetcher, because its pool caches the memory file's own pages and a
-  /// staged copy would only add one.
-  bool enable_prefetch = true;
+  /// Always false: there is no readahead, and every page read is the
+  /// buffer pool's single-flight demand read. Only bench/trajectory reads
+  /// this name; it goes when that benchmark moves onto CollectStats()
+  /// (ROADMAP.md, item 1).
+  static constexpr bool enable_prefetch = false;
   /// Warm-path decode engine (docs/ARCHITECTURE.md §"Warm-path decode
   /// engine"): serve RAF records from pinned buffer-pool frames instead of
   /// copying into a fresh Blob. Results, logical PA, cache_hits and
@@ -59,10 +53,9 @@ struct TuningOptions {
   /// LRU buffer-pool sizes in 4 KB pages (paper default 32; 0 disables).
   size_t btree_cache_pages = 32;
   size_t raf_cache_pages = 32;
-  /// Per-readahead-session bound, in pages: caps the pages in flight and the
-  /// length of one span read. Staged runs are kept until the query ends, so
-  /// it does not bound a session's staging memory.
-  size_t max_readahead_pages = 64;
+  /// Always 0, for the reason enable_prefetch gives; only bench/trajectory
+  /// reads it, and it goes with enable_prefetch.
+  static constexpr size_t max_readahead_pages = 0;
   /// Number of SFC key-range shards (power of two; 1 = a single tree).
   /// Consumed by ShardedSpbTree::Build, which splits the Hilbert key space
   /// into `num_shards` contiguous ranges and builds one independent SpbTree
@@ -101,12 +94,11 @@ struct TuningOptions {
   /// builds the model there; turning it off drops it.
   bool enable_learned_locator = false;
   /// Cost-model query planner: routes each kAuto kNN query online — greedy
-  /// vs best-first NNA by per-arm runtime EMAs, per-query cutoff — and sizes
-  /// each query's readahead budget from the cost model. Neighbour distances
-  /// are identical for every routing choice; compdists match whichever
-  /// static configuration the plan resolves to. Off, kAuto resolves to
-  /// kGreedy with the configured cutoff and readahead budget, so compdists
-  /// repeat run to run.
+  /// vs best-first NNA by per-arm runtime EMAs — and picks its cutoff from
+  /// the cost model. Neighbour distances are identical for every routing
+  /// choice; compdists match whichever static configuration the plan
+  /// resolves to. Off, kAuto resolves to kGreedy with the configured
+  /// cutoff, so compdists repeat run to run.
   bool enable_planner = false;
 };
 

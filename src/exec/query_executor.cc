@@ -24,11 +24,6 @@ IoStats IoDelta(const IoStats& after, const IoStats& before) {
   d.page_writes.store(delta(after.page_writes, before.page_writes));
   d.cache_hits.store(delta(after.cache_hits, before.cache_hits));
   d.physical_reads.store(delta(after.physical_reads, before.physical_reads));
-  d.prefetch_issued.store(
-      delta(after.prefetch_issued, before.prefetch_issued));
-  d.prefetch_hits.store(delta(after.prefetch_hits, before.prefetch_hits));
-  d.coalesced_pages.store(
-      delta(after.coalesced_pages, before.coalesced_pages));
   return d;
 }
 

@@ -36,10 +36,9 @@ struct BatchStats {
   /// Exact aggregate PA + compdists over the batch; elapsed_seconds is the
   /// sum of per-query latencies (i.e. total busy time across workers).
   QueryStats totals;
-  /// Aggregate I/O counter delta over the batch (logical and physical reads,
-  /// prefetch and coalescing stats) from MetricIndex::io_stats(). The
-  /// logical/physical gap is what the I/O engine saved: single-flight
-  /// sharing across these concurrent queries plus coalesced span reads.
+  /// Aggregate I/O counter delta over the batch (logical and physical
+  /// reads) from MetricIndex::io_stats(). The logical/physical gap is what
+  /// single-flight sharing across these concurrent queries saved.
   IoStats io_totals;
   /// Times a write op observed Status::Busy and was retried by the
   /// executor's backoff loop (multi-writer indexes only; 0 for read-only

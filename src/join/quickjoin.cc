@@ -122,18 +122,14 @@ Status QuickjoinOverTrees(SpbTree& spb_q, SpbTree& spb_o, double epsilon,
   const QueryStats before_q = spb_q.cumulative_stats();
   const QueryStats before_o = spb_o.cumulative_stats();
 
-  // Materialise both object sets. Each scan runs under its own readahead
-  // session, so a cold RAF is pulled in with coalesced span reads. Quickjoin
-  // identifies objects positionally, so remember the stored ids.
+  // Materialise both object sets. Quickjoin identifies objects
+  // positionally, so remember the stored ids.
   auto load = [](SpbTree& tree, std::vector<Blob>* objs,
                  std::vector<ObjectId>* ids) -> Status {
-    Readahead ra = tree.NewReadaheadSession();
-    return tree.raf().ScanAll(
-        [&](uint64_t, ObjectId id, const Blob& obj) {
-          ids->push_back(id);
-          objs->push_back(obj);
-        },
-        &ra);
+    return tree.raf().ScanAll([&](uint64_t, ObjectId id, const Blob& obj) {
+      ids->push_back(id);
+      objs->push_back(obj);
+    });
   };
   std::vector<Blob> q_objs, o_objs;
   std::vector<ObjectId> q_ids, o_ids;

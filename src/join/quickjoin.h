@@ -63,9 +63,9 @@ class Quickjoin {
 
 /// Runs Quickjoin over the object sets stored in two SPB-trees (the QJA
 /// configuration of Fig. 17: same disk-resident inputs as SJA, different
-/// algorithm). Both RAFs are materialised with readahead-assisted full
-/// scans — the dominant cold cost — so span reads replace per-page fetches;
-/// the reported pairs carry the original ObjectIds stored in the RAFs.
+/// algorithm). Both RAFs are materialised with full scans through their
+/// buffer pools — the dominant cold cost; the reported pairs carry the
+/// original ObjectIds stored in the RAFs.
 ///
 /// `stats` reports the RAF page accesses of the two loading scans plus the
 /// join's distance computations.

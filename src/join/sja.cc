@@ -15,26 +15,18 @@ namespace {
 //    entirely; the directory skips empty leaves exactly like the cursor
 //    does).
 //  - Otherwise the B+-tree's parent-stack LeafCursor drives it.
-//
-// Each time the scan enters a new leaf, the RAF pages of all its entries are
-// handed to the tree's readahead session: leaf entries are SFC-sorted and
-// the RAF stores objects in the same order, so the page ids form
-// near-contiguous runs that coalesce into span reads.
 class JoinLeafScan {
  public:
-  JoinLeafScan(SpbTree* tree, const Snapshot& snap, Readahead* ra)
+  JoinLeafScan(SpbTree* tree, const Snapshot& snap)
       : tree_(tree),
         model_(tree->LocatorForSnapshot(snap)),
         cur_(&tree->btree(), TreeVersion{snap.version().root,
                                          snap.version().height,
-                                         snap.version().num_entries}),
-        ra_(ra) {}
+                                         snap.version().num_entries}) {}
 
   Status Init() {
     if (model_ != nullptr) return LoadLeaf();
-    SPB_RETURN_IF_ERROR(cur_.SeekFirst());
-    if (cur_.valid()) ScheduleLeaf(cur_.leaf());
-    return Status::OK();
+    return cur_.SeekFirst();
   }
 
   bool done() const {
@@ -50,10 +42,7 @@ class JoinLeafScan {
       ++rank_;
       return LoadLeaf();
     }
-    const PageId before = cur_.leaf().id;
-    SPB_RETURN_IF_ERROR(cur_.Next());
-    if (cur_.valid() && cur_.leaf().id != before) ScheduleLeaf(cur_.leaf());
-    return Status::OK();
+    return cur_.Next();
   }
 
  private:
@@ -67,27 +56,12 @@ class JoinLeafScan {
     SPB_RETURN_IF_ERROR(
         tree_->btree().GetNode(model_->leaf_id(rank_), &scratch_, &h_));
     leaf_valid_ = true;
-    ScheduleLeaf(h_->node);
     return Status::OK();
-  }
-
-  void ScheduleLeaf(const BptNode& leaf) {
-    if (ra_ == nullptr) return;
-    pages_.clear();
-    pages_.reserve(leaf.leaf_entries.size() * 2);
-    for (const LeafEntry& e : leaf.leaf_entries) {
-      const PageId p = Raf::PageOf(e.ptr);
-      pages_.push_back(p);
-      pages_.push_back(p + 1);  // records may straddle a page boundary
-    }
-    ra_->Schedule(pages_);
   }
 
   SpbTree* tree_;
   std::shared_ptr<const LeafModel> model_;
   BPlusTree::LeafCursor cur_;
-  Readahead* ra_;
-  std::vector<PageId> pages_;
   // Directory-mode state.
   size_t rank_ = 0;
   size_t pos_ = 0;
@@ -153,21 +127,19 @@ Status SimilarityJoinSJA(SpbTree& spb_q, SpbTree& spb_o, double epsilon,
   const double d_plus = disc.d_plus();
 
   // Builds a ListItem (decode cells, fetch object, derive the Lemma 6
-  // interval corners) for a leaf entry of `tree`. `ra` is that tree's
-  // readahead session, fed by the LeafCursor.
+  // interval corners) for a leaf entry of `tree`.
   BlobView fetch_view;  // reused across all fetches (zero-copy path)
-  auto make_item = [&](SpbTree& tree, const LeafEntry& e, Readahead* ra,
+  auto make_item = [&](SpbTree& tree, const LeafEntry& e,
                        ListItem* item) -> Status {
     curve.Decode(e.key, &item->cell);
     item->sfc = e.key;
     if (tree.options().enable_zero_copy) {
       // The item outlives the pin (it joins a long-lived list), so copy out
       // of the view; the view itself is reused, and accounting matches Get.
-      SPB_RETURN_IF_ERROR(tree.raf().GetView(e.ptr, &item->id, &fetch_view,
-                                             ra));
+      SPB_RETURN_IF_ERROR(tree.raf().GetView(e.ptr, &item->id, &fetch_view));
       item->obj.assign(fetch_view.data(), fetch_view.data() + fetch_view.size());
     } else {
-      SPB_RETURN_IF_ERROR(tree.raf().Get(e.ptr, &item->id, &item->obj, ra));
+      SPB_RETURN_IF_ERROR(tree.raf().Get(e.ptr, &item->id, &item->obj));
     }
     const size_t n = item->cell.size();
     std::vector<uint32_t> lo(n), hi(n);
@@ -211,15 +183,11 @@ Status SimilarityJoinSJA(SpbTree& spb_q, SpbTree& spb_o, double epsilon,
     }
   };
 
-  // One pinned snapshot and one readahead session per tree: the snapshots
-  // hold both versions stable for the whole merge, and each tree's leaf scan
-  // visits its RAF in ascending offset order, so the scheduled pages
-  // coalesce into span reads.
+  // One pinned snapshot per tree holds both versions stable for the whole
+  // merge.
   const Snapshot snap_q = spb_q.AcquireSnapshot();
   const Snapshot snap_o = spb_o.AcquireSnapshot();
-  Readahead ra_q = spb_q.NewReadaheadSession();
-  Readahead ra_o = spb_o.NewReadaheadSession();
-  JoinLeafScan cq(&spb_q, snap_q, &ra_q), co(&spb_o, snap_o, &ra_o);
+  JoinLeafScan cq(&spb_q, snap_q), co(&spb_o, snap_o);
   SPB_RETURN_IF_ERROR(cq.Init());
   SPB_RETURN_IF_ERROR(co.Init());
   std::vector<ListItem> list_q, list_o;
@@ -229,12 +197,12 @@ Status SimilarityJoinSJA(SpbTree& spb_q, SpbTree& spb_o, double epsilon,
     const bool take_q =
         co.done() || (!cq.done() && cq.current().key <= co.current().key);
     if (take_q) {
-      SPB_RETURN_IF_ERROR(make_item(spb_q, cq.current(), &ra_q, &item));
+      SPB_RETURN_IF_ERROR(make_item(spb_q, cq.current(), &item));
       verify(item, &list_o, /*x_is_outer=*/true);
       list_q.push_back(std::move(item));
       SPB_RETURN_IF_ERROR(cq.Next());
     } else {
-      SPB_RETURN_IF_ERROR(make_item(spb_o, co.current(), &ra_o, &item));
+      SPB_RETURN_IF_ERROR(make_item(spb_o, co.current(), &item));
       verify(item, &list_q, /*x_is_outer=*/false);
       list_o.push_back(std::move(item));
       SPB_RETURN_IF_ERROR(co.Next());

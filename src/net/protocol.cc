@@ -90,7 +90,7 @@ constexpr size_t kMinEncodedRequest = 25;   // kind + id + radius + k + obj_len
 constexpr size_t kMinEncodedOpResult = 6;   // status code + msg_len + kind
 constexpr size_t kMinEncodedRangeId = 4;    // u32 id
 constexpr size_t kMinEncodedNeighbor = 12;  // u32 id + f64 distance
-constexpr size_t kMinStatsScalars = 289;    // empty name + every scalar field
+constexpr size_t kMinStatsScalars = 257;    // empty name + every scalar field
 
 bool CountFits(const Cursor& c, uint64_t count, size_t min_elem_bytes) {
   return count <= (c.n - c.pos) / min_elem_bytes;
@@ -154,9 +154,6 @@ void AppendStatsScalars(const StatsSnapshot& s, std::vector<uint8_t>* out) {
   AppendU64(out, s.page_writes);
   AppendU64(out, s.cache_hits);
   AppendU64(out, s.physical_reads);
-  AppendU64(out, s.prefetch_issued);
-  AppendU64(out, s.prefetch_hits);
-  AppendU64(out, s.coalesced_pages);
   AppendU64(out, s.dead_bytes);
   AppendU64(out, s.wal_segment_bytes);
   AppendU64(out, s.wal_checkpoint_lsn);
@@ -177,7 +174,6 @@ void AppendStatsScalars(const StatsSnapshot& s, std::vector<uint8_t>* out) {
   AppendU64(out, s.locator_fallbacks);
   AppendU64(out, s.locator_stale);
   AppendU64(out, s.locator_rebuilds);
-  AppendU64(out, s.planner_planned_range);
   AppendU64(out, s.planner_planned_knn);
   AppendU64(out, s.planner_routed_greedy);
   AppendU64(out, s.planner_routed_incremental);
@@ -196,9 +192,7 @@ bool ReadStatsScalars(Cursor* c, StatsSnapshot* s) {
             c->ReadU64(&s->distance_computations) &&
             c->ReadU64(&s->page_reads) && c->ReadU64(&s->page_writes) &&
             c->ReadU64(&s->cache_hits) && c->ReadU64(&s->physical_reads) &&
-            c->ReadU64(&s->prefetch_issued) &&
-            c->ReadU64(&s->prefetch_hits) &&
-            c->ReadU64(&s->coalesced_pages) && c->ReadU64(&s->dead_bytes) &&
+            c->ReadU64(&s->dead_bytes) &&
             c->ReadU64(&s->wal_segment_bytes) &&
             c->ReadU64(&s->wal_checkpoint_lsn) &&
             c->ReadU64(&s->wal_next_lsn) &&
@@ -216,7 +210,6 @@ bool ReadStatsScalars(Cursor* c, StatsSnapshot* s) {
          c->ReadU64(&s->locator_fallbacks) &&
          c->ReadU64(&s->locator_stale) &&
          c->ReadU64(&s->locator_rebuilds) &&
-         c->ReadU64(&s->planner_planned_range) &&
          c->ReadU64(&s->planner_planned_knn) &&
          c->ReadU64(&s->planner_routed_greedy) &&
          c->ReadU64(&s->planner_routed_incremental) &&

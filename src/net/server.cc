@@ -132,7 +132,12 @@ void Server::Stop() {
     listen_fd_ = epoll_fd_ = wake_fd_ = -1;
     return;
   }
-  stop_.store(true, std::memory_order_release);
+  {
+    // Under the queue mutex, so a dispatcher between its predicate check
+    // and its wait cannot miss the wake-up below (and be joined forever).
+    std::lock_guard<std::mutex> lock(queue_mu_);
+    stop_.store(true, std::memory_order_release);
+  }
   WakeIo();
   queue_cv_.notify_all();
   if (io_thread_.joinable()) io_thread_.join();

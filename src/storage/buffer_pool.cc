@@ -121,37 +121,6 @@ Status BufferPool::Touch(PageId id) {
   return ReadPinned(id, &pin);
 }
 
-Status BufferPool::ReadIntoStaged(PageId id, size_t offset, size_t n,
-                                  uint8_t* dst, const Page& staged) {
-  PagePin pin;
-  SPB_RETURN_IF_ERROR(ReadPinnedStaged(id, staged, &pin));
-  std::memcpy(dst, pin->bytes() + offset, n);
-  return Status::OK();
-}
-
-Status BufferPool::ReadPinnedStaged(PageId id, const Page& staged,
-                                    PagePin* out) {
-  Shard& shard = ShardFor(id);
-  std::lock_guard<InstrumentedMutex> lock(shard.mu);
-  auto it = shard.index.find(id);
-  if (it != shard.index.end()) {
-    stats_.cache_hits.fetch_add(1, std::memory_order_relaxed);
-    shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
-    *out = it->second->page;
-    return Status::OK();
-  }
-  // The bytes are already here; claim them as this request's page read and
-  // insert, exactly where the demand path would have inserted after its
-  // fetch. An in-flight pending fetch for the same page (possible only with
-  // concurrent queries) is left alone — it will insert identical bytes.
-  stats_.page_reads.fetch_add(1, std::memory_order_relaxed);
-  stats_.prefetch_hits.fetch_add(1, std::memory_order_relaxed);
-  auto frame = std::make_shared<const Page>(staged);
-  shard.InsertLocked(id, frame);
-  *out = std::move(frame);
-  return Status::OK();
-}
-
 bool BufferPool::Contains(PageId id) {
   Shard& shard = ShardFor(id);
   std::lock_guard<InstrumentedMutex> lock(shard.mu);

@@ -98,18 +98,6 @@ class BufferPool {
   /// inserted). Requires offset + n <= kPageSize.
   Status ReadInto(PageId id, size_t offset, size_t n, uint8_t* dst);
 
-  /// Serves a read whose bytes were already fetched by a readahead session.
-  /// If the page is cached this behaves exactly like ReadInto (one cache
-  /// hit, LRU promoted, `staged` ignored); otherwise the pre-fetched copy in
-  /// `staged` is inserted into the cache and counted as one logical
-  /// page_read plus one prefetch_hit — no physical read happens here (the
-  /// readahead session already counted the span read that produced
-  /// `staged`). Serially this reproduces the demand path's exact PA,
-  /// cache_hits and LRU evolution, which is what keeps paper-facing figures
-  /// identical with prefetch on or off.
-  Status ReadIntoStaged(PageId id, size_t offset, size_t n, uint8_t* dst,
-                        const Page& staged);
-
   /// Zero-copy variant of Read(): returns a pin on the cache frame instead
   /// of copying the page out. Accounting is identical to Read() — a cached
   /// page counts one cache hit (LRU promoted), an uncached page one logical
@@ -118,11 +106,6 @@ class BufferPool {
   /// figures. On a capacity-0 pool the fetched frame is returned pinned but
   /// not cached, preserving the "cache size 0" accounting.
   Status ReadPinned(PageId id, PagePin* out);
-
-  /// Zero-copy variant of ReadIntoStaged (same claim-on-touch accounting:
-  /// hit => cache_hit, miss => page_read + prefetch_hit + insert), returning
-  /// a pin instead of copying bytes out.
-  Status ReadPinnedStaged(PageId id, const Page& staged, PagePin* out);
 
   /// Runs the full demand read path for `id` — cache-hit bookkeeping and LRU
   /// promotion on a hit, a single-flight fetch + insert + page_read on a
@@ -134,8 +117,8 @@ class BufferPool {
   Status Touch(PageId id);
 
   /// True if page `id` is currently cached. Does not promote the entry or
-  /// touch any counter — used by readahead scheduling to skip pages that
-  /// would be cache hits anyway.
+  /// touch any counter (a test hook: the AppendSpan parity tests compare
+  /// cache contents through it).
   bool Contains(PageId id);
 
   /// Writes page `id` through the cache to the file.

@@ -160,27 +160,6 @@ class DiskPageFile final : public PageFile {
     return Status::OK();
   }
 
-  // One positional read for the whole span. Page is a bare 4 KB byte array,
-  // so a Page[] is a contiguous byte range the kernel can fill directly.
-  Status ReadSpan(PageId first, size_t count, Page* out) override {
-    if (count == 0) return Status::OK();
-    if (first >= num_pages() || count > num_pages() - first) {
-      return Status::InvalidArgument("page span out of range");
-    }
-    uint8_t* dst = reinterpret_cast<uint8_t*>(out);
-    const size_t total = count * kPageSize;
-    size_t done = 0;
-    while (done < total) {
-      const ssize_t n =
-          ::pread(fd_, dst + done, total - done,
-                  static_cast<off_t>(first) * static_cast<off_t>(kPageSize) +
-                      static_cast<off_t>(done));
-      if (n <= 0) return Status::IOError("short read in ReadSpan");
-      done += static_cast<size_t>(n);
-    }
-    return Status::OK();
-  }
-
   Status Sync() override {
 #if defined(__APPLE__)
     // macOS has no fdatasync; F_FULLFSYNC is the real durability barrier.
@@ -231,14 +210,6 @@ Status PageFile::AppendSpan(PageId first, size_t count, const Page* pages) {
       SPB_RETURN_IF_ERROR(Allocate(&unused));
     }
     SPB_RETURN_IF_ERROR(Write(id, pages[i]));
-  }
-  return Status::OK();
-}
-
-Status PageFile::ReadSpan(PageId first, size_t count, Page* out) {
-  for (size_t i = 0; i < count; ++i) {
-    Status s = Read(first + static_cast<PageId>(i), &out[i]);
-    if (!s.ok()) return s;
   }
   return Status::OK();
 }

@@ -32,13 +32,6 @@ class PageFile {
   /// Reads page `id` into `*out`.
   virtual Status Read(PageId id, Page* out) = 0;
 
-  /// Reads `count` consecutive pages starting at `first` into the array
-  /// `out[0..count)`. The I/O engine's readahead path uses this to turn a
-  /// run of SFC-adjacent RAF pages into one large read. The default
-  /// implementation loops over Read(); file-backed implementations issue a
-  /// single positional read covering the whole span.
-  virtual Status ReadSpan(PageId first, size_t count, Page* out);
-
   /// Overwrites page `id`.
   virtual Status Write(PageId id, const Page& page) = 0;
 

@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "common/coding.h"
-#include "storage/io_engine.h"
 
 namespace spb {
 
@@ -102,8 +101,7 @@ Status Raf::StageBytesLocked(uint64_t* offset, const uint8_t* src, size_t n) {
   return Status::OK();
 }
 
-Status Raf::ReadBytes(uint64_t offset, uint8_t* dst, size_t n,
-                      Readahead* ra) {
+Status Raf::ReadBytes(uint64_t offset, uint8_t* dst, size_t n) {
   while (n > 0) {
     const PageId page = static_cast<PageId>(offset / kPageSize);
     const size_t in_page = offset % kPageSize;
@@ -117,20 +115,14 @@ Status Raf::ReadBytes(uint64_t offset, uint8_t* dst, size_t n,
       std::lock_guard<std::mutex> lock(tail_mu_);
       if (page == tail_id_ && tail_dirty_) {
         // The pinned tail buffer absorbs this read: a cache hit, not a PA
-        // (docs/ARCHITECTURE.md §"Cost accounting"). Checked before any
-        // readahead claim so stale staged bytes of a dirty tail page can
-        // never be served.
+        // (docs/ARCHITECTURE.md §"Cost accounting").
         pool_.stats().cache_hits.fetch_add(1, std::memory_order_relaxed);
         std::memcpy(dst, tail_.bytes() + in_page, chunk);
         served_from_tail = true;
       }
     }
     if (!served_from_tail) {
-      if (ra != nullptr) {
-        SPB_RETURN_IF_ERROR(ra->ReadInto(page, in_page, chunk, dst));
-      } else {
-        SPB_RETURN_IF_ERROR(pool_.ReadInto(page, in_page, chunk, dst));
-      }
+      SPB_RETURN_IF_ERROR(pool_.ReadInto(page, in_page, chunk, dst));
     }
     offset += chunk;
     dst += chunk;
@@ -233,13 +225,13 @@ Status Raf::AppendBatch(std::span<const Record> records, uint64_t* offsets) {
   return Status::OK();
 }
 
-Status Raf::Get(uint64_t offset, ObjectId* id, Blob* obj, Readahead* ra) {
+Status Raf::Get(uint64_t offset, ObjectId* id, Blob* obj) {
   const uint64_t end = end_offset();
   if (offset < kPageSize || offset + 8 > end) {
     return Status::InvalidArgument("RAF offset out of range");
   }
   uint8_t header[8];
-  SPB_RETURN_IF_ERROR(ReadBytes(offset, header, sizeof(header), ra));
+  SPB_RETURN_IF_ERROR(ReadBytes(offset, header, sizeof(header)));
   *id = DecodeFixed32(header);
   const uint32_t len = DecodeFixed32(header + 4);
   if (offset + 8 + len > end) {
@@ -247,20 +239,18 @@ Status Raf::Get(uint64_t offset, ObjectId* id, Blob* obj, Readahead* ra) {
   }
   obj->resize(len);
   if (len > 0) {
-    SPB_RETURN_IF_ERROR(ReadBytes(offset + 8, obj->data(), len, ra));
+    SPB_RETURN_IF_ERROR(ReadBytes(offset + 8, obj->data(), len));
   }
   return Status::OK();
 }
 
-Status Raf::GetIntoOwned(uint64_t offset, ObjectId* id, BlobView* view,
-                         Readahead* ra) {
-  SPB_RETURN_IF_ERROR(Get(offset, id, &view->owned_, ra));
+Status Raf::GetIntoOwned(uint64_t offset, ObjectId* id, BlobView* view) {
+  SPB_RETURN_IF_ERROR(Get(offset, id, &view->owned_));
   view->SetOwned(view->owned_.size());
   return Status::OK();
 }
 
-Status Raf::GetView(uint64_t offset, ObjectId* id, BlobView* view,
-                    Readahead* ra) {
+Status Raf::GetView(uint64_t offset, ObjectId* id, BlobView* view) {
   const uint64_t end = end_offset();
   if (offset < kPageSize || offset + 8 > end) {
     return Status::InvalidArgument("RAF offset out of range");
@@ -272,15 +262,11 @@ Status Raf::GetView(uint64_t offset, ObjectId* id, BlobView* view,
   // construction; ReadBytes re-confirms the tail probe under the lock).
   if (in_page + 8 > kPageSize ||
       page == dirty_tail_id_.load(std::memory_order_acquire)) {
-    return GetIntoOwned(offset, id, view, ra);
+    return GetIntoOwned(offset, id, view);
   }
   // Pin the header's page: one pool access, exactly Get's header read.
   BufferPool::PagePin pin;
-  if (ra != nullptr) {
-    SPB_RETURN_IF_ERROR(ra->ReadPinned(page, &pin));
-  } else {
-    SPB_RETURN_IF_ERROR(pool_.ReadPinned(page, &pin));
-  }
+  SPB_RETURN_IF_ERROR(pool_.ReadPinned(page, &pin));
   const uint8_t* rec = pin->bytes() + in_page;
   *id = DecodeFixed32(rec);
   const uint32_t len = DecodeFixed32(rec + 4);
@@ -295,53 +281,28 @@ Status Raf::GetView(uint64_t offset, ObjectId* id, BlobView* view,
   if (in_page + 8 + len <= kPageSize) {
     // Non-spanning record: Get's payload ReadBytes performs one more pool
     // access to this page; Touch performs the same access minus the copy.
-    if (ra != nullptr) {
-      SPB_RETURN_IF_ERROR(ra->Touch(page));
-    } else {
-      SPB_RETURN_IF_ERROR(pool_.Touch(page));
-    }
+    SPB_RETURN_IF_ERROR(pool_.Touch(page));
     view->SetPinned(std::move(pin), rec + 8, len);
     return Status::OK();
   }
   // Page-spanning payload: copy fallback. The header access already
   // happened via the pin; read the payload exactly as Get would.
   view->owned_.resize(len);
-  SPB_RETURN_IF_ERROR(ReadBytes(offset + 8, view->owned_.data(), len, ra));
+  SPB_RETURN_IF_ERROR(ReadBytes(offset + 8, view->owned_.data(), len));
   view->SetOwned(len);
   return Status::OK();
 }
 
 Status Raf::ScanAll(
-    const std::function<void(uint64_t, ObjectId, const Blob&)>& fn,
-    Readahead* ra) {
+    const std::function<void(uint64_t, ObjectId, const Blob&)>& fn) {
   uint64_t offset = kPageSize;
   Blob obj;
-  // Window of data pages scheduled ahead of the scan cursor; the session
-  // coalesces each window into span reads. The watermark is captured once:
-  // records appended mid-scan are not visited.
+  // The watermark is captured once: records appended mid-scan are not
+  // visited.
   const uint64_t end = end_offset();
-  constexpr PageId kScanWindow = 32;
-  PageId scheduled_until = 1;
-  std::vector<PageId> window;
   while (offset < end) {
-    if (ra != nullptr) {
-      const PageId page = PageOf(offset);
-      if (page + 1 >= scheduled_until) {
-        const PageId last = PageOf(end - 1);
-        const PageId until =
-            static_cast<PageId>(std::min<uint64_t>(
-                static_cast<uint64_t>(last) + 1,
-                static_cast<uint64_t>(page) + kScanWindow));
-        window.clear();
-        for (PageId p = std::max(scheduled_until, page); p < until; ++p) {
-          window.push_back(p);
-        }
-        ra->Schedule(window);
-        scheduled_until = until;
-      }
-    }
     ObjectId id;
-    SPB_RETURN_IF_ERROR(Get(offset, &id, &obj, ra));
+    SPB_RETURN_IF_ERROR(Get(offset, &id, &obj));
     fn(offset, id, obj);
     offset += 8 + obj.size();
   }

@@ -16,8 +16,6 @@
 
 namespace spb {
 
-class Readahead;
-
 /// The result of a zero-copy RAF read (Raf::GetView): a pointer/length pair
 /// for the record's payload plus whatever keeps those bytes alive — a
 /// BufferPool::PagePin into the cache frame when the record does not span
@@ -135,11 +133,8 @@ class Raf {
     return AppendBatch(std::span<const Record>(&r, 1), offset);
   }
 
-  /// Reads the record at `offset`. If `ra` is non-null, pages this record
-  /// covers are served from that readahead session's staged buffers when
-  /// prefetched (identical accounting either way; see storage/io_engine.h).
-  Status Get(uint64_t offset, ObjectId* id, Blob* obj,
-             Readahead* ra = nullptr);
+  /// Reads the record at `offset` through the buffer pool.
+  Status Get(uint64_t offset, ObjectId* id, Blob* obj);
 
   /// Zero-copy variant of Get: serves a record that fits in one (clean)
   /// page directly from the pinned cache frame; falls back to an internal
@@ -148,20 +143,16 @@ class Raf {
   ///
   /// Accounting is identical to Get in every case. Non-spanning records pay
   /// the same two pool touches Get's header + payload reads pay (pin +
-  /// Touch; empty records only the header touch); the fallback runs Get's
-  /// own byte loop. So PA, cache_hits and LRU state are byte-identical
-  /// whether callers use Get or GetView — the invariant WarmPathSpbTest
-  /// (tests/node_cache_test.cc) asserts.
-  Status GetView(uint64_t offset, ObjectId* id, BlobView* view,
-                 Readahead* ra = nullptr);
+  /// BufferPool::Touch; empty records only the header touch); the fallback
+  /// runs Get's own byte loop. So PA, cache_hits and LRU state are
+  /// byte-identical whether callers use Get or GetView — the invariant
+  /// WarmPathSpbTest (tests/node_cache_test.cc) asserts.
+  Status GetView(uint64_t offset, ObjectId* id, BlobView* view);
 
-  /// Visits every record in file order. The callback receives
-  /// (offset, id, obj). With a readahead session the scan schedules data
-  /// pages in windows ahead of the cursor, so a cold scan runs on coalesced
-  /// span reads instead of one fetch per page.
+  /// Visits every record in file order through the buffer pool. The
+  /// callback receives (offset, id, obj).
   Status ScanAll(
-      const std::function<void(uint64_t, ObjectId, const Blob&)>& fn,
-      Readahead* ra = nullptr);
+      const std::function<void(uint64_t, ObjectId, const Blob&)>& fn);
 
   /// One-page cache a caller threads through consecutive GetRaw calls so a
   /// run of same-page records costs one file read, not one per record.
@@ -255,12 +246,11 @@ class Raf {
   Status MoveTailLocked(PageId page);
   /// Writes the staged run through the pool and empties it.
   Status WriteRunLocked();
-  Status ReadBytes(uint64_t offset, uint8_t* dst, size_t n, Readahead* ra);
+  Status ReadBytes(uint64_t offset, uint8_t* dst, size_t n);
   Status ReadBytesRaw(uint64_t offset, uint8_t* dst, size_t n,
                       RawReadCache* cache) const;
   /// GetView's copy fallback: a plain Get into the view's owned buffer.
-  Status GetIntoOwned(uint64_t offset, ObjectId* id, BlobView* view,
-                      Readahead* ra);
+  Status GetIntoOwned(uint64_t offset, ObjectId* id, BlobView* view);
   Status WriteHeader();
 
   std::unique_ptr<PageFile> owned_file_;

@@ -102,8 +102,7 @@ TEST(LeafModelTest, SeekRankIsExactForAnyKey) {
 // never which entries are visited. Results and compdists must match the
 // classic tree exactly, query by query, while the B+-tree's total node
 // touches (reads + cache hits) drop. The same holds with the planner on as
-// well: explicit traversals bypass it, and its range plans shape only the
-// cutoff and readahead budget.
+// well: explicit traversals bypass it, and range queries never consult it.
 class LocatorIdentityTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -349,8 +348,8 @@ TEST(PlannerTest, RoutedKnnMatchesOneOfTheStaticConfigs) {
   EXPECT_EQ(ps.planner_routed_greedy + ps.planner_routed_incremental, ps.planner_planned_knn);
 }
 
-// Planner-on range queries return the classic results (the planner only
-// shapes cutoff/readahead on the range path — never the visit set).
+// The planner routes kNN queries only: planner-on range queries run the
+// classic traversal, with the same results, PA and compdists.
 TEST(PlannerTest, PlannedRangeQueriesMatchClassicResults) {
   Dataset ds = MakeSynthetic(1500, 71);
   SpbTreeOptions opts = BaseOptions();
@@ -360,6 +359,8 @@ TEST(PlannerTest, PlannedRangeQueriesMatchClassicResults) {
   ASSERT_TRUE(
       SpbTree::Build(ds.objects, ds.metric.get(), BaseOptions(), &classic)
           .ok());
+  planned->ResetCounters();
+  classic->ResetCounters();
   for (size_t qi = 0; qi < 20; ++qi) {
     const Blob& q = ds.objects[(qi * 101) % ds.objects.size()];
     for (double r : {0.0, 0.15, 0.4}) {
@@ -369,7 +370,10 @@ TEST(PlannerTest, PlannedRangeQueriesMatchClassicResults) {
       EXPECT_EQ(SortedIds(ra), SortedIds(rb)) << "qi=" << qi << " r=" << r;
     }
   }
-  EXPECT_GT(planned->CollectStats().planner_planned_range, 0u);
+  const QueryStats sp = planned->cumulative_stats();
+  const QueryStats sc = classic->cumulative_stats();
+  EXPECT_EQ(sp.page_accesses, sc.page_accesses);
+  EXPECT_EQ(sp.distance_computations, sc.distance_computations);
 }
 
 // ---------------------------------------------------------------------------

@@ -159,11 +159,11 @@ TEST(ProtocolTest, LyingElementCountsAreCorruptionNotBadAlloc) {
   {  // stats payload: trailing u32 shard count
     std::vector<uint8_t> buf;
     net::EncodeStatsPayload(StatsSnapshot{}, &buf);
-    // The decoder bounds shard_count by remaining/289 (kMinStatsScalars in
+    // The decoder bounds shard_count by remaining/257 (kMinStatsScalars in
     // protocol.cc): exactly the encoded scalar section of an empty-name
     // snapshot. A larger bound would reject valid multi-shard replies; if
     // this fails, a field was added or removed — update both.
-    EXPECT_EQ(buf.size() - 4, 289u);
+    EXPECT_EQ(buf.size() - 4, 257u);
     lie(&buf, buf.size() - 4);
     StatsSnapshot got;
     EXPECT_EQ(net::DecodeStatsPayload(buf.data(), buf.size(), &got).code(),
@@ -523,14 +523,30 @@ TEST_F(NetServerTest, BadMagicGetsTypedErrorThenDrop) {
   EXPECT_GE(server_->stats().protocol_errors, 1u);
 }
 
+// A frame of the previous version (whose STATS layout differs) and one of
+// a future version both get the typed version error.
 TEST_F(NetServerTest, WrongVersionGetsTypedErrorThenDrop) {
-  std::vector<uint8_t> frame;
-  net::AppendFrame(FrameType::kPing, nullptr, 0, &frame);
-  frame[4] = net::kProtocolVersion + 1;
-  FrameType type;
-  const Status s = DecodeErrorFrame(SendRawExpectDrop(frame), &type);
-  EXPECT_EQ(type, FrameType::kReplyError);
-  EXPECT_EQ(s.code(), Status::Code::kInvalidArgument);
+  for (const uint8_t version :
+       {uint8_t(net::kProtocolVersion - 1), uint8_t(net::kProtocolVersion + 1)}) {
+    SCOPED_TRACE("version " + std::to_string(version));
+    std::vector<uint8_t> frame;
+    net::AppendFrame(FrameType::kPing, nullptr, 0, &frame);
+    frame[4] = version;
+    FrameType type;
+    const Status s = DecodeErrorFrame(SendRawExpectDrop(frame), &type);
+    EXPECT_EQ(type, FrameType::kReplyError);
+    EXPECT_EQ(s.code(), Status::Code::kInvalidArgument);
+  }
+}
+
+// Stop() right after Start() races the dispatchers' first wait on the
+// dispatch queue; every such Stop must return.
+TEST_F(NetServerTest, StopRightAfterStartReturns) {
+  for (int i = 0; i < 300; ++i) {
+    Server s(exec_.get(), ServerOptions{});
+    ASSERT_TRUE(s.Start().ok());
+    s.Stop();
+  }
 }
 
 TEST_F(NetServerTest, CrcMismatchGetsTypedErrorThenDrop) {

@@ -333,9 +333,10 @@ TEST(BuildDeterminismTest, CostSampleIsTheSerialReservoir) {
 // Where a page's bytes come from must not show in any query: a memory-backed
 // and a disk-backed build of the same data return the same results at the
 // same logical PA, cache_hits and compdists, query by query, cold (caches
-// flushed before each query) and warm, with prefetch on. The disk twin's
-// readahead stages pages; the memory twin has no fetcher and stages none,
-// its pools caching the memory files' own pages.
+// flushed before each query) and warm. The memory twin's pools cache the
+// memory files' own pages; the disk twin's read them from its files. Either
+// way every miss is one demand read, so over this serial run each twin
+// reads every page it misses with exactly one physical read.
 TEST(StorageParityTest, MemoryAndDiskTwinsMatchPerQuery) {
   const std::string dir =
       (fs::temp_directory_path() / "spb_storage_parity").string();
@@ -344,7 +345,6 @@ TEST(StorageParityTest, MemoryAndDiskTwinsMatchPerQuery) {
   std::unique_ptr<SpbTree> twins[2];  // [0] memory-backed, [1] disk-backed
   for (int disk = 0; disk < 2; ++disk) {
     SpbTreeOptions opts;
-    opts.enable_prefetch = true;
     if (disk == 1) opts.storage_dir = dir;
     ASSERT_TRUE(
         SpbTree::Build(ds.objects, ds.metric.get(), opts, &twins[disk]).ok());
@@ -361,6 +361,7 @@ TEST(StorageParityTest, MemoryAndDiskTwinsMatchPerQuery) {
                 q1.distance_computations - q0.distance_computations};
   };
   const double radius = 0.08 * ds.metric->max_distance();
+  const IoStats io_before[2] = {twins[0]->io_stats(), twins[1]->io_stats()};
   for (const bool cold : {true, false}) {
     SCOPED_TRACE(cold ? "cold" : "warm");
     for (auto& tree : twins) tree->FlushCaches();
@@ -387,8 +388,16 @@ TEST(StorageParityTest, MemoryAndDiskTwinsMatchPerQuery) {
       EXPECT_EQ(knn_cost[0], knn_cost[1]);
     }
   }
-  EXPECT_EQ(twins[0]->io_stats().prefetch_issued.load(), 0u);
-  EXPECT_GT(twins[1]->io_stats().prefetch_issued.load(), 0u);
+  for (int t = 0; t < 2; ++t) {
+    SCOPED_TRACE(t == 1 ? "disk twin" : "memory twin");
+    const IoStats io_after = twins[t]->io_stats();
+    const uint64_t page_reads =
+        io_after.page_reads.load() - io_before[t].page_reads.load();
+    EXPECT_GT(page_reads, 0u);
+    EXPECT_EQ(io_after.physical_reads.load() -
+                  io_before[t].physical_reads.load(),
+              page_reads);
+  }
   twins[1].reset();
   fs::remove_all(dir);
 }

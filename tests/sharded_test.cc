@@ -432,9 +432,10 @@ TEST(ShardedTuningTest, NumShardsIsConstructionTime) {
   t.num_shards = 4;
   EXPECT_EQ(tree->ApplyTuning(t).code(), Status::Code::kInvalidArgument);
   t.num_shards = 2;
-  t.enable_prefetch = false;
+  t.enable_cutoff = false;
   ASSERT_TRUE(tree->ApplyTuning(t).ok());
-  EXPECT_FALSE(tree->tuning().enable_prefetch);
+  EXPECT_FALSE(tree->tuning().enable_cutoff);
+  EXPECT_FALSE(tree->shard(1).tuning().enable_cutoff);
 
   // The plain tree rejects any re-shard attempt too.
   std::unique_ptr<SpbTree> flat;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <filesystem>
+#include <limits>
 #include <set>
 
 #include "common/rng.h"
@@ -454,6 +455,58 @@ TEST(SpbEdgeTest, DuplicateObjectsAllReported) {
   std::vector<ObjectId> got;
   ASSERT_TRUE(tree->RangeQuery(BlobFromString("twin"), 0.0, &got).ok());
   EXPECT_GE(got.size(), 50u);
+}
+
+// A child pointer leading back up the tree turns the node graph into a
+// cycle. A version is a tree, so no query visits more nodes than the
+// B+-tree file has pages: past that, range and kNN queries (both
+// traversals) end in kCorruption instead of looping on a growing frontier.
+TEST(SpbCorruptionTest, CyclicNodeGraphEndsQueriesInCorruption) {
+  Dataset ds = MakeSynthetic(20000, 31);
+  std::unique_ptr<SpbTree> tree;
+  ASSERT_TRUE(
+      SpbTree::Build(ds.objects, ds.metric.get(), SpbTreeOptions{}, &tree)
+          .ok());
+  const Blob q = MakeSynthetic(1, 32).objects[0];  // not in the index
+  const std::vector<double> phi_q = tree->space().Phi(q, *ds.metric);
+
+  // Point the root's child nearest to q back at the root: kNN then
+  // re-expands the root ahead of any neighbour, and every range region
+  // meets it.
+  BPlusTree& bt = tree->btree();
+  const PageId root = bt.root();
+  BptNode node;
+  ASSERT_TRUE(bt.ReadNode(root, &node).ok());
+  ASSERT_FALSE(node.is_leaf);
+  size_t nearest = 0;
+  double nearest_mind = std::numeric_limits<double>::infinity();
+  std::vector<uint32_t> lo, hi;
+  for (size_t i = 0; i < node.internal_entries.size(); ++i) {
+    const InternalEntry& e = node.internal_entries[i];
+    bt.DecodeBox(e.mbb_min, e.mbb_max, &lo, &hi);
+    const double mind = tree->space().LowerBoundToBox(phi_q, lo, hi);
+    if (mind < nearest_mind) {
+      nearest_mind = mind;
+      nearest = i;
+    }
+  }
+  ASSERT_LT(nearest_mind, BruteKnnDistances(ds, q, 1)[0]);
+  node.internal_entries[nearest].child = root;
+  Page page;
+  node.SerializeTo(&page);
+  ASSERT_TRUE(bt.pool().file()->Write(root, page).ok());
+  tree->FlushCaches();
+
+  std::vector<ObjectId> ids;
+  EXPECT_EQ(tree->RangeQuery(q, ds.metric->max_distance(), &ids).code(),
+            Status::Code::kCorruption);
+  for (const KnnTraversal t :
+       {KnnTraversal::kGreedy, KnnTraversal::kIncremental}) {
+    std::vector<Neighbor> nn;
+    EXPECT_EQ(tree->KnnQuery(q, 10, &nn, nullptr, t).code(),
+              Status::Code::kCorruption)
+        << (t == KnnTraversal::kGreedy ? "greedy" : "best-first");
+  }
 }
 
 }  // namespace

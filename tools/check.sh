@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # CI entry point: tier-1 build + full test suite, then a ThreadSanitizer
 # build that runs the concurrency, storage and node-cache tests (the
-# concurrent read path — single-flight fetches, the prefetch pipeline's
-# background span reads and staged-page claims, node-cache sharding and pin
+# concurrent read path — single-flight fetches, reads through an evicting
+# pool, readers racing the RAF appender, node-cache sharding and pin
 # hand-off — must be data-race-free, not just correct-by-luck) and the
 # parallel bulk-load tests, then an Address/UB-sanitizer build that runs
 # the kernel parity, metric and SFC batch-decode/encode tests — once with
@@ -38,7 +38,7 @@ run_tier1() {
 }
 
 run_tsan() {
-  echo "==> tsan: concurrency + storage (prefetch pipeline) tests under TSan"
+  echo "==> tsan: concurrency + storage (single-flight read path) tests under TSan"
   cmake -B build-tsan -S . -DSPB_SANITIZE=thread >/dev/null
   cmake --build build-tsan -j "${JOBS}" --target concurrency_test storage_test \
     node_cache_test common_test persistence_test
@@ -78,8 +78,8 @@ run_asan() {
   # curve case, plus explicit best-first and updates.
   echo "==> asan: SPB-tree query tests under ASan/UBSan"
   ./build-asan/tests/spb_tree_test
-  # Pins on shared memory-file frames across concurrent rewrites, the
-  # single-flight hand-off and readahead staging lifetimes.
+  # Pins on shared memory-file frames across concurrent rewrites and the
+  # single-flight hand-off.
   echo "==> asan: concurrency tests under ASan/UBSan"
   ./build-asan/tests/concurrency_test
   # Cursor frames and decoded-node handles held across copy-on-write writes

@@ -66,7 +66,6 @@ struct Args {
   size_t shards = 1;
   size_t repeat = 1;
   bool cold = false;
-  bool no_prefetch = false;
   bool learned = false;  // learned leaf locator + cost-model planner
   // Network serving layer (PR 10).
   std::string connect;     // host:port — run the command against a server
@@ -115,8 +114,6 @@ bool Parse(int argc, char** argv, Args* args) {
       args->dispatchers = size_t(std::atoll(v));
     } else if (arg == "--cold") {
       args->cold = true;
-    } else if (arg == "--no-prefetch") {
-      args->no_prefetch = true;
     } else if (arg == "--learned") {
       args->learned = true;
     } else {
@@ -229,12 +226,6 @@ void PrintSnapshotScalars(const StatsSnapshot& s, const char* indent) {
       indent, (unsigned long long)s.page_reads,
       (unsigned long long)s.cache_hits, (unsigned long long)s.physical_reads,
       (unsigned long long)s.page_writes);
-  std::printf(
-      "%sio: %llu prefetch issued, %llu prefetch hits, %llu coalesced "
-      "pages\n",
-      indent, (unsigned long long)s.prefetch_issued,
-      (unsigned long long)s.prefetch_hits,
-      (unsigned long long)s.coalesced_pages);
   std::printf("%sdead bytes: %llu (lazy deletes awaiting compaction)\n",
               indent, (unsigned long long)s.dead_bytes);
   if (s.wal_segment_bytes > 0 || s.wal_next_lsn > 0) {
@@ -269,12 +260,11 @@ void PrintSnapshotScalars(const StatsSnapshot& s, const char* indent) {
         (unsigned long long)s.locator_stale,
         (unsigned long long)s.locator_rebuilds);
   }
-  if (s.planner_planned_range > 0 || s.planner_planned_knn > 0) {
+  if (s.planner_planned_knn > 0) {
     std::printf(
-        "%splanner: %llu range / %llu knn planned; routed %llu greedy / "
+        "%splanner: %llu knn planned; routed %llu greedy / "
         "%llu incremental, cutoff off on %llu\n",
-        indent, (unsigned long long)s.planner_planned_range,
-        (unsigned long long)s.planner_planned_knn,
+        indent, (unsigned long long)s.planner_planned_knn,
         (unsigned long long)s.planner_routed_greedy,
         (unsigned long long)s.planner_routed_incremental,
         (unsigned long long)s.planner_cutoff_disabled);
@@ -347,24 +337,15 @@ void PrintCommonStats(const Index& index) {
               index.space().discretizer().num_cells());
 }
 
-// The knn/range loop, shared by both layouts (only MetricIndex-surface
-// methods plus ApplyTuning/tuning, which both types provide).
-template <typename Index>
-int RunQuery(const Args& args, Index* index) {
+// The knn/range loop, shared by both layouts through the MetricIndex
+// surface.
+int RunQuery(const Args& args, MetricIndex* index) {
   Status s;
   Blob q;
   if (!ParseObject(args, args.query, &q)) {
     std::fprintf(stderr, "cannot parse --query under metric %s\n",
                  args.metric.c_str());
     return 1;
-  }
-  if (args.no_prefetch) {
-    TuningOptions tn = index->tuning();
-    tn.enable_prefetch = false;
-    if (!index->ApplyTuning(tn).ok()) {
-      std::fprintf(stderr, "ApplyTuning failed\n");
-      return 1;
-    }
   }
   // --cold measures the paper's protocol: drop both LRU pools and zero the
   // cumulative counters before the (repeated) query runs.
@@ -407,23 +388,15 @@ int RunQuery(const Args& args, Index* index) {
   const IoStats io_after = index->io_stats();
   const double per = 1.0 / double(repeat);
   std::fprintf(stderr,
-               "[%s%s%.1f distance computations, %.1f page accesses, "
+               "[%s%.1f distance computations, %.1f page accesses, "
                "%.2f ms/query over %zu run(s)]\n",
                args.cold ? "cold, " : "",
-               args.no_prefetch ? "prefetch off, " : "",
                double(totals.distance_computations) * per,
                double(totals.page_accesses) * per,
                totals.elapsed_seconds * 1000.0 * per, repeat);
-  auto delta = [&](const StripedU64& a, const StripedU64& b) {
-    return (unsigned long long)(a.load() - b.load());
-  };
-  std::fprintf(stderr,
-               "[io: %llu physical reads, %llu prefetch issued, "
-               "%llu prefetch hits, %llu coalesced pages]\n",
-               delta(io_after.physical_reads, io_before.physical_reads),
-               delta(io_after.prefetch_issued, io_before.prefetch_issued),
-               delta(io_after.prefetch_hits, io_before.prefetch_hits),
-               delta(io_after.coalesced_pages, io_before.coalesced_pages));
+  std::fprintf(stderr, "[io: %llu physical reads]\n",
+               (unsigned long long)(io_after.physical_reads.load() -
+                                    io_before.physical_reads.load()));
   PrintContentionStats();
   return 0;
 }
@@ -590,7 +563,7 @@ int Main(int argc, char** argv) {
         "--dir=PATH | --connect=HOST:PORT [--metric=edit|"
         "l2|l5|hamming|dna] [--input=FILE] [--query=Q] [--r=R] [--k=K] "
         "[--dim=D] [--pivots=P] [--shards=S] [--repeat=N] [--cold] "
-        "[--no-prefetch] [--learned] [--port=P] [--threads=T] "
+        "[--learned] [--port=P] [--threads=T] "
         "[--dispatchers=D]\n");
     return 2;
   }
