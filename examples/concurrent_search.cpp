@@ -29,18 +29,22 @@ int main() {
               (unsigned long long)index->size(),
               ds.metric->name().c_str());
 
-  // 2. A batch of queries (here: the first 128 data objects).
-  std::vector<Blob> queries(ds.objects.begin(), ds.objects.begin() + 128);
+  // 2. A batch of range queries and one of kNN queries (here: on the first
+  //    128 data objects).
   const double r = 0.08 * ds.metric->max_distance();
+  std::vector<Request> range_ops, knn_ops;
+  for (size_t i = 0; i < 128; ++i) {
+    range_ops.push_back(Request::Range(ds.objects[i], r));
+    knn_ops.push_back(Request::Knn(ds.objects[i], /*k=*/8));
+  }
 
   // 3. Fan the batch over 4 worker threads. The executor owns the threads
   //    for its whole lifetime; batches run back-to-back without respawning.
   QueryExecutor executor(index.get(), /*num_threads=*/4);
 
-  std::vector<std::vector<ObjectId>> range_results;
-  BatchStats stats;
-  s = executor.RunRangeBatch(queries, r, &range_results, &stats);
-  if (!s.ok()) return 1;
+  const BatchResult range = executor.Submit(range_ops);
+  if (!range.first_error.ok()) return 1;
+  const BatchStats& stats = range.stats;
   std::printf(
       "range batch: %zu queries on %zu threads -> %.0f QPS "
       "(p50 %.2f ms, p99 %.2f ms), %llu page accesses, %llu compdists\n",
@@ -49,18 +53,18 @@ int main() {
       (unsigned long long)stats.totals.page_accesses,
       (unsigned long long)stats.totals.distance_computations);
 
-  std::vector<std::vector<Neighbor>> knn_results;
-  s = executor.RunKnnBatch(queries, /*k=*/8, &knn_results, &stats);
-  if (!s.ok()) return 1;
+  const BatchResult knn = executor.Submit(knn_ops);
+  if (!knn.first_error.ok()) return 1;
   std::printf(
       "kNN batch:   %zu queries on %zu threads -> %.0f QPS "
       "(p50 %.2f ms, p99 %.2f ms)\n",
-      stats.num_queries, stats.num_threads, stats.qps,
-      stats.p50_seconds * 1e3, stats.p99_seconds * 1e3);
+      knn.stats.num_queries, knn.stats.num_threads, knn.stats.qps,
+      knn.stats.p50_seconds * 1e3, knn.stats.p99_seconds * 1e3);
 
-  // 4. Per-query results land in order: slot i answers queries[i].
+  // 4. Per-op results land in order: slot i answers request i.
+  const std::vector<Neighbor>& nn = knn.results[0].neighbors;
   std::printf("query 0: %zu objects in range, nearest neighbor d=%.3f\n",
-              range_results[0].size(),
-              knn_results[0].empty() ? -1.0 : knn_results[0][0].distance);
+              range.results[0].range_ids.size(),
+              nn.empty() ? -1.0 : nn[0].distance);
   return 0;
 }

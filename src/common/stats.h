@@ -38,7 +38,7 @@ struct IoStats {
   /// Bytes of RAF records orphaned by Delete (or superseded by an in-place
   /// re-insert of an existing id). The lazy-deletion design never reclaims
   /// RAF space in place (records are unlinked from the B+-tree only), so
-  /// this counter is the compaction debt the background compactor recovers.
+  /// this counter is the compaction debt that SpbTree::Compact() recovers.
   /// It is *state*, not a measurement: Reset() leaves it alone (only a
   /// compaction zeroes it, and Save/Open persist it), unlike every other
   /// counter here. Excluded from page_accesses(); surfaced per shard and in

@@ -639,7 +639,6 @@ StatsSnapshot ShardedSpbTree::CollectStats() const {
     s.wq_ops += c.wq_ops;
     s.wq_groups += c.wq_groups;
     s.wq_max_group = std::max(s.wq_max_group, c.wq_max_group);
-    s.wq_compactions += c.wq_compactions;
     s.locator_model_present =
         s.locator_model_present && c.locator_model_present;
     s.locator_epoch = std::max(s.locator_epoch, c.locator_epoch);

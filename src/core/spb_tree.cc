@@ -512,9 +512,9 @@ Status SpbTree::SaveLocked() {
   // pre-PR7 RAF headers). A mismatch on Open means a crash separated a
   // compaction's file swap from its checkpoint.
   w.U64(raf_->generation());
-  // The dead-byte debt at checkpoint time, so a reopened tree still owes
-  // the compactor what it owed before the restart (replayed deletes re-add
-  // their own debt on top). Pre-PR7 meta files read back as 0.
+  // The dead-byte debt at checkpoint time, so a reopened tree still reports
+  // the debt Compact() would recover (replayed deletes re-add their own
+  // debt on top). Meta files written before this field read back as 0.
   w.U64(raf_->dead_bytes());
 
   std::unique_ptr<PageFile> meta;
@@ -889,22 +889,16 @@ Status SpbTree::VerifyLeafBatch(Raf* raf, const LeafEntry* entries,
   }
   // Survivors are fetched and verified in entry order, so the result order,
   // the RAF page-access order and the sequence of distance calls all match
-  // the per-entry loop this replaces. Zero-copy fetches serve the object
-  // straight from the pinned frame (identical accounting — see
-  // Raf::GetView); the view/obj buffers are reused across all entries.
+  // the per-entry loop this replaces. Each fetch serves the object
+  // straight from the pinned frame (the same accounting as Raf::Get — see
+  // Raf::GetView); the view buffer is reused across all entries.
   for (size_t i = 0; i < count; ++i) {
     if (check_region && !scratch->in_box[i]) {
       continue;  // Lemma 1: phi(o) outside RR(q, r)
     }
     ObjectId id;
-    BlobRef obj;
-    if (options_.enable_zero_copy) {
-      SPB_RETURN_IF_ERROR(raf->GetView(entries[i].ptr, &id, &scratch->view));
-      obj = scratch->view.ref();
-    } else {
-      SPB_RETURN_IF_ERROR(raf->Get(entries[i].ptr, &id, &scratch->obj));
-      obj = scratch->obj;
-    }
+    SPB_RETURN_IF_ERROR(raf->GetView(entries[i].ptr, &id, &scratch->view));
+    const BlobRef obj = scratch->view.ref();
     if (options_.enable_lemma2 && scratch->guaranteed[i]) {
       // Lemma 2: in the result without computing d(q, o).
       result->push_back(id);
@@ -1199,14 +1193,8 @@ Status SpbTree::KnnSearch(const Blob& q, size_t k, const Snapshot& snap,
   Raf* const sraf = snap.version().raf.get();
   auto verify_entry = [&](const LeafEntry& e) -> Status {
     ObjectId id;
-    BlobRef obj;
-    if (options_.enable_zero_copy) {
-      SPB_RETURN_IF_ERROR(sraf->GetView(e.ptr, &id, &A.leaf.view));
-      obj = A.leaf.view.ref();
-    } else {
-      SPB_RETURN_IF_ERROR(sraf->Get(e.ptr, &id, &A.leaf.obj));
-      obj = A.leaf.obj;
-    }
+    SPB_RETURN_IF_ERROR(sraf->GetView(e.ptr, &id, &A.leaf.view));
+    const BlobRef obj = A.leaf.view.ref();
     const double d = use_cutoff
                          ? counting_.DistanceWithCutoff(q, obj, cur_ndk())
                          : counting_.Distance(q, obj);
@@ -1547,11 +1535,9 @@ Status SpbTree::ApplyTuning(const TuningOptions& t) {
   if (t.raf_cache_pages != was.raf_cache_pages) {
     SPB_RETURN_IF_ERROR(raf_->SetCachePages(t.raf_cache_pages));
   }
-  // Write-path engine knobs: the group-commit leader and the compactor
-  // thread read these through atomics / the queue's own lock.
+  // Write-path engine knobs: the group-commit leader reads these through
+  // an atomic / the queue's own lock.
   wal_fsync_.store(t.wal_fsync, std::memory_order_relaxed);
-  compact_threshold_.store(t.compact_dead_bytes_threshold,
-                           std::memory_order_relaxed);
   if (write_queue_ != nullptr) {
     write_queue_->set_group_max(std::max<size_t>(1, t.wal_group_max));
   }
@@ -1567,8 +1553,6 @@ TuningOptions SpbTree::tuning() const {
   TuningOptions t = options_;
   t.num_shards = 1;
   t.wal_fsync = wal_fsync_.load(std::memory_order_relaxed);
-  t.compact_dead_bytes_threshold =
-      compact_threshold_.load(std::memory_order_relaxed);
   return t;
 }
 
@@ -1576,16 +1560,8 @@ TuningOptions SpbTree::tuning() const {
 // Write-path engine: group-commit WAL, writer queueing, recovery, compaction.
 // ---------------------------------------------------------------------------
 
-SpbTree::~SpbTree() {
-  // Stop the queue's compactor thread before members tear down: its hooks
-  // touch btree_/raf_/snapshots_.
-  if (write_queue_ != nullptr) write_queue_->Stop();
-}
-
 Status SpbTree::InitEngine() {
   wal_fsync_.store(options_.wal_fsync, std::memory_order_relaxed);
-  compact_threshold_.store(options_.compact_dead_bytes_threshold,
-                           std::memory_order_relaxed);
   if (options_.enable_wal) {
     if (options_.storage_dir.empty()) {
       return Status::InvalidArgument(
@@ -1594,11 +1570,7 @@ Status SpbTree::InitEngine() {
     SPB_RETURN_IF_ERROR(Wal::Open(options_.storage_dir + "/wal.spb", &wal_));
     SPB_RETURN_IF_ERROR(ReplayWal());
   }
-  // The queue exists for group commit AND for the background compactor (it
-  // owns the worker thread); a compactor-only tree still routes its writes
-  // through it, which only upgrades kBusy into queueing.
-  if (options_.enable_group_commit ||
-      options_.compact_dead_bytes_threshold > 0) {
+  if (options_.enable_group_commit) {
     write_queue_ = std::make_unique<WriteQueue>(
         [this](std::vector<WriteQueue::Request*>& group) {
           // Blocking lock: the leader queues behind a checkpoint or a
@@ -1609,10 +1581,6 @@ Status SpbTree::InitEngine() {
           CommitLocked(group, /*log=*/true);
         },
         std::max<size_t>(1, options_.wal_group_max));
-    if (options_.compact_dead_bytes_threshold > 0) {
-      write_queue_->StartCompactor([this] { return NeedsCompaction(); },
-                                   [this] { Compact(); });
-    }
   }
   return Status::OK();
 }
@@ -1783,13 +1751,6 @@ Status SpbTree::CompactLocked() {
   return Status::OK();
 }
 
-bool SpbTree::NeedsCompaction() const {
-  const uint64_t threshold =
-      compact_threshold_.load(std::memory_order_relaxed);
-  if (threshold == 0) return false;
-  return RafPtr()->dead_bytes() >= threshold;
-}
-
 StatsSnapshot SpbTree::CollectStats() const {
   StatsSnapshot s;
   s.name = name();
@@ -1814,7 +1775,6 @@ StatsSnapshot SpbTree::CollectStats() const {
     s.wq_ops = wq.ops;
     s.wq_groups = wq.groups;
     s.wq_max_group = wq.max_group;
-    s.wq_compactions = wq.compactions;
   }
   std::shared_ptr<const LeafModel> m;
   {

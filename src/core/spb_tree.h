@@ -105,7 +105,7 @@ enum class KnnTraversal {
 /// it takes any lock and then commits through one body (Write). Without
 /// the commit queue a second concurrent writer gets Status::Busy (kBusy) —
 /// writers are serialized by one try-lock, not queued; with it
-/// (enable_group_commit, or the background compactor) they queue.
+/// (enable_group_commit) they queue.
 /// Superseded pages are retired (cache-purged and id-recycled) only after
 /// the last snapshot pinning them drains.
 ///
@@ -157,10 +157,6 @@ class SpbTree : public MetricIndex {
                      const DistanceFunction* metric,
                      const SpbTreeOptions& options,
                      std::unique_ptr<SpbTree>* out);
-
-  /// Stops the write-queue leader/compactor threads before members tear
-  /// down (the compactor touches btree_/raf_/snapshots_).
-  ~SpbTree() override;
 
   /// Persists the meta file (pivot table, mapping parameters, cost model)
   /// and syncs the B+-tree and RAF. Only valid for disk-backed indexes
@@ -369,7 +365,6 @@ class SpbTree : public MetricIndex {
     std::vector<uint8_t> guaranteed;  // batch Lemma 2 flags
     std::vector<double> mind;         // batch MIND(q, cell) for NNA
     std::vector<LeafEntry> matched;   // computeSFC merge output
-    Blob obj;                         // reusable object buffer (copy path)
     BlobView view;                    // reusable zero-copy view
   };
 
@@ -479,7 +474,7 @@ class SpbTree : public MetricIndex {
     return raf_;
   }
 
-  // Wires the write-path engine (WAL + commit queue + compactor) per
+  // Wires the write-path engine (WAL + commit queue) per
   // options_. Called once, after InitSnapshots(), from BuildInternal/Open.
   Status InitEngine();
 
@@ -507,9 +502,6 @@ class SpbTree : public MetricIndex {
 
   // Compact()'s body under the already-held writer lock.
   Status CompactLocked();
-
-  // True when the dead-byte debt crossed the compactor threshold.
-  bool NeedsCompaction() const;
 
   // Collects node MBBs for the cost model (post-bulk-load tree walk).
   Status CollectNodeBoxes(
@@ -592,10 +584,9 @@ class SpbTree : public MetricIndex {
   // from any replay.
   std::mutex recycle_mu_;
   std::vector<PageId> pending_recycle_;
-  // Runtime-tunable engine knobs: the leader/compactor threads read these
-  // while ApplyTuning writes them.
+  // Runtime-tunable engine knob: the group-commit leader reads it while
+  // ApplyTuning writes it.
   std::atomic<bool> wal_fsync_{true};
-  std::atomic<uint64_t> compact_threshold_{0};
 
   // Declared after btree_/raf_ so it is destroyed first: its teardown
   // drains the retire queue, whose callback touches the B+-tree caches.

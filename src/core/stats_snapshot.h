@@ -63,7 +63,6 @@ struct StatsSnapshot {
   uint64_t wq_ops = 0;
   uint64_t wq_groups = 0;
   uint64_t wq_max_group = 0;
-  uint64_t wq_compactions = 0;
 
   // Learned-locator model + counters (zeros when the locator is off).
   // Sharded: counters summed; model_present holds iff it holds on every

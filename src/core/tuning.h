@@ -39,16 +39,15 @@ struct TuningOptions {
   /// this name; it goes when that benchmark moves onto CollectStats()
   /// (ROADMAP.md, item 1).
   static constexpr bool enable_prefetch = false;
-  /// Warm-path decode engine (docs/ARCHITECTURE.md §"Warm-path decode
-  /// engine"): serve RAF records from pinned buffer-pool frames instead of
-  /// copying into a fresh Blob. Results, logical PA, cache_hits and
-  /// compdists are byte-identical on or off (the accounting-parity rule,
-  /// asserted by WarmPathSpbTest in tests/node_cache_test.cc); the toggle
-  /// exists for ablation and that test.
-  bool enable_zero_copy = true;
+  /// Always true: queries verify RAF records through Raf::GetView, straight
+  /// from pinned buffer-pool frames (docs/ARCHITECTURE.md §"Warm-path decode
+  /// engine"). Only bench/trajectory reads this name; it goes when that
+  /// benchmark moves onto CollectStats() (ROADMAP.md, item 1).
+  static constexpr bool enable_zero_copy = true;
   /// Decoded-node cache entries (B+-tree nodes kept parsed, with internal
-  /// MBB corners pre-decoded; 0 disables). Same parity rule as
-  /// enable_zero_copy.
+  /// MBB corners pre-decoded; 0 disables). Results, logical PA, cache_hits
+  /// and compdists are byte-identical at any size (the accounting-parity
+  /// rule, asserted by WarmPathSpbTest in tests/node_cache_test.cc).
   size_t node_cache_entries = 1024;
   /// LRU buffer-pool sizes in 4 KB pages (paper default 32; 0 disables).
   size_t btree_cache_pages = 32;
@@ -65,20 +64,19 @@ struct TuningOptions {
   /// SpbTree ignores it at Build, and reports and accepts only 1.
   size_t num_shards = 1;
   /// Write-path engine knobs (docs/OPERATIONS.md §"Durability"), meaningful
-  /// when SpbTreeOptions::enable_group_commit / enable_wal (or a nonzero
-  /// compaction threshold) enabled the engine at construction time;
-  /// ApplyTuning on a tree without the queue / WAL / compactor simply
-  /// records the values for tuning() readback.
+  /// when SpbTreeOptions::enable_group_commit / enable_wal enabled the
+  /// engine at construction time; ApplyTuning on a tree without the queue /
+  /// WAL simply records the values for tuning() readback.
   /// Max logical records one group commit drains (and fsyncs) at once.
   size_t wal_group_max = 64;
   /// fsync the WAL once per commit group (off trades durability of the
   /// last group for throughput; replay still stops at the torn tail).
   bool wal_fsync = true;
-  /// Dead-byte debt at which the background compactor rewrites the RAF back
-  /// into SFC order on fresh pages (0 disables the compactor thread). The
-  /// swap goes through the snapshot/retire protocol, so in-flight queries
-  /// keep reading their pinned version's file.
-  uint64_t compact_dead_bytes_threshold = 0;
+  /// Always 0: there is no background compactor; SpbTree::Compact()
+  /// reclaims dead RAF bytes when its caller asks. Only bench/trajectory
+  /// reads this name; it goes when that benchmark moves onto CollectStats()
+  /// (ROADMAP.md, item 1).
+  static constexpr uint64_t compact_dead_bytes_threshold = 0;
   /// Learned leaf locator (docs/ARCHITECTURE.md §"Learned locator +
   /// planner"): a per-TreeVersion leaf directory + internal-node image,
   /// built in one uncounted pass at Build/Open/compaction and refreshed per

@@ -32,85 +32,6 @@ IoStats IoDelta(const IoStats& after, const IoStats& before) {
 QueryExecutor::QueryExecutor(MetricIndex* index, size_t num_threads)
     : index_(index), arena_(std::max<size_t>(1, num_threads)) {}
 
-Status QueryExecutor::FanOut(size_t n,
-                             const std::function<Status(size_t)>& task,
-                             BatchStats* stats) {
-  if (stats != nullptr) {
-    *stats = BatchStats{};
-    stats->num_queries = n;
-    stats->num_threads = arena_.num_threads();
-  }
-  if (n == 0) return Status::OK();
-
-  const QueryStats before = index_->cumulative_stats();
-  const IoStats io_before = index_->io_stats();
-  const auto start = std::chrono::steady_clock::now();
-
-  std::vector<double> latencies(n, 0.0);
-  std::mutex error_mu;
-  Status first_error;
-  const std::function<void(size_t)> wrapped = [&](size_t i) {
-    const auto t0 = std::chrono::steady_clock::now();
-    Status s = task(i);
-    latencies[i] =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-            .count();
-    if (!s.ok()) {
-      std::lock_guard<std::mutex> lock(error_mu);
-      if (first_error.ok()) first_error = std::move(s);
-    }
-  };
-  // help=false: the calling thread waits, exactly num_threads() workers run
-  // the ops (the pre-PR 8 contract bench numbers are calibrated against).
-  arena_.RunGroup(n, wrapped, /*help=*/false);
-
-  if (stats != nullptr) {
-    stats->wall_seconds =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                      start)
-            .count();
-    stats->qps =
-        stats->wall_seconds > 0.0 ? double(n) / stats->wall_seconds : 0.0;
-    const QueryStats after = index_->cumulative_stats();
-    stats->totals.page_accesses = after.page_accesses - before.page_accesses;
-    stats->totals.distance_computations =
-        after.distance_computations - before.distance_computations;
-    stats->io_totals = IoDelta(index_->io_stats(), io_before);
-    for (double l : latencies) stats->totals.elapsed_seconds += l;
-    std::vector<double> sorted = latencies;
-    std::sort(sorted.begin(), sorted.end());
-    stats->p50_seconds = PercentileSorted(sorted, 0.50);
-    stats->p99_seconds = PercentileSorted(sorted, 0.99);
-  }
-  return first_error;
-}
-
-Status QueryExecutor::RunRangeBatch(const std::vector<Blob>& queries,
-                                    double r,
-                                    std::vector<std::vector<ObjectId>>* results,
-                                    BatchStats* stats) {
-  results->assign(queries.size(), {});
-  auto task = [&](size_t i) -> Status {
-    SPB_RETURN_IF_ERROR(
-        index_->RangeQuery(queries[i], r, &(*results)[i], nullptr));
-    // RangeQuery reports ids in traversal order; sort so batch output is
-    // deterministic and directly comparable across thread counts.
-    std::sort((*results)[i].begin(), (*results)[i].end());
-    return Status::OK();
-  };
-  return FanOut(queries.size(), task, stats);
-}
-
-Status QueryExecutor::RunKnnBatch(const std::vector<Blob>& queries, size_t k,
-                                  std::vector<std::vector<Neighbor>>* results,
-                                  BatchStats* stats) {
-  results->assign(queries.size(), {});
-  auto task = [&](size_t i) -> Status {
-    return index_->KnnQuery(queries[i], k, &(*results)[i], nullptr);
-  };
-  return FanOut(queries.size(), task, stats);
-}
-
 Status QueryExecutor::ExecuteWrite(const std::function<Status()>& op,
                                    std::atomic<uint64_t>* busy_retries) {
   if (index_->writer_concurrency() <= 1) {
@@ -149,10 +70,23 @@ Status QueryExecutor::ExecuteWrite(const std::function<Status()>& op,
 }
 
 BatchResult QueryExecutor::Submit(std::span<const Request> requests) {
+  const size_t n = requests.size();
   BatchResult batch;
-  batch.results.assign(requests.size(), OpResult{});
+  batch.results.assign(n, OpResult{});
+  BatchStats& stats = batch.stats;
+  stats.num_queries = n;
+  stats.num_threads = arena_.num_threads();
+  if (n == 0) return batch;
+
+  const QueryStats before = index_->cumulative_stats();
+  const IoStats io_before = index_->io_stats();
+  const auto start = std::chrono::steady_clock::now();
+
+  std::vector<double> latencies(n, 0.0);
   std::atomic<uint64_t> busy_retries{0};
-  auto task = [&](size_t i) -> Status {
+  std::mutex error_mu;
+  const std::function<void(size_t)> task = [&](size_t i) {
+    const auto t0 = std::chrono::steady_clock::now();
     const Request& op = requests[i];
     OpResult& out = batch.results[i];
     switch (op.kind) {
@@ -179,10 +113,32 @@ BatchResult QueryExecutor::Submit(std::span<const Request> requests) {
         out.status = Status::InvalidArgument("Submit: unknown request kind");
         break;
     }
-    return out.status;
+    latencies[i] =
+        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
+            .count();
+    if (!out.status.ok()) {
+      std::lock_guard<std::mutex> lock(error_mu);
+      if (batch.first_error.ok()) batch.first_error = out.status;
+    }
   };
-  batch.first_error = FanOut(requests.size(), task, &batch.stats);
-  batch.stats.busy_retries = busy_retries.load(std::memory_order_relaxed);
+  // help=false: the calling thread waits, so exactly num_threads() workers
+  // run the ops, the contract the bench numbers are calibrated against.
+  arena_.RunGroup(n, task, /*help=*/false);
+
+  stats.wall_seconds =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
+          .count();
+  stats.qps = stats.wall_seconds > 0.0 ? double(n) / stats.wall_seconds : 0.0;
+  const QueryStats after = index_->cumulative_stats();
+  stats.totals.page_accesses = after.page_accesses - before.page_accesses;
+  stats.totals.distance_computations =
+      after.distance_computations - before.distance_computations;
+  stats.io_totals = IoDelta(index_->io_stats(), io_before);
+  for (double l : latencies) stats.totals.elapsed_seconds += l;
+  std::sort(latencies.begin(), latencies.end());
+  stats.p50_seconds = PercentileSorted(latencies, 0.50);
+  stats.p99_seconds = PercentileSorted(latencies, 0.99);
+  stats.busy_retries = busy_retries.load(std::memory_order_relaxed);
   return batch;
 }
 

@@ -75,11 +75,10 @@ struct BatchResult {
 /// same pool, with help-first waiting so batch tasks and subqueries
 /// interleave deadlock-free at any pool size.
 ///
-/// RunRangeBatch/RunKnnBatch block the calling thread until the batch
-/// drains; the calling thread does not execute tasks (num_threads() worker
-/// threads do the work, exactly as before PR 8). Workers claim op indices
-/// from the group's atomic cursor, so skew between query costs
-/// self-balances.
+/// Submit blocks the calling thread until the batch drains; the calling
+/// thread does not execute tasks (num_threads() worker threads do the
+/// work). Workers claim op indices from the group's atomic cursor, so skew
+/// between query costs self-balances.
 ///
 /// Each worker thread implicitly owns a per-thread query arena
 /// (SpbTree::ThreadArena): all transient traversal state — FIFO/heap
@@ -101,7 +100,7 @@ class QueryExecutor {
   QueryExecutor(const QueryExecutor&) = delete;
   QueryExecutor& operator=(const QueryExecutor&) = delete;
 
-  /// THE submission entry point (PR 10): runs any mix of read/write ops —
+  /// The one submission entry point: runs any mix of read/write ops —
   /// the same tagged Request the wire protocol decodes — across the pool in
   /// an arbitrary interleaving, queries running concurrently against pinned
   /// snapshots. Writes adapt to index_->writer_concurrency(): against a
@@ -114,21 +113,11 @@ class QueryExecutor {
   /// submission order (per-op errors land in results[i].status as well as
   /// first_error). An op the index does not support fails with
   /// Status::Unimplemented; the rest of the batch still runs.
+  /// Range results come back sorted ascending, so the output is
+  /// deterministic regardless of thread interleaving; kNN neighbours by
+  /// ascending distance. BatchResult::stats comes from the per-op latencies
+  /// and the index's counter delta over the batch.
   BatchResult Submit(std::span<const Request> requests);
-
-  /// Convenience wrapper: RQ(q, r) for every q in `queries`; slot i holds
-  /// the ids for queries[i], sorted ascending so the output is
-  /// deterministic regardless of thread interleaving. Returns the first
-  /// query error, if any (remaining queries still run).
-  Status RunRangeBatch(const std::vector<Blob>& queries, double r,
-                       std::vector<std::vector<ObjectId>>* results,
-                       BatchStats* stats = nullptr);
-
-  /// Convenience wrapper: kNN(q, k) for every q in `queries`; slot i holds
-  /// queries[i]'s neighbors sorted by ascending distance.
-  Status RunKnnBatch(const std::vector<Blob>& queries, size_t k,
-                     std::vector<std::vector<Neighbor>>* results,
-                     BatchStats* stats = nullptr);
 
   size_t num_threads() const { return arena_.num_threads(); }
   MetricIndex* index() { return index_; }
@@ -138,10 +127,6 @@ class QueryExecutor {
   TaskArena* arena() { return &arena_; }
 
  private:
-  /// Fans `task(0..n-1)` over the pool, filling `stats` from the per-query
-  /// latencies and the index counter delta.
-  Status FanOut(size_t n, const std::function<Status(size_t)>& task,
-                BatchStats* stats);
   /// One write op under the policy Submit documents: mutex when the index
   /// is single-writer; lock-free dispatch with BOUNDED retry-on-Busy
   /// (capped exponential backoff, kBusy surfaced if the budget drains) when

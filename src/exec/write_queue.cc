@@ -7,24 +7,6 @@ namespace spb {
 WriteQueue::WriteQueue(CommitFn commit, size_t group_max)
     : commit_(std::move(commit)), group_max_(std::max<size_t>(1, group_max)) {}
 
-WriteQueue::~WriteQueue() { Stop(); }
-
-void WriteQueue::StartCompactor(NeedsCompactFn needs, CompactFn compact) {
-  needs_compact_ = std::move(needs);
-  compact_ = std::move(compact);
-  compactor_ = std::thread([this] { CompactorLoop(); });
-}
-
-void WriteQueue::Stop() {
-  {
-    std::lock_guard<std::mutex> lock(compact_mu_);
-    if (stop_) return;
-    stop_ = true;
-  }
-  compact_cv_.notify_all();
-  if (compactor_.joinable()) compactor_.join();
-}
-
 Status WriteQueue::SubmitBatch(std::vector<Request>* reqs) {
   if (reqs->empty()) return Status::OK();
   std::unique_lock<InstrumentedMutex> lock(mu_);
@@ -78,38 +60,6 @@ void WriteQueue::LeadLocked(std::unique_lock<InstrumentedMutex>& lock,
   // Wake a waiter to promote itself if requests arrived while we committed
   // our last group.
   if (!pending_.empty()) cv_.notify_all();
-  lock.unlock();
-  Poke();
-  lock.lock();
-}
-
-void WriteQueue::Poke() {
-  if (!compactor_.joinable()) return;
-  {
-    std::lock_guard<std::mutex> lock(compact_mu_);
-    compact_wake_ = true;
-  }
-  compact_cv_.notify_one();
-}
-
-void WriteQueue::CompactorLoop() {
-  for (;;) {
-    {
-      std::unique_lock<std::mutex> lock(compact_mu_);
-      compact_cv_.wait(lock, [this] { return compact_wake_ || stop_; });
-      if (stop_) return;
-      compact_wake_ = false;
-    }
-    while (needs_compact_()) {
-      {
-        std::lock_guard<std::mutex> lock(compact_mu_);
-        if (stop_) return;
-      }
-      compact_();
-      std::lock_guard<InstrumentedMutex> lock(mu_);
-      ++stats_.compactions;
-    }
-  }
 }
 
 void WriteQueue::set_group_max(size_t n) {

@@ -7,7 +7,6 @@
 #include <functional>
 #include <memory>
 #include <mutex>
-#include <thread>
 #include <vector>
 
 #include "common/blob.h"
@@ -32,13 +31,6 @@ namespace spb {
 /// This turns the single-writer kBusy taxonomy into queued throughput: a
 /// caller never observes kBusy from the queue; it waits (briefly) and gets
 /// the real commit status of its own request.
-///
-/// The queue also owns the optional background compaction worker (the
-/// engine's back half): after each commit round the leader pokes the worker,
-/// which runs the owner's CompactFn whenever NeedsCompactFn reports the
-/// dead-bytes debt is over threshold. The worker thread must be stopped
-/// (destructor or Stop()) before the structures the hooks touch are torn
-/// down.
 class WriteQueue {
  public:
   enum class OpKind : uint8_t { kInsert, kDelete };
@@ -64,23 +56,11 @@ class WriteQueue {
   /// Commits one drained group: must set status (and found) on every
   /// request. Runs on the leader's thread with no queue lock held.
   using CommitFn = std::function<void(std::vector<Request*>&)>;
-  using NeedsCompactFn = std::function<bool()>;
-  using CompactFn = std::function<void()>;
 
   WriteQueue(CommitFn commit, size_t group_max);
-  ~WriteQueue();
 
   WriteQueue(const WriteQueue&) = delete;
   WriteQueue& operator=(const WriteQueue&) = delete;
-
-  /// Starts the background compaction worker. `needs` is polled after every
-  /// commit round (and on explicit Poke); when it returns true the worker
-  /// runs `compact`. Call at most once.
-  void StartCompactor(NeedsCompactFn needs, CompactFn compact);
-
-  /// Stops the compaction worker (joins the thread). Idempotent; also run
-  /// by the destructor.
-  void Stop();
 
   /// Enqueues `reqs` as individual requests (they may commit across several
   /// groups, interleaved with other writers) and blocks until all have
@@ -88,17 +68,13 @@ class WriteQueue {
   /// first non-OK status, if any.
   Status SubmitBatch(std::vector<Request>* reqs);
 
-  /// Wakes the compaction worker to re-check NeedsCompactFn.
-  void Poke();
-
   void set_group_max(size_t n);
   size_t group_max() const;
 
   struct Stats {
-    uint64_t ops = 0;          // requests committed
-    uint64_t groups = 0;       // commit rounds
-    uint64_t max_group = 0;    // largest group committed
-    uint64_t compactions = 0;  // background compaction runs
+    uint64_t ops = 0;        // requests committed
+    uint64_t groups = 0;     // commit rounds
+    uint64_t max_group = 0;  // largest group committed
   };
   Stats stats() const;
 
@@ -109,7 +85,6 @@ class WriteQueue {
                       Request* req);
   /// Leader body: drains groups until `own` is done (then steps down).
   void LeadLocked(std::unique_lock<InstrumentedMutex>& lock, Request* own);
-  void CompactorLoop();
 
   CommitFn commit_;
 
@@ -122,15 +97,6 @@ class WriteQueue {
   bool leader_active_ = false;
   size_t group_max_;
   Stats stats_;
-
-  // Compaction worker.
-  std::mutex compact_mu_;
-  std::condition_variable compact_cv_;
-  std::thread compactor_;
-  NeedsCompactFn needs_compact_;
-  CompactFn compact_;
-  bool compact_wake_ = false;
-  bool stop_ = false;
 };
 
 }  // namespace spb

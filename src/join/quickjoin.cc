@@ -114,52 +114,6 @@ void Quickjoin::Recurse(std::vector<Item> items, double eps,
   Recurse(std::move(outer), eps, out, depth + 1);
 }
 
-Status QuickjoinOverTrees(SpbTree& spb_q, SpbTree& spb_o, double epsilon,
-                          std::vector<JoinPair>* result, QueryStats* stats,
-                          size_t small_threshold, uint64_t seed) {
-  result->clear();
-  const auto start = std::chrono::steady_clock::now();
-  const QueryStats before_q = spb_q.cumulative_stats();
-  const QueryStats before_o = spb_o.cumulative_stats();
-
-  // Materialise both object sets. Quickjoin identifies objects
-  // positionally, so remember the stored ids.
-  auto load = [](SpbTree& tree, std::vector<Blob>* objs,
-                 std::vector<ObjectId>* ids) -> Status {
-    return tree.raf().ScanAll([&](uint64_t, ObjectId id, const Blob& obj) {
-      ids->push_back(id);
-      objs->push_back(obj);
-    });
-  };
-  std::vector<Blob> q_objs, o_objs;
-  std::vector<ObjectId> q_ids, o_ids;
-  SPB_RETURN_IF_ERROR(load(spb_q, &q_objs, &q_ids));
-  SPB_RETURN_IF_ERROR(load(spb_o, &o_objs, &o_ids));
-
-  Quickjoin qj(&spb_q.metric(), small_threshold, seed);
-  QueryStats join_stats;
-  const std::vector<JoinPair> raw =
-      qj.Join(q_objs, o_objs, epsilon, &join_stats);
-  result->reserve(raw.size());
-  for (const JoinPair& p : raw) {
-    result->push_back(
-        JoinPair{q_ids[size_t(p.q_id)], o_ids[size_t(p.o_id)]});
-  }
-
-  if (stats != nullptr) {
-    const QueryStats after_q = spb_q.cumulative_stats();
-    const QueryStats after_o = spb_o.cumulative_stats();
-    stats->page_accesses = (after_q.page_accesses - before_q.page_accesses) +
-                           (after_o.page_accesses - before_o.page_accesses);
-    stats->distance_computations = join_stats.distance_computations;
-    stats->elapsed_seconds =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                      start)
-            .count();
-  }
-  return Status::OK();
-}
-
 void Quickjoin::RecurseWindows(std::vector<Item> a, std::vector<Item> b,
                                double eps, std::vector<JoinPair>* out,
                                int depth) {

@@ -3,7 +3,6 @@
 
 #include <vector>
 
-#include "core/spb_tree.h"
 #include "join/join_common.h"
 
 namespace spb {
@@ -60,19 +59,6 @@ class Quickjoin {
   uint64_t compdists_ = 0;
   uint64_t rng_state_ = 0;
 };
-
-/// Runs Quickjoin over the object sets stored in two SPB-trees (the QJA
-/// configuration of Fig. 17: same disk-resident inputs as SJA, different
-/// algorithm). Both RAFs are materialised with full scans through their
-/// buffer pools — the dominant cold cost; the reported pairs carry the
-/// original ObjectIds stored in the RAFs.
-///
-/// `stats` reports the RAF page accesses of the two loading scans plus the
-/// join's distance computations.
-Status QuickjoinOverTrees(SpbTree& spb_q, SpbTree& spb_o, double epsilon,
-                          std::vector<JoinPair>* result,
-                          QueryStats* stats = nullptr,
-                          size_t small_threshold = 32, uint64_t seed = 42);
 
 }  // namespace spb
 

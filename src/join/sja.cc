@@ -127,20 +127,13 @@ Status SimilarityJoinSJA(SpbTree& spb_q, SpbTree& spb_o, double epsilon,
   const double d_plus = disc.d_plus();
 
   // Builds a ListItem (decode cells, fetch object, derive the Lemma 6
-  // interval corners) for a leaf entry of `tree`.
-  BlobView fetch_view;  // reused across all fetches (zero-copy path)
+  // interval corners) for a leaf entry of `tree`. The item outlives any
+  // page pin (it joins a long-lived list), so the object is copied out.
   auto make_item = [&](SpbTree& tree, const LeafEntry& e,
                        ListItem* item) -> Status {
     curve.Decode(e.key, &item->cell);
     item->sfc = e.key;
-    if (tree.options().enable_zero_copy) {
-      // The item outlives the pin (it joins a long-lived list), so copy out
-      // of the view; the view itself is reused, and accounting matches Get.
-      SPB_RETURN_IF_ERROR(tree.raf().GetView(e.ptr, &item->id, &fetch_view));
-      item->obj.assign(fetch_view.data(), fetch_view.data() + fetch_view.size());
-    } else {
-      SPB_RETURN_IF_ERROR(tree.raf().Get(e.ptr, &item->id, &item->obj));
-    }
+    SPB_RETURN_IF_ERROR(tree.raf().Get(e.ptr, &item->id, &item->obj));
     const size_t n = item->cell.size();
     std::vector<uint32_t> lo(n), hi(n);
     for (size_t i = 0; i < n; ++i) {

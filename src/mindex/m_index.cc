@@ -10,6 +10,12 @@
 
 namespace spb {
 
+namespace {
+// kNN search starts from this fraction of d+ and doubles the radius until
+// k results are confirmed.
+constexpr double kKnnInitialRadiusFrac = 0.01;
+}  // namespace
+
 uint32_t MIndex::QuantizeDistance(double d) const {
   const double scaled =
       std::clamp(d / d_plus_, 0.0, 1.0) * double((1u << kCellBits) - 1);
@@ -194,7 +200,7 @@ Status MIndex::KnnQuery(const Blob& q, size_t k, std::vector<Neighbor>* result,
   StatScope scope(*this, stats);
   result->clear();
   if (num_objects_ > 0 && k > 0) {
-    double r = std::max(1e-9, options_.knn_initial_radius_frac * d_plus_);
+    double r = std::max(1e-9, kKnnInitialRadiusFrac * d_plus_);
     std::vector<Neighbor> found;
     while (true) {
       SPB_RETURN_IF_ERROR(RangeWithDistances(q, r, &found));

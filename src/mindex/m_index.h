@@ -17,9 +17,6 @@ struct MIndexOptions {
   size_t num_pivots = 20;
   size_t cache_pages = 32;
   uint64_t seed = 20150415;
-  /// kNN search starts from this fraction of d+ and doubles until k results
-  /// are confirmed.
-  double knn_initial_radius_frac = 0.01;
 };
 
 /// M-Index (Novak, Batko, Zezula, Inf. Syst. 2011): the iDistance

@@ -14,6 +14,8 @@ constexpr size_t kNodeHeader = 4;
 constexpr size_t kLeafOverhead = 16;      // id + len + parent_dist
 constexpr size_t kRoutingOverhead = 24;   // child + len + radius + parent_dist
 constexpr size_t kMaxBulkFanout = 64;
+// Candidate promotion pairs sampled at split time (mM_RAD approximation).
+constexpr size_t kPromotionSamples = 8;
 }  // namespace
 
 size_t MTree::Node::ByteSize() const {
@@ -295,7 +297,7 @@ Status MTree::SplitLeaf(Node* node, const Blob* routing,
   // covering radius of the generalized-hyperplane partition.
   size_t best_a = 0, best_b = 1;
   double best_cost = std::numeric_limits<double>::infinity();
-  for (size_t trial = 0; trial < options_.promotion_samples; ++trial) {
+  for (size_t trial = 0; trial < kPromotionSamples; ++trial) {
     const size_t a = rng_.Uniform(n);
     size_t b = rng_.Uniform(n);
     if (a == b) b = (b + 1) % n;
@@ -353,7 +355,7 @@ Status MTree::SplitInternal(Node* node, const Blob* routing,
   const size_t n = entries.size();
   size_t best_a = 0, best_b = 1;
   double best_cost = std::numeric_limits<double>::infinity();
-  for (size_t trial = 0; trial < options_.promotion_samples; ++trial) {
+  for (size_t trial = 0; trial < kPromotionSamples; ++trial) {
     const size_t a = rng_.Uniform(n);
     size_t b = rng_.Uniform(n);
     if (a == b) b = (b + 1) % n;

@@ -14,8 +14,6 @@ namespace spb {
 
 struct MtreeOptions {
   size_t cache_pages = 32;
-  /// Candidate promotion pairs sampled at split time (mM_RAD approximation).
-  size_t promotion_samples = 8;
   uint64_t seed = 20150415;
 };
 

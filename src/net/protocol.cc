@@ -90,7 +90,7 @@ constexpr size_t kMinEncodedRequest = 25;   // kind + id + radius + k + obj_len
 constexpr size_t kMinEncodedOpResult = 6;   // status code + msg_len + kind
 constexpr size_t kMinEncodedRangeId = 4;    // u32 id
 constexpr size_t kMinEncodedNeighbor = 12;  // u32 id + f64 distance
-constexpr size_t kMinStatsScalars = 257;    // empty name + every scalar field
+constexpr size_t kMinStatsScalars = 249;    // empty name + every scalar field
 
 bool CountFits(const Cursor& c, uint64_t count, size_t min_elem_bytes) {
   return count <= (c.n - c.pos) / min_elem_bytes;
@@ -165,7 +165,6 @@ void AppendStatsScalars(const StatsSnapshot& s, std::vector<uint8_t>* out) {
   AppendU64(out, s.wq_ops);
   AppendU64(out, s.wq_groups);
   AppendU64(out, s.wq_max_group);
-  AppendU64(out, s.wq_compactions);
   AppendU8(out, s.locator_model_present ? 1 : 0);
   AppendU64(out, s.locator_epoch);
   AppendU64(out, s.locator_leaves);
@@ -199,8 +198,7 @@ bool ReadStatsScalars(Cursor* c, StatsSnapshot* s) {
             c->ReadU64(&s->wal_pending_records) &&
             c->ReadU64(&s->wal_groups) && c->ReadU64(&s->wal_fsyncs) &&
             c->ReadU64(&s->wal_replayed_records) && c->ReadU64(&s->wq_ops) &&
-            c->ReadU64(&s->wq_groups) && c->ReadU64(&s->wq_max_group) &&
-            c->ReadU64(&s->wq_compactions);
+            c->ReadU64(&s->wq_groups) && c->ReadU64(&s->wq_max_group);
   if (!ok) return false;
   if (!c->ReadU8(&b)) return false;
   s->locator_model_present = (b != 0);

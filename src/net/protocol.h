@@ -36,7 +36,7 @@ namespace net {
 // ---------------------------------------------------------------------------
 
 inline constexpr uint32_t kMagic = 0x31425053u;  // "SPB1"
-inline constexpr uint8_t kProtocolVersion = 3;
+inline constexpr uint8_t kProtocolVersion = 4;
 inline constexpr size_t kFrameHeaderSize = 16;
 
 /// Hard cap a peer may impose on payload size. A frame whose declared

@@ -347,6 +347,14 @@ bool Server::HandleFrame(const std::shared_ptr<Conn>& conn, FrameType type,
         return protocol_error(
             Status::InvalidArgument("stats request carries a payload"));
       }
+      // A STATS frame takes a slot in the connection's queue until its
+      // reply is queued, so a peer pipelining them without reading the
+      // replies meets the same cap as one pipelining ops.
+      if (!ConnAdmits(*conn)) {
+        SendBusy(conn);
+        return true;
+      }
+      conn->queued_frames.fetch_add(1, std::memory_order_relaxed);
       Work work;
       work.conn = conn;
       work.stats = true;
@@ -398,12 +406,8 @@ bool Server::HandleFrame(const std::shared_ptr<Conn>& conn, FrameType type,
       // The client backs off and retries exactly as an in-process writer
       // does on Status::Busy (PR 7 taxonomy).
       const size_t batch = reqs.size();
-      const size_t queued = conn->queued_frames.load(std::memory_order_relaxed);
-      const size_t backlog =
-          conn->outbox_unflushed.load(std::memory_order_relaxed);
       size_t inflight = inflight_ops_.load(std::memory_order_relaxed);
-      bool admitted = queued < options_.max_conn_queue &&
-                      backlog <= options_.max_conn_outbox_bytes;
+      bool admitted = ConnAdmits(*conn);
       while (admitted) {
         if (inflight + batch > options_.max_inflight_ops) {
           admitted = false;
@@ -416,10 +420,7 @@ bool Server::HandleFrame(const std::shared_ptr<Conn>& conn, FrameType type,
       }
       if (!admitted) {
         ops_rejected_busy_.fetch_add(batch, std::memory_order_relaxed);
-        std::vector<uint8_t> body;
-        EncodeErrorPayload(Status::Busy("server at capacity; back off"),
-                           &body);
-        SendFrame(conn, FrameType::kReplyBusy, body);
+        SendBusy(conn);
         return true;  // pushback, not a protocol error — keep the conn
       }
 
@@ -463,6 +464,7 @@ void Server::DispatchLoop() {
     if (work.stats) {
       StatsSnapshot snapshot = exec_->index()->CollectStats();
       EncodeStatsPayload(snapshot, &body);
+      work.conn->queued_frames.fetch_sub(1, std::memory_order_relaxed);
       reply_type = FrameType::kReplyStats;
     } else {
       BatchResult batch = exec_->Submit(work.requests);
@@ -483,6 +485,19 @@ void Server::DispatchLoop() {
       SendFrame(work.conn, reply_type, body);
     }
   }
+}
+
+bool Server::ConnAdmits(const Conn& conn) const {
+  return conn.queued_frames.load(std::memory_order_relaxed) <
+             options_.max_conn_queue &&
+         conn.outbox_unflushed.load(std::memory_order_relaxed) <=
+             options_.max_conn_outbox_bytes;
+}
+
+void Server::SendBusy(const std::shared_ptr<Conn>& conn) {
+  std::vector<uint8_t> body;
+  EncodeErrorPayload(Status::Busy("server at capacity; back off"), &body);
+  SendFrame(conn, FrameType::kReplyBusy, body);
 }
 
 void Server::SendFrame(const std::shared_ptr<Conn>& conn, FrameType type,

@@ -31,12 +31,13 @@ struct ServerOptions {
   /// keep the pool fed from many connections.
   size_t num_dispatchers = 2;
   /// Admission control, reusing the PR 7 backoff taxonomy: once this many
-  /// ops are queued or running, further frames get an immediate kReplyBusy
-  /// (transient — client backs off and retries) instead of queueing without
-  /// bound.
+  /// ops are queued or running, further op frames get an immediate
+  /// kReplyBusy (transient — client backs off and retries) instead of
+  /// queueing without bound. STATS frames carry no ops; only the
+  /// per-connection caps below bound them.
   size_t max_inflight_ops = 4096;
-  /// Per-connection cap on frames waiting for a dispatcher: one client
-  /// cannot occupy the whole admission budget.
+  /// Per-connection cap on op and STATS frames waiting for a dispatcher:
+  /// one client cannot occupy the whole admission budget.
   size_t max_conn_queue = 64;
   /// Frames declaring a larger payload are a protocol violation.
   size_t max_frame_bytes = kDefaultMaxFrameBytes;
@@ -113,6 +114,11 @@ class Server {
   /// Handles one validated frame; returns false to drop the connection.
   bool HandleFrame(const std::shared_ptr<Conn>& conn, FrameType type,
                    std::vector<uint8_t> payload);
+  /// Per-connection admission: fewer than max_conn_queue frames queued and
+  /// an unflushed outbox within max_conn_outbox_bytes.
+  bool ConnAdmits(const Conn& conn) const;
+  /// Answers a frame that admission turned away with kReplyBusy.
+  void SendBusy(const std::shared_ptr<Conn>& conn);
   /// Encodes a frame into the connection outbox and wakes the flusher.
   void SendFrame(const std::shared_ptr<Conn>& conn, FrameType type,
                  const std::vector<uint8_t>& payload);

@@ -40,36 +40,6 @@ std::vector<Blob> SelectRandom(const std::vector<Blob>& objects, size_t k,
   return TakeByIndex(objects, SampleIndices(objects.size(), k, rng));
 }
 
-// Farthest-first traversal: each new pivot maximizes the minimum distance to
-// the already-selected ones. Works on a sample to bound cost.
-std::vector<Blob> SelectFft(const std::vector<Blob>& objects,
-                            const DistanceFunction& metric, size_t k,
-                            size_t sample_size, Rng* rng) {
-  const std::vector<Blob> sample =
-      TakeByIndex(objects, SampleIndices(objects.size(),
-                                         std::max(sample_size, k * 4), rng));
-  std::vector<Blob> pivots;
-  if (sample.empty()) return pivots;
-  pivots.push_back(sample[rng->Uniform(sample.size())]);
-  std::vector<double> min_dist(sample.size(),
-                               std::numeric_limits<double>::infinity());
-  while (pivots.size() < k) {
-    size_t best = 0;
-    double best_dist = -1.0;
-    for (size_t i = 0; i < sample.size(); ++i) {
-      min_dist[i] =
-          std::min(min_dist[i], metric.Distance(sample[i], pivots.back()));
-      if (min_dist[i] > best_dist) {
-        best_dist = min_dist[i];
-        best = i;
-      }
-    }
-    if (best_dist <= 0.0) break;  // no more distinct objects
-    pivots.push_back(sample[best]);
-  }
-  return pivots;
-}
-
 // Omni-family HF ("Hull of Foci"): f1 = farthest from a random seed, f2 =
 // farthest from f1; each further focus minimizes the error of being at
 // distance `edge` (= d(f1,f2)) from all chosen foci. Runs on a sample.
@@ -346,50 +316,12 @@ std::vector<Blob> SelectHfi(const std::vector<Blob>& objects,
   return result;
 }
 
-// Sparse Spatial Selection (Brisaboa et al.): scan objects in random order,
-// promoting any object farther than alpha * d+ from every chosen pivot. The
-// paper's Section 2.2 survey entry; alpha controls pivot density.
-std::vector<Blob> SelectSss(const std::vector<Blob>& objects,
-                            const DistanceFunction& metric, size_t k,
-                            double alpha, Rng* rng) {
-  std::vector<Blob> pivots;
-  if (objects.empty() || k == 0) return pivots;
-  const double threshold = alpha * metric.max_distance();
-  std::vector<size_t> order(objects.size());
-  std::iota(order.begin(), order.end(), size_t{0});
-  std::shuffle(order.begin(), order.end(), rng->engine());
-  pivots.push_back(objects[order[0]]);
-  for (size_t idx = 1; idx < order.size() && pivots.size() < k; ++idx) {
-    const Blob& candidate = objects[order[idx]];
-    bool sparse = true;
-    for (const Blob& p : pivots) {
-      if (metric.Distance(candidate, p) < threshold) {
-        sparse = false;
-        break;
-      }
-    }
-    if (sparse) pivots.push_back(candidate);
-  }
-  // SSS may under-produce for a large alpha; top up with FFT-style picks so
-  // callers always receive k pivots when possible.
-  size_t idx = 0;
-  while (pivots.size() < k && idx < order.size()) {
-    const Blob& candidate = objects[order[idx++]];
-    if (std::find(pivots.begin(), pivots.end(), candidate) == pivots.end()) {
-      pivots.push_back(candidate);
-    }
-  }
-  return pivots;
-}
-
 }  // namespace
 
 const char* PivotSelectorName(PivotSelectorType type) {
   switch (type) {
     case PivotSelectorType::kRandom:
       return "Random";
-    case PivotSelectorType::kFft:
-      return "FFT";
     case PivotSelectorType::kHf:
       return "HF";
     case PivotSelectorType::kSpacing:
@@ -398,8 +330,6 @@ const char* PivotSelectorName(PivotSelectorType type) {
       return "PCA";
     case PivotSelectorType::kHfi:
       return "HFI";
-    case PivotSelectorType::kSss:
-      return "SSS";
   }
   return "Unknown";
 }
@@ -413,8 +343,6 @@ std::vector<Blob> SelectPivots(PivotSelectorType type,
   switch (type) {
     case PivotSelectorType::kRandom:
       return SelectRandom(objects, k, &rng);
-    case PivotSelectorType::kFft:
-      return SelectFft(objects, metric, k, options.sample_size, &rng);
     case PivotSelectorType::kHf:
       return SelectHf(objects, metric, k, options.sample_size, &rng);
     case PivotSelectorType::kSpacing:
@@ -423,8 +351,6 @@ std::vector<Blob> SelectPivots(PivotSelectorType type,
       return SelectPca(objects, metric, k, options, &rng);
     case PivotSelectorType::kHfi:
       return SelectHfi(objects, metric, k, options, &rng);
-    case PivotSelectorType::kSss:
-      return SelectSss(objects, metric, k, options.sss_alpha, &rng);
   }
   return {};
 }

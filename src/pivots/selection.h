@@ -14,12 +14,10 @@ namespace spb {
 /// paper's contribution; the others are the baselines it compares against.
 enum class PivotSelectorType : uint8_t {
   kRandom = 0,   // uniform sample (the M-Index's default policy)
-  kFft = 1,      // farthest-first traversal [30]
   kHf = 2,       // Omni-family "Hull of Foci" [6]
   kSpacing = 3,  // minimum-correlation vantage objects [36]
   kPca = 4,      // PCA-style dimension-reduction selection [37]
   kHfi = 5,      // the paper's HF-based Incremental selection (Sec. 3.2)
-  kSss = 6,      // Sparse Spatial Selection [31], [32]
 };
 
 const char* PivotSelectorName(PivotSelectorType type);
@@ -35,9 +33,6 @@ struct PivotSelectionOptions {
   size_t sample_size = 500;
   /// Object pairs sampled when evaluating precision(P).
   size_t num_pairs = 500;
-  /// SSS density parameter: a candidate becomes a pivot when its distance to
-  /// every chosen pivot exceeds alpha * d+.
-  double sss_alpha = 0.35;
   uint64_t seed = 20150415;
 };
 

@@ -293,22 +293,6 @@ Status Raf::GetView(uint64_t offset, ObjectId* id, BlobView* view) {
   return Status::OK();
 }
 
-Status Raf::ScanAll(
-    const std::function<void(uint64_t, ObjectId, const Blob&)>& fn) {
-  uint64_t offset = kPageSize;
-  Blob obj;
-  // The watermark is captured once: records appended mid-scan are not
-  // visited.
-  const uint64_t end = end_offset();
-  while (offset < end) {
-    ObjectId id;
-    SPB_RETURN_IF_ERROR(Get(offset, &id, &obj));
-    fn(offset, id, obj);
-    offset += 8 + obj.size();
-  }
-  return Status::OK();
-}
-
 Status Raf::Sync() {
   {
     std::lock_guard<std::mutex> lock(tail_mu_);

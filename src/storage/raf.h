@@ -2,7 +2,6 @@
 #define SPB_STORAGE_RAF_H_
 
 #include <atomic>
-#include <functional>
 #include <memory>
 #include <mutex>
 #include <span>
@@ -70,7 +69,7 @@ class BlobView {
 /// Page 0 is a header page (magic, end offset, record count); data starts at
 /// byte offset kPageSize.
 ///
-/// Thread safety: Get()/GetView()/ScanAll() are safe from any number of
+/// Thread safety: Get()/GetView() are safe from any number of
 /// reader threads *concurrently with one appender*, under the snapshot
 /// protocol (docs/ARCHITECTURE.md §"Threading model"): a reader only
 /// dereferences offsets below the `end_offset()` watermark its snapshot
@@ -149,11 +148,6 @@ class Raf {
   /// WarmPathSpbTest (tests/node_cache_test.cc) asserts.
   Status GetView(uint64_t offset, ObjectId* id, BlobView* view);
 
-  /// Visits every record in file order through the buffer pool. The
-  /// callback receives (offset, id, obj).
-  Status ScanAll(
-      const std::function<void(uint64_t, ObjectId, const Blob&)>& fn);
-
   /// One-page cache a caller threads through consecutive GetRaw calls so a
   /// run of same-page records costs one file read, not one per record.
   struct RawReadCache {
@@ -174,8 +168,8 @@ class Raf {
   /// Compaction calls this on the replacement RAF so the tree's cumulative
   /// counters continue seamlessly across the swap — compaction is invisible
   /// to PA accounting — while the dead-byte debt resets to zero (every
-  /// surviving record is live). Requires quiesced stats readers (the
-  /// compactor holds the writer lock; stats races are benign counters).
+  /// surviving record is live). Requires quiesced stats readers
+  /// (Compact() holds the writer lock; stats races are benign counters).
   void CarryStatsFrom(const Raf& other) {
     pool_.stats() = other.stats();
     pool_.stats().dead_bytes.store(0, std::memory_order_relaxed);

@@ -10,7 +10,6 @@
 #include "mindex/m_index.h"
 #include "mtree/mtree.h"
 #include "omni/omni_rtree.h"
-#include "vptree/vp_tree.h"
 
 namespace spb {
 namespace {
@@ -222,12 +221,8 @@ TEST(MamComparisonTest, EmptyIndexesAnswerQueries) {
   MIndexOptions iopts;
   std::unique_ptr<MIndex> mindex;
   ASSERT_TRUE(MIndex::Build(empty, ds.metric.get(), iopts, &mindex).ok());
-  VpTreeOptions vopts;
-  std::unique_ptr<VpTree> vptree;
-  ASSERT_TRUE(VpTree::Build(empty, ds.metric.get(), vopts, &vptree).ok());
-  for (MetricIndex* idx :
-       std::initializer_list<MetricIndex*>{mtree.get(), omni.get(),
-                                           mindex.get(), vptree.get()}) {
+  for (MetricIndex* idx : std::initializer_list<MetricIndex*>{
+           mtree.get(), omni.get(), mindex.get()}) {
     // Each query overwrites the caller's stats, early returns included.
     const QueryStats stale{7, 7, 7.0};
     QueryStats stats = stale;

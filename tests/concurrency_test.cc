@@ -398,6 +398,19 @@ TEST_F(SpbConcurrencyTest, ConcurrentQueriesWithWarmSharedCache) {
 
 // ---------------------------------------------------------- QueryExecutor
 
+std::vector<Request> RangeOps(const std::vector<Blob>& queries, double r) {
+  std::vector<Request> ops;
+  for (const Blob& q : queries) ops.push_back(Request::Range(q, r));
+  return ops;
+}
+
+// Submit sorts each range slot, as SerialRange does.
+std::vector<std::vector<ObjectId>> RangeIds(const BatchResult& batch) {
+  std::vector<std::vector<ObjectId>> ids;
+  for (const OpResult& r : batch.results) ids.push_back(r.range_ids);
+  return ids;
+}
+
 TEST_F(SpbConcurrencyTest, ExecutorRangeBatchMatchesSerial) {
   std::vector<std::vector<ObjectId>> serial;
   const QueryStats serial_totals = SerialRange(&serial);
@@ -405,11 +418,11 @@ TEST_F(SpbConcurrencyTest, ExecutorRangeBatchMatchesSerial) {
   QueryExecutor exec(tree_.get(), 4);
   EXPECT_EQ(exec.num_threads(), 4u);
   tree_->ResetCounters();
-  std::vector<std::vector<ObjectId>> batch;
-  BatchStats stats;
-  ASSERT_TRUE(exec.RunRangeBatch(queries_, radius_, &batch, &stats).ok());
+  const BatchResult batch = exec.Submit(RangeOps(queries_, radius_));
+  ASSERT_TRUE(batch.first_error.ok());
 
-  EXPECT_EQ(batch, serial);
+  EXPECT_EQ(RangeIds(batch), serial);
+  const BatchStats& stats = batch.stats;
   EXPECT_EQ(stats.num_queries, queries_.size());
   EXPECT_EQ(stats.totals.page_accesses, serial_totals.page_accesses);
   EXPECT_EQ(stats.totals.distance_computations,
@@ -425,38 +438,43 @@ TEST_F(SpbConcurrencyTest, ExecutorKnnBatchMatchesSerial) {
   SerialKnn(kK, &serial);
 
   QueryExecutor exec(tree_.get(), kThreads);
-  std::vector<std::vector<Neighbor>> batch;
-  BatchStats stats;
-  ASSERT_TRUE(exec.RunKnnBatch(queries_, kK, &batch, &stats).ok());
-  EXPECT_EQ(batch, serial);
-  for (const auto& nn : batch) EXPECT_EQ(nn.size(), kK);
+  std::vector<Request> ops;
+  for (const Blob& q : queries_) ops.push_back(Request::Knn(q, kK));
+  const BatchResult batch = exec.Submit(ops);
+  ASSERT_TRUE(batch.first_error.ok());
+  std::vector<std::vector<Neighbor>> got;
+  for (const OpResult& r : batch.results) got.push_back(r.neighbors);
+  EXPECT_EQ(got, serial);
+  for (const auto& nn : got) EXPECT_EQ(nn.size(), kK);
 }
 
 TEST_F(SpbConcurrencyTest, ExecutorRunsConsecutiveAndEmptyBatches) {
   QueryExecutor exec(tree_.get(), 3);
-  std::vector<std::vector<ObjectId>> a, b;
-  BatchStats stats;
-  ASSERT_TRUE(
-      exec.RunRangeBatch(std::vector<Blob>{}, radius_, &a, &stats).ok());
-  EXPECT_TRUE(a.empty());
-  EXPECT_EQ(stats.num_queries, 0u);
-  ASSERT_TRUE(exec.RunRangeBatch(queries_, radius_, &a, nullptr).ok());
-  ASSERT_TRUE(exec.RunRangeBatch(queries_, radius_, &b, &stats).ok());
-  EXPECT_EQ(a, b);
+  const BatchResult empty = exec.Submit(std::vector<Request>{});
+  ASSERT_TRUE(empty.first_error.ok());
+  EXPECT_TRUE(empty.results.empty());
+  EXPECT_EQ(empty.stats.num_queries, 0u);
+  const std::vector<Request> ops = RangeOps(queries_, radius_);
+  const BatchResult a = exec.Submit(ops);
+  const BatchResult b = exec.Submit(ops);
+  ASSERT_TRUE(a.first_error.ok());
+  ASSERT_TRUE(b.first_error.ok());
+  EXPECT_EQ(RangeIds(a), RangeIds(b));
 }
 
 // Regression: with far more workers than queries, most workers sleep through
-// a batch entirely and can wake after RunBatch has reset the current batch;
-// they must re-wait instead of dereferencing a null batch pointer.
+// a batch entirely and can wake after Submit has retired it; they must
+// re-wait instead of dereferencing a null batch pointer.
 TEST_F(SpbConcurrencyTest, ExecutorSurvivesMoreThreadsThanQueries) {
   QueryExecutor exec(tree_.get(), 8);
-  std::vector<Blob> one(queries_.begin(), queries_.begin() + 1);
-  std::vector<std::vector<ObjectId>> serial, got;
-  ASSERT_TRUE(tree_->RangeQuery(one[0], radius_, &serial.emplace_back()).ok());
-  std::sort(serial[0].begin(), serial[0].end());
+  const std::vector<Request> one{Request::Range(queries_[0], radius_)};
+  std::vector<ObjectId> serial;
+  ASSERT_TRUE(tree_->RangeQuery(queries_[0], radius_, &serial).ok());
+  std::sort(serial.begin(), serial.end());
   for (int round = 0; round < 50; ++round) {
-    ASSERT_TRUE(exec.RunRangeBatch(one, radius_, &got, nullptr).ok());
-    ASSERT_EQ(got, serial);
+    const BatchResult got = exec.Submit(one);
+    ASSERT_TRUE(got.first_error.ok());
+    ASSERT_EQ(got.results[0].range_ids, serial);
   }
 }
 

@@ -76,21 +76,6 @@ TEST_P(JoinTest, QuickjoinMatchesNestedLoop) {
   EXPECT_EQ(ToSet(got), expected_) << GetParam().label;
 }
 
-// QuickjoinOverTrees loads both RAFs through readahead-assisted scans and
-// maps positional ids back to the stored ones; pairs must match the oracle.
-TEST_P(JoinTest, QuickjoinOverTreesMatchesNestedLoop) {
-  std::unique_ptr<SpbTree> tq, to;
-  BuildSpbPair(&tq, &to);
-  tq->FlushCaches();
-  to->FlushCaches();
-  std::vector<JoinPair> got;
-  QueryStats stats;
-  ASSERT_TRUE(QuickjoinOverTrees(*tq, *to, eps_, &got, &stats).ok());
-  EXPECT_EQ(ToSet(got), expected_) << GetParam().label;
-  EXPECT_GT(stats.page_accesses, 0u);  // the loading scans hit the RAFs
-  EXPECT_GT(stats.distance_computations, 0u);
-}
-
 TEST_P(JoinTest, RangeJoinMatchesNestedLoop) {
   std::unique_ptr<SpbTree> to;
   SpbTreeOptions opts;

@@ -159,11 +159,11 @@ TEST(ProtocolTest, LyingElementCountsAreCorruptionNotBadAlloc) {
   {  // stats payload: trailing u32 shard count
     std::vector<uint8_t> buf;
     net::EncodeStatsPayload(StatsSnapshot{}, &buf);
-    // The decoder bounds shard_count by remaining/257 (kMinStatsScalars in
+    // The decoder bounds shard_count by remaining/249 (kMinStatsScalars in
     // protocol.cc): exactly the encoded scalar section of an empty-name
     // snapshot. A larger bound would reject valid multi-shard replies; if
     // this fails, a field was added or removed — update both.
-    EXPECT_EQ(buf.size() - 4, 257u);
+    EXPECT_EQ(buf.size() - 4, 249u);
     lie(&buf, buf.size() - 4);
     StatsSnapshot got;
     EXPECT_EQ(net::DecodeStatsPayload(buf.data(), buf.size(), &got).code(),
@@ -710,6 +710,31 @@ TEST(NetAdmissionTest, SaturatedServerRepliesBusyNotHang) {
   // frames still flow.
   EXPECT_TRUE(client.Ping().ok());
   EXPECT_GE(server.stats().ops_rejected_busy, 1u);
+  server.Stop();
+}
+
+// STATS frames pass the same per-connection queue cap as op frames: a peer
+// pipelining them without reading replies cannot grow the dispatch queue
+// without bound. They carry no ops, so no op is counted as rejected.
+TEST(NetAdmissionTest, StatsFramesCountAgainstTheConnectionQueue) {
+  Dataset ds = MakeSynthetic(300, 7);
+  std::unique_ptr<SpbTree> tree;
+  ASSERT_TRUE(
+      SpbTree::Build(ds.objects, ds.metric.get(), BaseOptions(), &tree)
+          .ok());
+  QueryExecutor exec(tree.get(), 2);
+  ServerOptions opts;
+  opts.max_conn_queue = 0;  // admit no queued frame on any connection
+  Server server(&exec, opts);
+  ASSERT_TRUE(server.Start().ok());
+
+  Client client;
+  ASSERT_TRUE(client.Connect("127.0.0.1", server.port()).ok());
+  StatsSnapshot snapshot;
+  const Status s = client.CollectStats(&snapshot);
+  EXPECT_EQ(s.code(), Status::Code::kBusy) << s.ToString();
+  EXPECT_TRUE(client.Ping().ok());
+  EXPECT_EQ(server.stats().ops_rejected_busy, 0u);
   server.Stop();
 }
 

@@ -321,11 +321,11 @@ TEST_F(WarmPathSpbTest, WarmCacheNeverServesStaleAfterInsert) {
   }
 }
 
-// The accounting-parity rule of the decode engine (node cache + zero-copy
-// reads): on or off, queries return the same results with the same logical
-// PA, buffer-pool cache hits and compdists — warm (one warm-up sweep, then
-// the measured pass) and cold (caches flushed before every query, the
-// paper's protocol).
+// The accounting-parity rule of the decode engine's node cache: on or off,
+// queries return the same results with the same logical PA, buffer-pool
+// cache hits and compdists — warm (one warm-up sweep, then the measured
+// pass) and cold (caches flushed before every query, the paper's protocol).
+// The zero-copy reads' parity with Raf::Get is BlobViewTest's.
 TEST_F(WarmPathSpbTest, QueriesIdenticalWithTogglesOnAndOff) {
   Rng rng(5);
   std::vector<Blob> queries;
@@ -337,10 +337,9 @@ TEST_F(WarmPathSpbTest, QueriesIdenticalWithTogglesOnAndOff) {
     std::vector<std::vector<Neighbor>> knn;
     uint64_t pa = 0, cd = 0, hits = 0;
   };
-  auto run = [&](bool engine_on, bool cold, Observed* out) {
+  auto run = [&](bool cache_on, bool cold, Observed* out) {
     TuningOptions tn = tree_->tuning();
-    tn.node_cache_entries = engine_on ? 1024 : 0;
-    tn.enable_zero_copy = engine_on;
+    tn.node_cache_entries = cache_on ? 1024 : 0;
     ASSERT_TRUE(tree_->ApplyTuning(tn).ok());
     // Warm: one warm-up sweep so both configs query an identically warmed
     // pool.

@@ -59,10 +59,9 @@ TEST_P(PivotSelectionTest, HandlesTinyObjectSets) {
 
 INSTANTIATE_TEST_SUITE_P(
     AllSelectors, PivotSelectionTest,
-    ::testing::Values(PivotSelectorType::kRandom, PivotSelectorType::kFft,
-                      PivotSelectorType::kHf, PivotSelectorType::kSpacing,
-                      PivotSelectorType::kPca, PivotSelectorType::kHfi,
-                      PivotSelectorType::kSss),
+    ::testing::Values(PivotSelectorType::kRandom, PivotSelectorType::kHf,
+                      PivotSelectorType::kSpacing, PivotSelectorType::kPca,
+                      PivotSelectorType::kHfi),
     [](const ::testing::TestParamInfo<PivotSelectorType>& info) {
       return PivotSelectorName(info.param);
     });
@@ -159,21 +158,6 @@ TEST(IntrinsicDimensionalityTest, InPaperBallparkForGeneratedSets) {
     EXPECT_GT(rho, 0.5) << name;
     EXPECT_LT(rho, 40.0) << name;
   }
-}
-
-TEST(SssTest, RespectsSparsityThreshold) {
-  Dataset ds = MakeColor(1000, 17);
-  PivotSelectionOptions opts;
-  opts.num_pivots = 3;
-  opts.sss_alpha = 0.4;
-  auto pivots =
-      SelectPivots(PivotSelectorType::kSss, ds.objects, *ds.metric, opts);
-  ASSERT_EQ(pivots.size(), 3u);
-  // Pivots selected by the sparsity rule must be pairwise far apart (the
-  // top-up fallback may relax this; with alpha=0.4 on clustered color data
-  // at least the first two satisfy it).
-  const double threshold = 0.4 * ds.metric->max_distance();
-  EXPECT_GE(ds.metric->Distance(pivots[0], pivots[1]), threshold * 0.99);
 }
 
 TEST(PivotTableTest, SerializeRoundTrips) {

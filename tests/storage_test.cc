@@ -531,24 +531,6 @@ TEST(RafTest, EmptyObjectAllowed) {
   EXPECT_TRUE(got.empty());
 }
 
-TEST(RafTest, ScanAllVisitsInOrder) {
-  std::unique_ptr<Raf> raf;
-  ASSERT_TRUE(Raf::Create(PageFile::CreateInMemory(), 8, &raf).ok());
-  for (int i = 0; i < 20; ++i) {
-    uint64_t off;
-    ASSERT_TRUE(
-        raf->Append(ObjectId(i), Blob(size_t(i + 1), uint8_t(i)), &off).ok());
-  }
-  std::vector<ObjectId> seen;
-  ASSERT_TRUE(raf->ScanAll([&](uint64_t, ObjectId id, const Blob& obj) {
-                   EXPECT_EQ(obj.size(), size_t(id + 1));
-                   seen.push_back(id);
-                 })
-                  .ok());
-  ASSERT_EQ(seen.size(), 20u);
-  for (int i = 0; i < 20; ++i) EXPECT_EQ(seen[i], ObjectId(i));
-}
-
 TEST(RafTest, GetBogusOffsetFails) {
   std::unique_ptr<Raf> raf;
   ASSERT_TRUE(Raf::Create(PageFile::CreateInMemory(), 8, &raf).ok());
@@ -786,31 +768,6 @@ TEST(RafTest, GetCountsPageAccessesThroughPool) {
   // Neighbor record on the same page: served by cache.
   ASSERT_TRUE(raf->Get(offs[1], &id, &got).ok());
   EXPECT_EQ(raf->stats().page_reads, after_first);
-}
-
-// A serial cold scan reads every page it misses with exactly one physical
-// read: the demand path is the only read path.
-TEST(RafTest, ColdScanReadsEachMissedPageOnce) {
-  std::unique_ptr<Raf> raf;
-  ASSERT_TRUE(Raf::Create(PageFile::CreateInMemory(), 4, &raf).ok());
-  for (int i = 0; i < 400; ++i) {
-    uint64_t off;
-    ASSERT_TRUE(
-        raf->Append(ObjectId(i), Blob(100, uint8_t(i)), &off).ok());
-  }
-  ASSERT_TRUE(raf->Sync().ok());
-
-  raf->FlushCache();
-  raf->ResetStats();
-  std::vector<ObjectId> seen;
-  ASSERT_TRUE(raf->ScanAll([&](uint64_t, ObjectId id, const Blob&) {
-                   seen.push_back(id);
-                 })
-                  .ok());
-  ASSERT_EQ(seen.size(), 400u);
-  for (int i = 0; i < 400; ++i) EXPECT_EQ(seen[i], ObjectId(i));
-  EXPECT_GT(raf->stats().page_reads, 0u);
-  EXPECT_EQ(raf->stats().physical_reads, raf->stats().page_reads);
 }
 
 }  // namespace

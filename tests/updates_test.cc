@@ -27,7 +27,7 @@
 #include "data/datasets.h"
 #include "exec/query_executor.h"
 #include "exec/snapshot.h"
-#include "vptree/vp_tree.h"
+#include "mtree/mtree.h"
 
 namespace spb {
 namespace {
@@ -450,11 +450,6 @@ TEST_F(SpbInterleavedTest, SubmitInterleavesReadsAndWrites) {
     ins.id = ObjectId(50000 + i);
     ops.push_back(std::move(ins));
   }
-  Request del;
-  del.kind = Request::Kind::kDelete;
-  del.obj = far_[0];
-  del.id = ObjectId(50000);
-  ops.push_back(std::move(del));
 
   QueryExecutor exec(tree_.get(), 4);
   BatchResult batch = exec.Submit(ops);
@@ -479,7 +474,13 @@ TEST_F(SpbInterleavedTest, SubmitInterleavesReadsAndWrites) {
       EXPECT_EQ(results[i].neighbors.size(), 5u);
     }
   }
-  EXPECT_TRUE(results.back().found) << "delete of an inserted op must find it";
+  // Submit orders no op after another, so the delete of an op this batch
+  // inserted goes in a batch of its own.
+  const std::vector<Request> del{Request::Delete(far_[0], ObjectId(50000))};
+  const BatchResult deleted = exec.Submit(del);
+  ASSERT_TRUE(deleted.first_error.ok()) << deleted.first_error.message();
+  EXPECT_TRUE(deleted.results[0].found)
+      << "delete of an inserted op must find it";
   EXPECT_EQ(tree_->size(), 1200u + queries_.size() - 1);
   EXPECT_TRUE(tree_->CheckIntegrity().ok());
 }
@@ -560,19 +561,19 @@ TEST(ExecutorBusyRetryTest, OverlappingBatchesCountTheirOwnRetries) {
   EXPECT_EQ(b.stats.busy_retries, 3u);
 }
 
-// Baselines without an update path report Unimplemented through the shared
+// Baselines without a delete path report Unimplemented through the shared
 // interface — the executor (and harness) never downcasts to find out.
 TEST(MixedBatchBaselineTest, DeleteOnBaselineReportsUnimplemented) {
   Dataset ds = MakeSynthetic(200, 5);
-  VpTreeOptions opts;
-  std::unique_ptr<VpTree> vp;
-  ASSERT_TRUE(VpTree::Build(ds.objects, ds.metric.get(), opts, &vp).ok());
+  MtreeOptions opts;
+  std::unique_ptr<MTree> mtree;
+  ASSERT_TRUE(MTree::Build(ds.objects, ds.metric.get(), opts, &mtree).ok());
 
   bool found = true;
-  const Status direct = vp->Delete(ds.objects[0], 0, &found);
+  const Status direct = mtree->Delete(ds.objects[0], 0, &found);
   EXPECT_EQ(direct.code(), Status::Code::kUnimplemented);
 
-  QueryExecutor exec(vp.get(), 2);
+  QueryExecutor exec(mtree.get(), 2);
   std::vector<Request> ops(2);
   ops[0].kind = Request::Kind::kRange;
   ops[0].obj = ds.objects[0];

@@ -587,32 +587,89 @@ TEST_F(CompactionTest, PinnedSnapshotOutlivesSwap) {
   EXPECT_TRUE(tree->CheckIntegrity().ok());
 }
 
-TEST_F(CompactionTest, BackgroundCompactorTriggersOnThreshold) {
+// Compact() on one thread while four others query: the promise of
+// SpbTree::Compact() is that queries keep reading their pinned version's
+// old file and never block, so every concurrent answer equals the serial
+// one recorded before the swap. tools/check.sh --writes runs this under
+// TSan and ASan.
+TEST_F(CompactionTest, CompactRacesConcurrentQueries) {
   SpbTreeOptions opts;
   opts.storage_dir = dir_;
-  opts.compact_dead_bytes_threshold = 1;  // any dead byte triggers
   std::unique_ptr<SpbTree> tree;
   ASSERT_TRUE(SpbTree::Build(ds_.objects, ds_.metric.get(), opts, &tree).ok());
-  // The compactor rides on the write queue, so writes route through it.
-  EXPECT_GT(tree->writer_concurrency(), 1u);
-
-  for (size_t i = 0; i < 40; ++i) {
+  for (size_t i = 0; i < ds_.objects.size(); i += 2) {
     bool found = false;
     ASSERT_TRUE(tree->Delete(ds_.objects[i], ObjectId(i), &found).ok());
   }
-  // The worker is poked after every commit round; wait for it to drain the
-  // debt (bounded, ~5 s worst case).
-  bool compacted = false;
-  for (int spin = 0; spin < 500; ++spin) {
-    if (tree->CollectStats().wq_compactions > 0 &&
-        tree->io_stats().dead_bytes.load(std::memory_order_relaxed) == 0) {
-      compacted = true;
-      break;
+  ASSERT_GT(tree->io_stats().dead_bytes.load(std::memory_order_relaxed), 0u);
+
+  // Serial answers before the swap. kNN answers are compared by distance:
+  // among neighbours tied at the k-th distance, the compacted tree's leaf
+  // boundaries may keep different ids.
+  constexpr size_t kK = 8;
+  const KnnTraversal kTraversals[] = {KnnTraversal::kGreedy,
+                                      KnnTraversal::kIncremental};
+  auto distances = [](const std::vector<Neighbor>& nn) {
+    std::vector<double> d;
+    for (const Neighbor& n : nn) d.push_back(n.distance);
+    return d;
+  };
+  Rng rng(13);
+  std::vector<Blob> queries;
+  std::vector<std::vector<ObjectId>> want_range;
+  std::vector<std::vector<double>> want_knn[2];
+  for (int t = 0; t < 12; ++t) {
+    queries.push_back(ds_.objects[rng.Uniform(ds_.objects.size())]);
+    std::vector<ObjectId> r;
+    ASSERT_TRUE(tree->RangeQuery(queries.back(), 2.0, &r).ok());
+    std::sort(r.begin(), r.end());
+    want_range.push_back(std::move(r));
+    for (int m = 0; m < 2; ++m) {
+      std::vector<Neighbor> nn;
+      ASSERT_TRUE(tree->KnnQuery(queries.back(), kK, &nn, nullptr,
+                                 kTraversals[m])
+                      .ok());
+      want_knn[m].push_back(distances(nn));
     }
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
   }
-  EXPECT_TRUE(compacted) << "background compactor never ran";
-  EXPECT_EQ(tree->size(), ds_.objects.size() - 40);
+
+  // Each reader answers its first query before the swap starts and keeps
+  // looping until Compact() has returned.
+  constexpr int kReaders = 4;
+  std::atomic<int> started{0};
+  std::atomic<bool> done{false};
+  std::atomic<uint64_t> mismatches{0}, failures{0};
+  std::vector<std::thread> readers;
+  for (int w = 0; w < kReaders; ++w) {
+    readers.emplace_back([&, w] {
+      for (size_t i = size_t(w);; ++i) {
+        const size_t t = i % queries.size();
+        std::vector<ObjectId> r;
+        if (!tree->RangeQuery(queries[t], 2.0, &r).ok()) failures++;
+        std::sort(r.begin(), r.end());
+        if (r != want_range[t]) mismatches++;
+        for (int m = 0; m < 2; ++m) {
+          std::vector<Neighbor> nn;
+          if (!tree->KnnQuery(queries[t], kK, &nn, nullptr, kTraversals[m])
+                   .ok()) {
+            failures++;
+          }
+          if (distances(nn) != want_knn[m][t]) mismatches++;
+        }
+        if (i == size_t(w)) started.fetch_add(1);
+        if (done.load()) return;
+      }
+    });
+  }
+  while (started.load() < kReaders) std::this_thread::yield();
+  const Status compacted = tree->Compact();
+  done.store(true);
+  for (std::thread& t : readers) t.join();
+
+  ASSERT_TRUE(compacted.ok()) << compacted.ToString();
+  EXPECT_EQ(tree->io_stats().dead_bytes.load(std::memory_order_relaxed), 0u);
+  EXPECT_EQ(failures.load(), 0u);
+  EXPECT_EQ(mismatches.load(), 0u);
   EXPECT_TRUE(tree->CheckIntegrity().ok());
 }
 

@@ -102,8 +102,8 @@ run_writes() {
   # TSan: the interleaved tests are exactly the read/write races the
   # snapshot protocol must make benign; it also covers per-shard box growth
   # and retry-on-Busy dispatch, the commit
-  # queue's leader hand-off, and the background compactor racing pinned
-  # readers. ASan: COW page recycling and retire callbacks must never free
+  # queue's leader hand-off, and Compact() racing concurrent queries
+  # (CompactionTest.CompactRacesConcurrentQueries). ASan: COW page recycling and retire callbacks must never free
   # pages a pinned snapshot still reads; it also covers the routed request
   # vectors, WAL replay buffers and the compaction swap. The kill-point
   # matrix re-execs wal_test with SPB_CRASH_POINT set, which works

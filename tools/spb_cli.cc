@@ -239,11 +239,9 @@ void PrintSnapshotScalars(const StatsSnapshot& s, const char* indent) {
   }
   if (s.wq_ops > 0 || s.wq_groups > 0) {
     std::printf(
-        "%swrite queue: %llu ops in %llu groups (max group %llu), "
-        "%llu compactions\n",
-        indent, (unsigned long long)s.wq_ops,
-        (unsigned long long)s.wq_groups, (unsigned long long)s.wq_max_group,
-        (unsigned long long)s.wq_compactions);
+        "%swrite queue: %llu ops in %llu groups (max group %llu)\n", indent,
+        (unsigned long long)s.wq_ops, (unsigned long long)s.wq_groups,
+        (unsigned long long)s.wq_max_group);
   }
   if (s.locator_model_present || s.locator_hits > 0 ||
       s.locator_fallbacks > 0) {
